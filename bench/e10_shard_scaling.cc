@@ -21,8 +21,7 @@
 // serial baseline computed once at setup — a wrong shard partition or
 // merge order would change the tuple sets or stage sizes, and the bench
 // aborts rather than publish a bogus speedup. Counters carry threads,
-// shards, tuples, stages, and parallel_tasks into the JSON trajectory
-// (bench/run_all.sh records the process-level `shards` field alongside).
+// shards, tuples, stages, and parallel_tasks into the JSON trajectory.
 //
 // Like E9, the sweep only shows gains on a multi-core machine; a
 // single-core container shows the fan-out + per-shard probe overhead

@@ -32,8 +32,7 @@
 // update against the recompute oracle — the CI incremental-oracle job
 // runs exactly that. Counters carry threads, edges, tc_rows, updates per
 // iteration, and the cumulative incremental_* tallies into the JSON
-// trajectory (run_all.sh records the process-level `updates` and
-// `incremental` fields alongside).
+// trajectory.
 
 #include <benchmark/benchmark.h>
 

@@ -24,8 +24,7 @@
 // ways — cache-on, cache-off, and straight EvalServeQuery against a pin
 // — and all three renderings must match byte-for-byte. The readers then
 // re-check every answer against the rendering recorded for their
-// snapshot's epoch. run_all.sh records `serve_threads` and `cache`
-// alongside the JSON trajectory via INFLOG_SERVE_THREADS / INFLOG_CACHE.
+// snapshot's epoch.
 
 #include <benchmark/benchmark.h>
 

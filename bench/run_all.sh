@@ -2,29 +2,11 @@
 # Runs every experiment bench (E1..E15) and emits ONE JSON line per bench
 # binary on stdout, ready to append to a BENCH_*.json trajectory file:
 #
-#   {"bench":"e7_distance_query","threads":8,"shards":1,
-#    "scheduler":"auto","steal_variance":1,"optimize":"all",
-#    "updates":0,"incremental":1,
-#    "context":{...},"benchmarks":[...]}
+#   {"bench":"e7_distance_query","context":{...},"benchmarks":[...]}
 #
-# `threads`, `shards`, `scheduler`, `steal_variance`, and `optimize`
-# record the evaluation thread count, relation-shard count, stage
-# scheduler, auto-scheduler flip threshold, and plan-optimizer pass
-# selection the bench binaries were run with. The benches default to
-# num_threads=1 / num_shards=1 / the auto scheduler (the library
-# default, which at CV threshold 1.0 picks static or stealing per
-# stage; E1..E8 are serial and unsharded; E9 sweeps thread counts, E10
-# sweeps (threads, shards), E11 sweeps (threads, scheduler incl. auto),
-# and E12 sweeps the optimizer pass selection per series, carried in
-# their *counters*), so the fields default to 1/1/auto/1/all — set
-# INFLOG_THREADS=N / INFLOG_SHARDS=S /
-# INFLOG_SCHEDULER=static|stealing|auto / INFLOG_STEAL_VARIANCE=V /
-# INFLOG_OPTIMIZE=all|none|<comma list of pass tokens> only when
-# actually running a build/flag combination that evaluates with those
-# values. The valid pass tokens are whatever the library exports —
-# asked of the build via `inflog_cli --list-optimize-passes` rather
-# than hardcoded here, so new passes (magic, inline, ...) validate
-# without touching this script.
+# Each bench fixes or sweeps its own configuration (threads, shards,
+# scheduler, optimizer passes, SAT and serving settings) and carries it
+# in its series names and counters.
 #
 # Usage:
 #   bench/run_all.sh [--smoke] [BUILD_DIR] [EXTRA_BENCHMARK_ARGS...]
@@ -63,148 +45,6 @@ if [ ! -d "$build_dir" ]; then
   exit 1
 fi
 
-threads="${INFLOG_THREADS:-1}"
-case "$threads" in
-  ''|*[!0-9]*)
-    echo "error: INFLOG_THREADS must be a non-negative integer," \
-      "got '$threads'" >&2
-    exit 1
-    ;;
-esac
-
-shards="${INFLOG_SHARDS:-1}"
-case "$shards" in
-  ''|*[!0-9]*)
-    echo "error: INFLOG_SHARDS must be a non-negative integer," \
-      "got '$shards'" >&2
-    exit 1
-    ;;
-esac
-
-scheduler="${INFLOG_SCHEDULER:-auto}"
-case "$scheduler" in
-  auto|static|stealing) ;;
-  *)
-    echo "error: INFLOG_SCHEDULER must be 'auto', 'static' or" \
-      "'stealing', got '$scheduler'" >&2
-    exit 1
-    ;;
-esac
-
-# The auto scheduler's CV flip threshold (the library default is 1.0).
-# Must be a JSON-valid number (jq --argjson below), so a bare leading or
-# trailing dot is rejected too.
-steal_variance="${INFLOG_STEAL_VARIANCE:-1}"
-case "$steal_variance" in
-  ''|*[!0-9.]*|*.*.*|.*|*.)
-    echo "error: INFLOG_STEAL_VARIANCE must be a non-negative number," \
-      "got '$steal_variance'" >&2
-    exit 1
-    ;;
-esac
-
-# E13's update-stream configuration: `updates` records the stream length
-# per iteration the run was driven with (0 = the bench's built-in
-# default), `incremental` whether maintenance ran incrementally (1, the
-# default) or every update was forced through the recompute oracle (0).
-# Both are trajectory metadata only — the bench binaries read their own
-# INFLOG_E13_* environment; these fields keep the sweep configuration
-# visible next to threads/shards/scheduler.
-updates="${INFLOG_UPDATES:-0}"
-case "$updates" in
-  ''|*[!0-9]*)
-    echo "error: INFLOG_UPDATES must be a non-negative integer," \
-      "got '$updates'" >&2
-    exit 1
-    ;;
-esac
-
-incremental="${INFLOG_INCREMENTAL:-1}"
-case "$incremental" in
-  0|1) ;;
-  *)
-    echo "error: INFLOG_INCREMENTAL must be 0 or 1, got '$incremental'" >&2
-    exit 1
-    ;;
-esac
-
-# The CDCL core configuration the run was driven with: `sat_preprocess`
-# records whether the SAT preprocessing front-end was on (0, the solver
-# default, or 1) and `sat_portfolio` the portfolio width (1 = the plain
-# single solver). Like updates/incremental these are trajectory metadata
-# mirroring the CLI's --sat-preprocess/--sat-portfolio flags; E2's
-# built-in CdclAblation series sweeps the configurations itself and
-# carries them in its counters.
-sat_preprocess="${INFLOG_SAT_PREPROCESS:-0}"
-case "$sat_preprocess" in
-  0|1) ;;
-  *)
-    echo "error: INFLOG_SAT_PREPROCESS must be 0 or 1," \
-      "got '$sat_preprocess'" >&2
-    exit 1
-    ;;
-esac
-
-sat_portfolio="${INFLOG_SAT_PORTFOLIO:-1}"
-case "$sat_portfolio" in
-  ''|0|*[!0-9]*)
-    echo "error: INFLOG_SAT_PORTFOLIO must be a positive integer," \
-      "got '$sat_portfolio'" >&2
-    exit 1
-    ;;
-esac
-
-# The serving configuration the run was driven with: `serve_threads`
-# records the reader thread count (mirrors the CLI's --serve-threads;
-# E14 sweeps 1..8 itself and carries the count in its counters) and
-# `cache` whether the epoch-keyed query cache was on (1, the serving
-# default) or off (0, --serve-cache=0). Trajectory metadata like
-# updates/incremental above.
-serve_threads="${INFLOG_SERVE_THREADS:-1}"
-case "$serve_threads" in
-  ''|0|*[!0-9]*)
-    echo "error: INFLOG_SERVE_THREADS must be a positive integer," \
-      "got '$serve_threads'" >&2
-    exit 1
-    ;;
-esac
-
-cache="${INFLOG_CACHE:-1}"
-case "$cache" in
-  0|1) ;;
-  *)
-    echo "error: INFLOG_CACHE must be 0 or 1, got '$cache'" >&2
-    exit 1
-    ;;
-esac
-
-# The optimizer pass selection ("all", "none", or a comma list of pass
-# tokens — mirrors the library's --optimize flag). The token set comes
-# from the built CLI so it tracks the library: `--list-optimize-passes`
-# prints one token per line (dce, reorder, share, magic, inline today).
-optimize="${INFLOG_OPTIMIZE:-all}"
-case "$optimize" in
-  all|none) ;;
-  *)
-    if [ -x "$build_dir/inflog_cli" ] &&
-        pass_tokens="$("$build_dir/inflog_cli" --list-optimize-passes)"; then
-      :
-    else
-      echo "warning: $build_dir/inflog_cli --list-optimize-passes" \
-        "unavailable; falling back to the built-in token list" >&2
-      pass_tokens=$'dce\nreorder\nshare\nmagic\ninline'
-    fi
-    IFS=',' read -ra opt_parts <<<"$optimize"
-    for part in "${opt_parts[@]}"; do
-      if ! grep -Fxq -- "$part" <<<"$pass_tokens"; then
-        echo "error: INFLOG_OPTIMIZE must be 'all', 'none' or a comma" \
-          "list of: $(tr '\n' ' ' <<<"$pass_tokens")— got '$optimize'" >&2
-        exit 1
-      fi
-    done
-    ;;
-esac
-
 smoke_args=()
 if [ "$smoke" -eq 1 ]; then
   smoke_args=(--benchmark_min_time=0.01)
@@ -224,26 +64,11 @@ for bin in "$build_dir"/e[0-9]_* "$build_dir"/e[0-9][0-9]_*; do
   if [ -z "$out" ]; then
     # A filter that matches nothing leaves the binary silent; keep one
     # line per bench anyway so trajectories stay aligned.
-    printf \
-      '{"bench":"%s","threads":%s,"shards":%s,"scheduler":"%s","steal_variance":%s,"optimize":"%s","updates":%s,"incremental":%s,"sat_preprocess":%s,"sat_portfolio":%s,"serve_threads":%s,"cache":%s,"context":null,"benchmarks":[]}\n' \
-      "$name" "$threads" "$shards" "$scheduler" "$steal_variance" \
-      "$optimize" "$updates" "$incremental" "$sat_preprocess" \
-      "$sat_portfolio" "$serve_threads" "$cache"
+    printf '{"bench":"%s","context":null,"benchmarks":[]}\n' "$name"
     continue
   fi
-  jq -c --arg bench "$name" --argjson threads "$threads" \
-    --argjson shards "$shards" --arg scheduler "$scheduler" \
-    --argjson steal_variance "$steal_variance" --arg optimize "$optimize" \
-    --argjson updates "$updates" --argjson incremental "$incremental" \
-    --argjson sat_preprocess "$sat_preprocess" \
-    --argjson sat_portfolio "$sat_portfolio" \
-    --argjson serve_threads "$serve_threads" --argjson cache "$cache" \
-    '{bench: $bench, threads: $threads, shards: $shards,
-      scheduler: $scheduler, steal_variance: $steal_variance,
-      optimize: $optimize, updates: $updates, incremental: $incremental,
-      sat_preprocess: $sat_preprocess, sat_portfolio: $sat_portfolio,
-      serve_threads: $serve_threads, cache: $cache,
-      context: .context, benchmarks: .benchmarks}' <<<"$out"
+  jq -c --arg bench "$name" \
+    '{bench: $bench, context: .context, benchmarks: .benchmarks}' <<<"$out"
 done
 
 if [ "$found" -eq 0 ]; then

@@ -1,122 +1,25 @@
 // inflog_cli: evaluate a DATALOG¬ program file against a database file
 // under a chosen semantics — the downstream-user entry point.
 //
-// Usage:
-//   inflog_cli [--threads=N] [--shards=S]
-//     [--scheduler=auto|static|stealing] [--min-slice-rows=R]
-//     [--steal-variance=V] [--optimize=LIST] [--list-optimize-passes]
-//     [--query=NAMES] [--reject-unsafe-negation] [--stats]
-//     [--sat-preprocess=0|1] [--sat-deletion=0|1] [--sat-portfolio=K]
-//     [--sat-reduce-interval=N] [--dump-cnf=FILE]
-//     [--apply-updates=FILE] [--verify-incremental]
-//     [--serve] [--serve-threads=N] [--serve-cache=0|1]
-//     [--compact-threshold=F] [--update-batch=N]
-//     PROGRAM.dlog DATABASE.facts [SEMANTICS]
+//   inflog_cli [FLAGS] PROGRAM.dlog DATABASE.facts [SEMANTICS]
 //
-// SEMANTICS is one of:
-//   inflationary (default) | stratified | wellfounded | stable |
-//   fixpoints | analyze
-//
-// --threads=N runs the relational fixpoint stages on N threads (default:
-// hardware concurrency; --threads=1 is the serial baseline). --shards=S
-// hash-shards the IDB relations S ways — S a power of two ≤ 64 — so the
-// stage merge parallelizes shard-wise (default 0 = auto: one shard per
-// thread; --shards=1 is the unsharded layout). --scheduler picks how
-// parallel stages partition their delta rows: auto (default; per stage,
-// flip to work stealing when the estimated slice-work variance is high,
-// otherwise keep the static slicer), static (up-front equal-row slices)
-// or stealing (per-worker deques with dynamic chunk splitting — faster
-// on skewed stages, see bench E11). --min-slice-rows=R tunes the serial
-// cutoff / slice granularity / tiny-plan batching threshold (0 = default
-// 64), and --steal-variance=V the auto scheduler's coefficient-of-
-// variation flip threshold (0 = default 1.0; lower steals more eagerly).
-// Results are deterministic and identical for every (threads, shards,
-// scheduler, min-slice-rows, steal-variance) combination.
-// --optimize=LIST selects the optimizer passes for the relational
-// pipelines (inflationary, stratified): "all" (the default), "none"
-// (today's greedy plans exactly), or a comma list of dce, reorder,
-// share, magic, inline (--list-optimize-passes prints the tokens, one
-// per line, and exits — scripts validate against it instead of
-// hardcoding). Results on the queried predicates are identical for
-// every selection. --query=NAMES (a comma list of IDB predicates)
-// declares the output predicates: with dce enabled, rules unreachable
-// from them are dropped, and the magic/inline program rewrites
-// specialize the program toward them, so only the listed relations are
-// specified (and printed). Without --query, dce, magic and inline are
-// all no-ops.
-// --reject-unsafe-negation fails instead of evaluating rules whose
-// negated literal has a variable bound by no positive body literal (by
-// default such rules get the paper's active-domain reading). --stats
-// prints the executor counters (index probes, posting-list
-// intersections, rows matched, steals, auto-scheduler decisions, slice
-// histogram, ...) after the result, so bench numbers can be explained
-// from the CLI; for modes without a relational fixpoint run it says so.
-//
-// The --sat-* flags configure the CDCL core behind the SAT-backed modes
-// (stable, fixpoints): --sat-preprocess=0|1 toggles the preprocessing
-// front-end (root BCP, pure literals, bounded variable elimination;
-// default 0), --sat-deletion=0|1 the LBD-scored learnt-clause database
-// reduction (default 1), --sat-portfolio=K races K diversified solver
-// instances and takes the first definitive answer (default 1 = the plain
-// single solver), and --sat-reduce-interval=N sets the conflicts between
-// learnt-DB reductions (0 = the built-in default, 2000). Results are
-// bit-identical for every --sat-* combination — the enumerations are
-// canonicalized — only the sat_* search counters vary. --dump-cnf=FILE
-// writes the Clark-completion encoding of the loaded (program, database)
-// as DIMACS CNF to FILE and continues with the requested run.
-//
-// --apply-updates=FILE switches the run into incremental view
-// maintenance: the program is evaluated once under the chosen semantics
-// (inflationary, stratified, wellfounded or stable), then each
-// non-empty, non-comment line of FILE is applied as one update batch of
-// whitespace-separated `+Rel(a,b)` inserts and `-Rel(a)` deletes, with
-// a per-update summary line (EDB/IDB churn, counting vs DRed units,
-// whether the update fell back to the recompute oracle). The maintained
-// state prints once at the end; with --stats the cumulative incremental_*
-// counters follow. --verify-incremental cross-checks every maintained
-// update against a from-scratch evaluation (expensive — each update then
-// costs a full recompute; meant for tests and oracle sweeps).
-// --update-batch=N coalesces every N consecutive update lines into one
-// batch before applying (net-delta semantics: deletes apply first,
-// inserts win within the window), and --compact-threshold=F compacts any
-// relation whose dead-row share exceeds F after an update (default 0.3;
-// 0 disables) — both apply to --apply-updates and --serve alike.
-//
-// --serve switches into serving mode: the program is evaluated once,
-// published as epoch snapshot 0, and newline-delimited commands are read
-// from stdin:
-//   ?T(1,X)            point/join query (same term syntax as rules);
-//                      prints "[epoch E] ?T(1,X) = {...}" (sets render
-//                      exactly like the batch-mode relation printout,
-//                      ground queries print true/false)
-//   +E(1,2) -E(2,3)    one update batch (same syntax as --apply-updates);
-//                      publishes the next epoch when the batch window
-//                      flushes
-//   .epoch / .stats / .flush   print the current epoch / the serve
-//                      counters / flush a partial update window
-// Consecutive query lines form a group evaluated concurrently by
-// --serve-threads=N reader threads against one pinned snapshot; answers
-// print in input order and are bit-identical to a fresh batch evaluation
-// of that epoch regardless of N. --serve-cache=0 disables the
-// delta-invalidated query-result cache (answers are identical either
-// way; only the cache_* counters change).
-//
-// Examples (data files ship in examples/data/):
-//   inflog_cli data/pi1.dlog data/path6.facts fixpoints
-//   inflog_cli --threads=4 --shards=8 data/distance.dlog data/shortcut.facts
-//   inflog_cli --threads=8 --scheduler=stealing --stats \
-//     data/distance.dlog data/shortcut.facts
+// Run it without arguments for the flag list. docs/tuning.md describes
+// every flag, the serve-mode commands and what --stats prints per mode.
 
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/base/thread_pool.h"
 #include "src/core/engine.h"
 #include "src/sat/dimacs.h"
@@ -140,16 +43,14 @@ inflog::Result<std::string> ReadFile(const std::string& path) {
 
 // With --query, only the listed predicates print: the others are
 // unspecified once dead-rule elimination drops their rules.
-std::vector<std::string> g_query;
-
-void PrintState(const inflog::Engine& engine, const inflog::IdbState& state) {
+void PrintState(const inflog::Engine& engine, const inflog::IdbState& state,
+                const std::vector<std::string>& query) {
   auto program = engine.program();
   INFLOG_CHECK(program.ok());
   for (uint32_t pred : (*program)->idb_predicates()) {
     const auto& info = (*program)->predicate(pred);
-    if (!g_query.empty() &&
-        std::find(g_query.begin(), g_query.end(), info.name) ==
-            g_query.end()) {
+    if (!query.empty() &&
+        std::find(query.begin(), query.end(), info.name) == query.end()) {
       continue;
     }
     std::cout << "  " << info.name << " = "
@@ -158,302 +59,239 @@ void PrintState(const inflog::Engine& engine, const inflog::IdbState& state) {
   }
 }
 
-}  // namespace
+// The --stats printer: `header`, then one "  <field> <value>" line per
+// counter of each group (names padded to the group's longest), with the
+// executed-slice histogram closing the partition group.
+void PrintStats(const char* header, const inflog::EvalStats& s,
+                std::initializer_list<inflog::StatsGroup> groups) {
+  std::cout << header << "\n" << std::left;
+  for (const inflog::StatsGroup group : groups) {
+    size_t width = 0;
+    for (const inflog::EvalCounter& c : inflog::kEvalCounters) {
+      if (c.group == group) width = std::max(width, c.name.size());
+    }
+    for (const inflog::EvalCounter& c : inflog::kEvalCounters) {
+      if (c.group != group) continue;
+      std::cout << "  " << std::setw(width + 1) << c.name
+                << s.*c.field << "\n";
+    }
+    if (group == inflog::StatsGroup::kPartition) {
+      // log2 buckets; only the populated ones, so serial runs print an
+      // empty histogram.
+      std::cout << "  " << std::setw(width) << "slice_hist";
+      for (size_t b = 0; b < inflog::EvalStats::kSliceHistBuckets; ++b) {
+        if (s.slice_hist[b] == 0) continue;
+        const uint64_t lo = b == 0 ? 0 : (uint64_t{1} << b);
+        std::cout << " [" << lo << "+]=" << s.slice_hist[b];
+      }
+      std::cout << "\n";
+    }
+  }
+}
 
-int main(int argc, char** argv) {
-  // 0 = hardware concurrency (the default); 1 = the serial baseline.
-  size_t num_threads = 0;
-  // 0 = auto (one shard per resolved thread); 1 = the unsharded layout.
-  size_t num_shards = 0;
-  // 0 = the evaluator default (64 rows).
-  size_t min_slice_rows = 0;
-  // 0 = the evaluator default (CV 1.0); only read by --scheduler=auto.
-  double steal_variance = 0;
-  inflog::StageScheduler scheduler = inflog::StageScheduler::kAuto;
-  inflog::OptimizerPasses optimizer_passes = inflog::OptimizerPasses::All();
-  bool reject_unsafe_negation = false;
+// What the flags set: the options every mode evaluates with, plus the
+// CLI's own settings.
+struct Settings {
+  inflog::EvalOptions eval;
   bool print_stats = false;
+  bool serve = false;
+  size_t serve_threads = 1;   // reader threads for serve-mode query groups
   std::string apply_updates;  // empty = plain one-shot evaluation
-  bool verify_incremental = false;
-  bool serve_mode = false;
-  size_t serve_threads = 1;  // reader threads for serve-mode query groups
-  size_t serve_cache = 1;    // query-result cache on/off
-  double compact_threshold = 0.3;  // dead-row share; 0 disables
-  size_t update_batch = 1;         // update lines coalesced per ApplyUpdate
-  // CDCL core knobs for the SAT-backed modes; the defaults match
-  // sat::SolverOptions (preprocessing off, deletion on, plain solver).
-  size_t sat_preprocess = 0;
-  size_t sat_deletion = 1;
-  size_t sat_portfolio = 1;
-  size_t sat_reduce_interval = 0;  // 0 = the solver default (2000)
-  std::string dump_cnf;            // empty = no DIMACS dump
-  std::vector<std::string> args;
-  auto parse_count = [](const char* flag, const std::string& value,
-                        long max, size_t* out) {
+  std::string dump_cnf;       // empty = no DIMACS dump
+};
+
+// Parses a flag's value into the settings; returns the error message
+// (printed after "error: "), or "" when the value is accepted.
+using Setter =
+    std::function<std::string(const std::string& flag,
+                              const std::string& value)>;
+
+// One command-line flag. A value flag (non-empty placeholder) takes both
+// --name=VALUE and --name VALUE; a switch takes neither.
+struct Flag {
+  std::string name;
+  std::string placeholder;
+  std::string help;
+  Setter set;
+};
+
+Setter Switch(bool* target) {
+  return [target](const std::string&, const std::string&) {
+    *target = true;
+    return std::string();
+  };
+}
+
+// An integer in [0, max], handed to `store`.
+Setter Count(long max, std::function<void(size_t)> store) {
+  return [max, store](const std::string& flag, const std::string& value) {
     errno = 0;
     char* end = nullptr;
     const long n = std::strtol(value.c_str(), &end, 10);
     if (value.empty() || end != value.c_str() + value.size() || n < 0 ||
         errno == ERANGE || n > max) {
-      std::cerr << "error: " << flag << " expects an integer in [0, "
-                << max << "], got '" << value << "'\n";
-      return false;
+      return flag + " expects an integer in [0, " + std::to_string(max) +
+             "], got '" + value + "'";
     }
-    *out = static_cast<size_t>(n);
-    return true;
+    store(static_cast<size_t>(n));
+    return std::string();
   };
+}
+
+Setter File(std::string* target) {
+  return [target](const std::string& flag, const std::string& value) {
+    if (value.empty()) return flag + " requires a file";
+    *target = value;
+    return std::string();
+  };
+}
+
+// A value the library's `parse` reads; its error status is the message.
+template <typename T>
+Setter Parsed(inflog::Result<T> (*parse)(std::string_view), T* target) {
+  return [parse, target](const std::string&, const std::string& value) {
+    auto parsed = parse(value);
+    if (!parsed.ok()) return parsed.status().ToString();
+    *target = *parsed;
+    return std::string();
+  };
+}
+
+std::vector<Flag> Flags(Settings* s) {
+  inflog::EvalOptions& e = s->eval;
+  const std::string passes =
+      "all|none|" + inflog::StrJoin(inflog::OptimizerPassTokens(), ",");
+  // The thread-count caps keep typos from spawning thousands of threads.
+  return {
+      {"--threads", "N", "worker threads (default 0 = hardware concurrency)",
+       Count(1024, [&e](size_t n) { e.num_threads = n; })},
+      // The evaluator would round other counts up to a power of two and
+      // clamp them to kMaxShards, silently running a different sweep point.
+      {"--shards", "S", "IDB hash shards: 0 (auto, the default) or 2^k <= 64",
+       [&e](const std::string& flag, const std::string& value) {
+         const std::string error =
+             Count(inflog::EvalContextOptions::kMaxShards,
+                   [&e](size_t n) { e.num_shards = n; })(flag, value);
+         if (!error.empty() || (e.num_shards & (e.num_shards - 1)) == 0) {
+           return error;
+         }
+         return "--shards must be 0 (auto) or a power of two, got " +
+                std::to_string(e.num_shards);
+       }},
+      {"--scheduler", "auto|static|stealing", "parallel stage partitioning",
+       Parsed(inflog::ParseStageScheduler, &e.scheduler)},
+      {"--min-slice-rows", "R", "serial cutoff and slice floor (0 = 64)",
+       Count(1 << 20, [&e](size_t n) { e.min_slice_rows = n; })},
+      {"--optimize", passes, "optimizer passes (default all)",
+       Parsed(inflog::ParseOptimizerPasses, &e.optimizer_passes)},
+      {"--query", "NAMES", "output IDB predicates, the only ones printed",
+       [&e](const std::string& flag, const std::string& value) {
+         for (std::string& name : inflog::StrSplit(value, ',')) {
+           e.output_predicates.push_back(std::move(name));
+         }
+         if (!e.output_predicates.empty()) return std::string();
+         return flag + " expects a comma list of IDB predicate names, got '" +
+                value + "'";
+       }},
+      {"--reject-unsafe-negation", "", "fail on unsafe negated variables",
+       Switch(&e.reject_unsafe_negation)},
+      {"--stats", "", "print the run's counters", Switch(&s->print_stats)},
+      {"--sat-preprocess", "0|1", "CDCL preprocessing (default 0)",
+       Count(1, [&e](size_t n) { e.sat.preprocess = n != 0; })},
+      {"--sat-deletion", "0|1", "learnt-clause deletion (default 1)",
+       Count(1, [&e](size_t n) { e.sat.reduce_db = n != 0; })},
+      {"--sat-portfolio", "K", "race K diversified solvers (default 1)",
+       Count(64, [&e](size_t n) { e.sat.portfolio_threads = n ? n : 1; })},
+      {"--sat-reduce-interval", "N", "conflicts between reductions (0 = 2000)",
+       Count(1 << 20, [&e](size_t n) { e.sat.reduce_base = n; })},
+      {"--dump-cnf", "FILE", "write the completion CNF as DIMACS first",
+       File(&s->dump_cnf)},
+      {"--apply-updates", "FILE", "maintain the result under FILE's updates",
+       File(&s->apply_updates)},
+      {"--verify-incremental", "", "check each update against a recompute",
+       Switch(&e.verify_incremental)},
+      {"--serve", "", "answer queries and updates from stdin",
+       Switch(&s->serve)},
+      {"--serve-threads", "N", "reader threads per query group (default 1)",
+       Count(64, [s](size_t n) { s->serve_threads = n ? n : 1; })},
+      {"--serve-cache", "0|1", "serve-mode query cache (default 1)",
+       Count(1, [&e](size_t n) { e.serving.cache = n != 0; })},
+      {"--compact-threshold", "F", "compaction dead-row share (default 0.3)",
+       [&e](const std::string& flag, const std::string& value) {
+         errno = 0;
+         char* end = nullptr;
+         const double v = std::strtod(value.c_str(), &end);
+         if (value.empty() || end != value.c_str() + value.size() ||
+             errno == ERANGE || !std::isfinite(v) || v < 0 || v > 1) {
+           return flag + " expects a number in [0, 1], got '" + value + "'";
+         }
+         e.serving.compact_threshold = v;
+         return std::string();
+       }},
+      {"--update-batch", "N", "update lines per batch (default 1)",
+       Count(1 << 20, [&e](size_t n) { e.serving.update_batch = n ? n : 1; })},
+  };
+}
+
+void PrintUsage(const char* argv0, const std::vector<Flag>& flags) {
+  std::cerr << "usage: " << argv0;
+  size_t width = 0;
+  for (const Flag& f : flags) {
+    std::cerr << " [" << f.name
+              << (f.placeholder.empty() ? "" : "=" + f.placeholder) << "]";
+    width = std::max(width, f.name.size());
+  }
+  std::cerr << " PROGRAM.dlog DATABASE.facts "
+               "[inflationary|stratified|wellfounded|stable|fixpoints|"
+               "analyze]\n";
+  for (const Flag& f : flags) {
+    std::cerr << "  " << std::left << std::setw(width + 2) << f.name << f.help
+              << "\n";
+  }
+  std::cerr << "Every flag is described in docs/tuning.md.\n";
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Settings settings;
+  // The CLI defaults to the parallel configuration: hardware concurrency,
+  // one shard per thread.
+  settings.eval.num_threads = 0;
+  settings.eval.num_shards = 0;
+  const std::vector<Flag> flags = Flags(&settings);
+  std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto flag_value = [&](const char* flag, long max, size_t* out) -> int {
-      const std::string eq = std::string(flag) + "=";
-      if (arg.rfind(eq, 0) == 0) {
-        return parse_count(flag, arg.substr(eq.size()), max, out) ? 1 : -1;
-      }
-      if (arg == flag) {
-        if (i + 1 >= argc) {
-          std::cerr << "error: " << flag << " requires a value\n";
-          return -1;
-        }
-        return parse_count(flag, argv[++i], max, out) ? 1 : -1;
-      }
-      return 0;
-    };
-    if (arg == "--stats") {
-      print_stats = true;
+    const std::string name = arg.substr(0, arg.find('='));
+    const auto flag = std::find_if(
+        flags.begin(), flags.end(),
+        [&name](const Flag& f) { return f.name == name; });
+    if (flag == flags.end() || (flag->placeholder.empty() && name != arg)) {
+      args.push_back(arg);  // not a flag, or a switch given a value
       continue;
     }
-    if (arg == "--reject-unsafe-negation") {
-      reject_unsafe_negation = true;
-      continue;
-    }
-    if (arg == "--verify-incremental") {
-      verify_incremental = true;
-      continue;
-    }
-    if (arg == "--serve") {
-      serve_mode = true;
-      continue;
-    }
-    if (arg == "--compact-threshold" ||
-        arg.rfind("--compact-threshold=", 0) == 0) {
-      std::string value;
-      if (arg == "--compact-threshold") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --compact-threshold requires a value\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(sizeof("--compact-threshold=") - 1);
-      }
-      errno = 0;
-      char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() ||
-          errno == ERANGE || !std::isfinite(v) || v < 0 || v > 1) {
-        std::cerr << "error: --compact-threshold expects a number in "
-                     "[0, 1], got '"
-                  << value << "'\n";
+    std::string value = name == arg ? "" : arg.substr(name.size() + 1);
+    if (!flag->placeholder.empty() && name == arg) {
+      if (i + 1 >= argc) {
+        std::cerr << "error: " << flag->name << " requires a "
+                  << (flag->placeholder == "FILE" ? "file" : "value") << "\n";
         return 2;
       }
-      compact_threshold = v;
-      continue;
+      value = argv[++i];
     }
-    if (arg == "--apply-updates" || arg.rfind("--apply-updates=", 0) == 0) {
-      if (arg == "--apply-updates") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --apply-updates requires a file\n";
-          return 2;
-        }
-        apply_updates = argv[++i];
-      } else {
-        apply_updates = arg.substr(sizeof("--apply-updates=") - 1);
-      }
-      if (apply_updates.empty()) {
-        std::cerr << "error: --apply-updates requires a file\n";
-        return 2;
-      }
-      continue;
+    if (const std::string error = flag->set(flag->name, value);
+        !error.empty()) {
+      std::cerr << "error: " << error << "\n";
+      return 2;
     }
-    if (arg == "--dump-cnf" || arg.rfind("--dump-cnf=", 0) == 0) {
-      if (arg == "--dump-cnf") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --dump-cnf requires a file\n";
-          return 2;
-        }
-        dump_cnf = argv[++i];
-      } else {
-        dump_cnf = arg.substr(sizeof("--dump-cnf=") - 1);
-      }
-      if (dump_cnf.empty()) {
-        std::cerr << "error: --dump-cnf requires a file\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--scheduler" || arg.rfind("--scheduler=", 0) == 0) {
-      std::string value;
-      if (arg == "--scheduler") {  // the two-token form, like --threads N
-        if (i + 1 >= argc) {
-          std::cerr << "error: --scheduler requires a value\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(sizeof("--scheduler=") - 1);
-      }
-      auto parsed = inflog::ParseStageScheduler(value);
-      if (!parsed.ok()) {
-        std::cerr << "error: " << parsed.status().ToString() << "\n";
-        return 2;
-      }
-      scheduler = *parsed;
-      continue;
-    }
-    if (arg == "--list-optimize-passes") {
-      for (const std::string_view token : inflog::OptimizerPassTokens()) {
-        std::cout << token << "\n";
-      }
-      return 0;
-    }
-    if (arg == "--optimize" || arg.rfind("--optimize=", 0) == 0) {
-      std::string value;
-      if (arg == "--optimize") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --optimize requires a value\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(sizeof("--optimize=") - 1);
-      }
-      auto parsed = inflog::ParseOptimizerPasses(value);
-      if (!parsed.ok()) {
-        std::cerr << "error: " << parsed.status().ToString() << "\n";
-        return 2;
-      }
-      optimizer_passes = *parsed;
-      continue;
-    }
-    if (arg == "--query" || arg.rfind("--query=", 0) == 0) {
-      std::string value;
-      if (arg == "--query") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --query requires a value\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(sizeof("--query=") - 1);
-      }
-      size_t start = 0;
-      while (start <= value.size()) {
-        const size_t comma = value.find(',', start);
-        const size_t end = comma == std::string::npos ? value.size() : comma;
-        if (end > start) g_query.push_back(value.substr(start, end - start));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      if (g_query.empty()) {
-        std::cerr << "error: --query expects a comma list of IDB "
-                     "predicate names, got '"
-                  << value << "'\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--steal-variance" || arg.rfind("--steal-variance=", 0) == 0) {
-      std::string value;
-      if (arg == "--steal-variance") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --steal-variance requires a value\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(sizeof("--steal-variance=") - 1);
-      }
-      errno = 0;
-      char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() ||
-          errno == ERANGE || !std::isfinite(v) || v < 0) {
-        std::cerr << "error: --steal-variance expects a non-negative "
-                     "number, got '"
-                  << value << "'\n";
-        return 2;
-      }
-      steal_variance = v;
-      continue;
-    }
-    int handled = flag_value("--threads", 1024, &num_threads);
-    if (handled == 0) {
-      // The evaluator clamps shard counts to kMaxShards; reject higher
-      // values here instead of silently running a different sweep point.
-      handled = flag_value(
-          "--shards",
-          static_cast<long>(inflog::EvalContextOptions::kMaxShards),
-          &num_shards);
-    }
-    if (handled == 0) {
-      handled = flag_value("--min-slice-rows", 1 << 20, &min_slice_rows);
-    }
-    if (handled == 0) {
-      handled = flag_value("--sat-preprocess", 1, &sat_preprocess);
-    }
-    if (handled == 0) {
-      handled = flag_value("--sat-deletion", 1, &sat_deletion);
-    }
-    if (handled == 0) {
-      // The portfolio races K diversified members; 64 is far beyond any
-      // sensible core count and keeps typos from spawning thousands.
-      handled = flag_value("--sat-portfolio", 64, &sat_portfolio);
-    }
-    if (handled == 0) {
-      handled =
-          flag_value("--sat-reduce-interval", 1 << 20, &sat_reduce_interval);
-    }
-    if (handled == 0) {
-      // 64 reader threads is far beyond any sensible CLI use and keeps
-      // typos from spawning thousands.
-      handled = flag_value("--serve-threads", 64, &serve_threads);
-    }
-    if (handled == 0) {
-      handled = flag_value("--serve-cache", 1, &serve_cache);
-    }
-    if (handled == 0) {
-      handled = flag_value("--update-batch", 1 << 20, &update_batch);
-    }
-    if (handled < 0) return 2;
-    if (handled > 0) continue;
-    args.push_back(arg);
-  }
-  if (num_shards != 0 && (num_shards & (num_shards - 1)) != 0) {
-    // The evaluator rounds shard counts up to a power of two; reject the
-    // request here rather than silently running a different sweep point.
-    std::cerr << "error: --shards must be 0 (auto) or a power of two, got "
-              << num_shards << "\n";
-    return 2;
   }
   if (args.size() < 2) {
-    std::cerr << "usage: " << argv[0]
-              << " [--threads=N] [--shards=S] "
-                 "[--scheduler=auto|static|stealing] [--min-slice-rows=R] "
-                 "[--steal-variance=V] [--optimize=all|none|dce,reorder,"
-                 "share,magic,inline] [--list-optimize-passes] "
-                 "[--query=NAMES] [--reject-unsafe-negation] "
-                 "[--stats] [--sat-preprocess=0|1] [--sat-deletion=0|1] "
-                 "[--sat-portfolio=K] [--sat-reduce-interval=N] "
-                 "[--dump-cnf=FILE] [--apply-updates=FILE] "
-                 "[--verify-incremental] [--serve] [--serve-threads=N] "
-                 "[--serve-cache=0|1] [--compact-threshold=F] "
-                 "[--update-batch=N] "
-                 "PROGRAM.dlog DATABASE.facts "
-                 "[inflationary|stratified|wellfounded|stable|fixpoints|"
-                 "analyze]\n";
+    PrintUsage(argv[0], flags);
     return 2;
   }
   const std::string semantics = args.size() > 2 ? args[2] : "inflationary";
+  const std::vector<std::string>& query = settings.eval.output_predicates;
 
   inflog::Engine engine;
   auto program_text = ReadFile(args[0]);
@@ -463,13 +301,7 @@ int main(int argc, char** argv) {
   if (!db_text.ok()) return Fail(db_text.status());
   if (auto s = engine.LoadDatabaseText(*db_text); !s.ok()) return Fail(s);
 
-  inflog::sat::SolverOptions sat_options;
-  sat_options.preprocess = sat_preprocess != 0;
-  sat_options.reduce_db = sat_deletion != 0;
-  sat_options.portfolio_threads = sat_portfolio == 0 ? 1 : sat_portfolio;
-  sat_options.reduce_base = sat_reduce_interval;  // 0 = solver default
-
-  if (!dump_cnf.empty()) {
+  if (const std::string& dump_cnf = settings.dump_cnf; !dump_cnf.empty()) {
     // Ground + Clark-complete the loaded (program, database) and write
     // the encoding the SAT-backed modes solve, then continue normally.
     auto analyzer = engine.MakeAnalyzer();
@@ -486,35 +318,22 @@ int main(int argc, char** argv) {
     std::cout << "wrote completion CNF to " << dump_cnf << "\n";
   }
 
-  // The executor counters only exist for the relational-fixpoint
-  // semantics; everywhere else --stats says so instead of vanishing.
-  auto stats_not_applicable = [&](const std::string& mode) {
-    if (print_stats) {
-      std::cout << "stats: n/a (" << mode
-                << " does not run the relational fixpoint executor)\n";
-    }
-  };
   if (semantics == "analyze") {
     auto description = engine.Describe();
     if (!description.ok()) return Fail(description.status());
     std::cout << *description;
-    stats_not_applicable("analyze");
+    if (settings.print_stats) {
+      std::cout << "stats: n/a (analyze does not run the relational fixpoint "
+                   "executor)\n";
+    }
     return 0;
   }
   // The four semantics all route through the engine's unified dispatch;
   // the variant `detail` carries each one's specific bookkeeping.
   if (auto kind = inflog::ParseSemanticsKind(semantics); kind.ok()) {
-    inflog::EvalOptions options;
-    options.num_threads = num_threads;
-    options.num_shards = num_shards;
-    options.scheduler = scheduler;
-    options.min_slice_rows = min_slice_rows;
-    options.steal_variance = steal_variance;
-    options.reject_unsafe_negation = reject_unsafe_negation;
-    options.optimizer_passes = optimizer_passes;
-    options.output_predicates = g_query;
-    options.sat = sat_options;
-    if (serve_mode && !apply_updates.empty()) {
+    inflog::EvalOptions options = settings.eval;
+    const std::string& apply_updates = settings.apply_updates;
+    if (settings.serve && !apply_updates.empty()) {
       std::cerr << "error: --serve and --apply-updates are exclusive\n";
       return 2;
     }
@@ -536,42 +355,32 @@ int main(int argc, char** argv) {
       }
       std::cout << "\n";
     };
-    auto print_serve_stats = [](const inflog::EvalStats& s) {
-      std::cout << "serve stats:\n"
-                << "  serve_epochs_published " << s.serve_epochs_published
-                << "\n"
-                << "  serve_snapshots_pinned " << s.serve_snapshots_pinned
-                << "\n"
-                << "  serve_queries          " << s.serve_queries << "\n"
-                << "  serve_updates          " << s.serve_updates << "\n"
-                << "  serve_batched_updates  " << s.serve_batched_updates
-                << "\n"
-                << "  serve_compactions      " << s.serve_compactions << "\n"
-                << "  cache_hits             " << s.cache_hits << "\n"
-                << "  cache_misses           " << s.cache_misses << "\n"
-                << "  cache_invalidations    " << s.cache_invalidations
-                << "\n";
+    const auto print_serve_stats = [](const inflog::EvalStats& s) {
+      PrintStats("serve stats:", s, {inflog::StatsGroup::kServing});
     };
-    if (serve_mode) {
-      options.verify_incremental = verify_incremental;
+    inflog::serve::ServingSession* session = nullptr;
+    if (settings.serve || !apply_updates.empty()) {
       // Output predicates would let dead-rule elimination drop rules the
       // maintainer needs intact; the session maintains every IDB.
       options.output_predicates.clear();
-      options.serving.cache = serve_cache != 0;
-      options.serving.compact_threshold = compact_threshold;
-      options.serving.update_batch = update_batch == 0 ? 1 : update_batch;
+      // --apply-updates routes through the serving layer too (cache off —
+      // nothing queries it) so --compact-threshold and --update-batch
+      // apply to file-driven streams; with the defaults the output is
+      // line-identical to the pre-serving incremental loop.
+      if (!settings.serve) options.serving.cache = false;
       if (auto s = engine.BeginServing(*kind, options); !s.ok()) {
         return Fail(s);
       }
       auto serving = engine.serving();
       if (!serving.ok()) return Fail(serving.status());
-      inflog::serve::ServingSession* session = *serving;
-      inflog::ThreadPool pool(serve_threads == 0 ? 0 : serve_threads - 1);
+      session = *serving;
+    }
+    if (settings.serve) {
+      inflog::ThreadPool pool(settings.serve_threads - 1);
       std::cout << "serving epoch " << session->epoch() << " ("
                 << inflog::SemanticsKindName(*kind) << ", "
-                << (serve_threads == 0 ? size_t{1} : serve_threads)
-                << " reader thread(s), cache "
-                << (serve_cache != 0 ? "on" : "off") << ")\n";
+                << settings.serve_threads << " reader thread(s), cache "
+                << (options.serving.cache ? "on" : "off") << ")\n";
       // Consecutive query lines form a group: all of them evaluate
       // against ONE pinned snapshot, concurrently across the reader
       // threads, and print in input order.
@@ -643,27 +452,10 @@ int main(int argc, char** argv) {
       auto tail = session->Flush();
       if (!tail.ok()) return Fail(tail.status());
       if (tail->has_value()) print_update(**tail);
-      if (print_stats) print_serve_stats(session->stats());
+      if (settings.print_stats) print_serve_stats(session->stats());
       return 0;
     }
     if (!apply_updates.empty()) {
-      options.verify_incremental = verify_incremental;
-      // Output predicates would let dead-rule elimination drop rules the
-      // maintainer needs intact; the session maintains every IDB.
-      options.output_predicates.clear();
-      // Updates route through the serving layer (cache off — nothing
-      // queries it here) so --compact-threshold and --update-batch apply
-      // to file-driven streams too; with the defaults the output is
-      // line-identical to the pre-serving incremental loop.
-      options.serving.cache = false;
-      options.serving.compact_threshold = compact_threshold;
-      options.serving.update_batch = update_batch == 0 ? 1 : update_batch;
-      if (auto s = engine.BeginServing(*kind, options); !s.ok()) {
-        return Fail(s);
-      }
-      auto serving = engine.serving();
-      if (!serving.ok()) return Fail(serving.status());
-      inflog::serve::ServingSession* session = *serving;
       std::ifstream updates(apply_updates);
       if (!updates) {
         return Fail(inflog::Status::NotFound("cannot open " + apply_updates));
@@ -693,38 +485,13 @@ int main(int argc, char** argv) {
       auto state = engine.IncrementalState();
       if (!state.ok()) return Fail(state.status());
       std::cout << "maintained state after " << update_no << " update(s):\n";
-      PrintState(engine, **state);
-      if (print_stats) {
-        auto stats = engine.IncrementalStats();
-        if (!stats.ok()) return Fail(stats.status());
-        const inflog::EvalStats& s = **stats;
-        std::cout << "stats:\n"
-                  << "  incremental_updates    " << s.incremental_updates
-                  << "\n"
-                  << "  oracle_runs            " << s.incremental_oracle_runs
-                  << "\n"
-                  << "  edb_inserted           " << s.incremental_edb_inserted
-                  << "\n"
-                  << "  edb_deleted            " << s.incremental_edb_deleted
-                  << "\n"
-                  << "  idb_inserted           " << s.incremental_idb_inserted
-                  << "\n"
-                  << "  idb_deleted            " << s.incremental_idb_deleted
-                  << "\n"
-                  << "  del_candidates         "
-                  << s.incremental_del_candidates << "\n"
-                  << "  rederived              " << s.incremental_rederived
-                  << "\n"
-                  << "  recounted              " << s.incremental_recounted
-                  << "\n"
-                  << "  counting_units         "
-                  << s.incremental_counting_units << "\n"
-                  << "  dred_units             " << s.incremental_dred_units
-                  << "\n"
-                  << "  derivations            " << s.derivations << "\n"
-                  << "  rows_matched           " << s.rows_matched << "\n"
-                  << "  index_probes           " << s.index_lookups << "\n";
-        print_serve_stats(session->stats());
+      PrintState(engine, **state, query);
+      if (settings.print_stats) {
+        const inflog::EvalStats s = session->stats();
+        PrintStats("stats:", s,
+                   {inflog::StatsGroup::kIncremental,
+                    inflog::StatsGroup::kExecutor});
+        print_serve_stats(s);
       }
       return 0;
     }
@@ -734,79 +501,34 @@ int main(int argc, char** argv) {
             std::get_if<inflog::InflationaryResult>(&outcome->detail)) {
       std::cout << "inflationary semantics (" << r->num_stages
                 << " stages):\n";
-      PrintState(engine, outcome->state());
+      PrintState(engine, outcome->state(), query);
     } else if (const auto* r =
                    std::get_if<inflog::StratifiedResult>(&outcome->detail)) {
       std::cout << "stratified semantics (" << r->num_strata << " strata):\n";
-      PrintState(engine, outcome->state());
+      PrintState(engine, outcome->state(), query);
     } else if (const auto* r =
                    std::get_if<inflog::WellFoundedResult>(&outcome->detail)) {
       std::cout << "well-founded model ("
                 << (r->total ? "total" : "three-valued") << "):\n";
       std::cout << " true atoms:\n";
-      PrintState(engine, r->true_state);
+      PrintState(engine, r->true_state, query);
       std::cout << " undefined atoms:\n";
-      PrintState(engine, r->undefined_state);
+      PrintState(engine, r->undefined_state, query);
     } else if (const auto* r =
                    std::get_if<inflog::StableResult>(&outcome->detail)) {
       std::cout << r->models.size() << " stable model(s) among "
                 << r->supported_examined << " supported model(s):\n";
       for (size_t i = 0; i < r->models.size(); ++i) {
         std::cout << " model " << i + 1 << ":\n";
-        PrintState(engine, r->models[i]);
+        PrintState(engine, r->models[i], query);
       }
     }
-    if (print_stats) {
+    if (settings.print_stats) {
       if (const inflog::EvalStats* s = outcome->stats()) {
-        std::cout << "stats:\n"
-                  << "  stages           " << s->stages << "\n"
-                  << "  derivations      " << s->derivations << "\n"
-                  << "  new_tuples       " << s->new_tuples << "\n"
-                  << "  rows_matched     " << s->rows_matched << "\n"
-                  << "  index_probes     " << s->index_lookups << "\n"
-                  << "  intersections    " << s->intersections << "\n"
-                  << "  enumerations     " << s->enumerations << "\n"
-                  << "  parallel_tasks   " << s->parallel_tasks << "\n"
-                  << "  steals           " << s->steals << "\n"
-                  << "  splits           " << s->splits << "\n"
-                  << "  parks            " << s->parks << "\n"
-                  << "  slices           " << s->slices << "\n"
-                  << "  batched_plans    " << s->batched_plans << "\n"
-                  << "  auto_static      " << s->auto_static_stages << "\n"
-                  << "  auto_stealing    " << s->auto_stealing_stages << "\n"
-                  << "  opt_rules_eliminated " << s->opt_rules_eliminated
-                  << "\n"
-                  << "  opt_plans_reordered  " << s->opt_plans_reordered
-                  << "\n"
-                  << "  opt_subplans_shared  " << s->opt_subplans_shared
-                  << "\n"
-                  << "  opt_shared_prefixes  " << s->opt_shared_prefixes
-                  << "\n"
-                  << "  opt_shared_rows      " << s->opt_shared_rows
-                  << "\n"
-                  << "  opt_magic_rules_generated " << s->opt_magic_rules_generated
-                  << "\n"
-                  << "  opt_rules_inlined    " << s->opt_rules_inlined
-                  << "\n"
-                  << "  sat_conflicts        " << s->sat_conflicts << "\n"
-                  << "  sat_decisions        " << s->sat_decisions << "\n"
-                  << "  sat_propagations     " << s->sat_propagations << "\n"
-                  << "  sat_restarts         " << s->sat_restarts << "\n"
-                  << "  sat_learned          " << s->sat_learned << "\n"
-                  << "  sat_deleted          " << s->sat_deleted << "\n"
-                  << "  sat_pre_vars_elim    "
-                  << s->sat_preprocess_vars_eliminated << "\n"
-                  << "  sat_pre_clauses_rm   "
-                  << s->sat_preprocess_clauses_removed << "\n";
-        // Executed-slice size distribution, log2 buckets; only the
-        // populated ones, so serial runs print a single empty line.
-        std::cout << "  slice_hist      ";
-        for (size_t b = 0; b < inflog::EvalStats::kSliceHistBuckets; ++b) {
-          if (s->slice_hist[b] == 0) continue;
-          const uint64_t lo = b == 0 ? 0 : (uint64_t{1} << b);
-          std::cout << " [" << lo << "+]=" << s->slice_hist[b];
-        }
-        std::cout << "\n";
+        PrintStats("stats:", *s,
+                   {inflog::StatsGroup::kExecutor,
+                    inflog::StatsGroup::kPartition,
+                    inflog::StatsGroup::kOptimizer, inflog::StatsGroup::kSat});
       } else {
         std::cout << "stats: n/a (the " << semantics
                   << " semantics runs the grounded pipeline, which "
@@ -817,7 +539,7 @@ int main(int argc, char** argv) {
   }
   if (semantics == "fixpoints") {
     inflog::AnalyzeOptions analyze;
-    analyze.solver = sat_options;
+    analyze.solver = settings.eval.sat;
     auto analyzer = engine.MakeAnalyzer(analyze);
     if (!analyzer.ok()) return Fail(analyzer.status());
     auto fixpoints = analyzer->EnumerateFixpoints(/*limit=*/64);
@@ -826,27 +548,18 @@ int main(int argc, char** argv) {
               << " fixpoint(s) (enumeration capped at 64):\n";
     for (size_t i = 0; i < fixpoints->size(); ++i) {
       std::cout << " fixpoint " << i + 1 << ":\n";
-      PrintState(engine, (*fixpoints)[i]);
+      PrintState(engine, (*fixpoints)[i], query);
     }
     auto least = analyzer->LeastFixpoint();
     if (!least.ok()) return Fail(least.status());
     std::cout << "least fixpoint exists: "
               << (least->has_least ? "yes" : "no") << "\n";
-    if (print_stats) {
+    if (settings.print_stats) {
       // Fixpoint analysis runs the CDCL pipeline, not the relational
-      // executor: the sat_* block is the whole story.
-      const inflog::sat::SolverStats& s = analyzer->sat_stats();
-      std::cout << "stats:\n"
-                << "  sat_conflicts        " << s.conflicts << "\n"
-                << "  sat_decisions        " << s.decisions << "\n"
-                << "  sat_propagations     " << s.propagations << "\n"
-                << "  sat_restarts         " << s.restarts << "\n"
-                << "  sat_learned          " << s.learned_clauses << "\n"
-                << "  sat_deleted          " << s.deleted_clauses << "\n"
-                << "  sat_pre_vars_elim    " << s.preprocess_vars_eliminated
-                << "\n"
-                << "  sat_pre_clauses_rm   " << s.preprocess_clauses_removed
-                << "\n";
+      // executor: the SAT group is the whole story.
+      inflog::EvalStats s;
+      inflog::FillSatStats(analyzer->sat_stats(), &s);
+      PrintStats("stats:", s, {inflog::StatsGroup::kSat});
     }
     return 0;
   }

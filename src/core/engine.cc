@@ -134,6 +134,53 @@ const EvalStats* EvalOutcome::stats() const {
   return nullptr;
 }
 
+namespace {
+
+/// Copies EvalOptions' top-level knobs, which are authoritative over the
+/// nested per-semantics copies, into an evaluator's context options.
+/// Output predicates are left to the caller.
+void ApplyContextOptions(const EvalOptions& options,
+                         EvalContextOptions* context) {
+  context->num_threads = options.num_threads;
+  context->num_shards = options.num_shards;
+  context->scheduler = options.scheduler;
+  context->min_slice_rows = options.min_slice_rows;
+  context->reject_unsafe_negation = options.reject_unsafe_negation;
+  context->optimizer_passes = options.optimizer_passes;
+}
+
+/// The shared EvalOptions -> IncrementalOptions mapping of
+/// BeginIncremental and BeginServing.
+IncrementalOptions MakeIncrementalOptions(SemanticsKind kind,
+                                          const EvalOptions& options) {
+  IncrementalOptions opts;
+  switch (kind) {
+    case SemanticsKind::kInflationary:
+      opts.semantics = MaintainedSemantics::kInflationary;
+      opts.use_seminaive = options.inflationary.use_seminaive;
+      break;
+    case SemanticsKind::kStratified:
+      opts.semantics = MaintainedSemantics::kStratified;
+      opts.use_seminaive = options.stratified.use_seminaive;
+      break;
+    case SemanticsKind::kWellFounded:
+      opts.semantics = MaintainedSemantics::kWellFounded;
+      break;
+    case SemanticsKind::kStable:
+      opts.semantics = MaintainedSemantics::kStable;
+      break;
+  }
+  opts.verify = options.verify_incremental;
+  // Output predicates stay empty: the maintainer keeps every IDB.
+  ApplyContextOptions(options, &opts.context);
+  opts.wellfounded = options.wellfounded;
+  opts.stable = options.stable;
+  opts.stable.analyze.solver = options.sat;
+  return opts;
+}
+
+}  // namespace
+
 Result<EvalOutcome> Engine::Evaluate(SemanticsKind kind,
                                      const EvalOptions& options) const {
   if (options.reject_unsafe_negation) {
@@ -148,13 +195,7 @@ Result<EvalOutcome> Engine::Evaluate(SemanticsKind kind,
   switch (kind) {
     case SemanticsKind::kInflationary: {
       InflationaryOptions opts = options.inflationary;
-      opts.context.num_threads = options.num_threads;
-      opts.context.num_shards = options.num_shards;
-      opts.context.scheduler = options.scheduler;
-      opts.context.min_slice_rows = options.min_slice_rows;
-      opts.context.steal_variance = options.steal_variance;
-      opts.context.reject_unsafe_negation = options.reject_unsafe_negation;
-      opts.context.optimizer_passes = options.optimizer_passes;
+      ApplyContextOptions(options, &opts.context);
       opts.context.output_predicates = options.output_predicates;
       INFLOG_ASSIGN_OR_RETURN(InflationaryResult r, Inflationary(opts));
       out.detail = std::move(r);
@@ -162,13 +203,7 @@ Result<EvalOutcome> Engine::Evaluate(SemanticsKind kind,
     }
     case SemanticsKind::kStratified: {
       StratifiedOptions opts = options.stratified;
-      opts.context.num_threads = options.num_threads;
-      opts.context.num_shards = options.num_shards;
-      opts.context.scheduler = options.scheduler;
-      opts.context.min_slice_rows = options.min_slice_rows;
-      opts.context.steal_variance = options.steal_variance;
-      opts.context.reject_unsafe_negation = options.reject_unsafe_negation;
-      opts.context.optimizer_passes = options.optimizer_passes;
+      ApplyContextOptions(options, &opts.context);
       opts.context.output_predicates = options.output_predicates;
       INFLOG_ASSIGN_OR_RETURN(StratifiedResult r, Stratified(opts));
       out.detail = std::move(r);
@@ -214,45 +249,6 @@ Result<StableResult> Engine::StableModels(
   INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
   return EnumerateStableModels(*p, database_, options);
 }
-
-namespace {
-
-/// The shared EvalOptions -> IncrementalOptions mapping of
-/// BeginIncremental and BeginServing.
-IncrementalOptions MakeIncrementalOptions(SemanticsKind kind,
-                                          const EvalOptions& options) {
-  IncrementalOptions opts;
-  switch (kind) {
-    case SemanticsKind::kInflationary:
-      opts.semantics = MaintainedSemantics::kInflationary;
-      opts.use_seminaive = options.inflationary.use_seminaive;
-      break;
-    case SemanticsKind::kStratified:
-      opts.semantics = MaintainedSemantics::kStratified;
-      opts.use_seminaive = options.stratified.use_seminaive;
-      break;
-    case SemanticsKind::kWellFounded:
-      opts.semantics = MaintainedSemantics::kWellFounded;
-      break;
-    case SemanticsKind::kStable:
-      opts.semantics = MaintainedSemantics::kStable;
-      break;
-  }
-  opts.verify = options.verify_incremental;
-  opts.context.num_threads = options.num_threads;
-  opts.context.num_shards = options.num_shards;
-  opts.context.scheduler = options.scheduler;
-  opts.context.min_slice_rows = options.min_slice_rows;
-  opts.context.steal_variance = options.steal_variance;
-  opts.context.reject_unsafe_negation = options.reject_unsafe_negation;
-  opts.context.optimizer_passes = options.optimizer_passes;
-  opts.wellfounded = options.wellfounded;
-  opts.stable = options.stable;
-  opts.stable.analyze.solver = options.sat;
-  return opts;
-}
-
-}  // namespace
 
 Status Engine::BeginIncremental(SemanticsKind kind,
                                 const EvalOptions& options) {

@@ -83,12 +83,6 @@ struct EvalOptions {
   /// built-in default (64). Authoritative for Evaluate(); results are
   /// identical for every value.
   size_t min_slice_rows = 0;
-  /// The auto scheduler's flip threshold: a stage switches to work
-  /// stealing when the coefficient of variation of its estimated
-  /// per-task work exceeds this; 0 = the built-in default (1.0).
-  /// Authoritative for Evaluate(); inert for the explicit schedulers;
-  /// results are identical for every value.
-  double steal_variance = 0;
   /// If true, Evaluate fails with InvalidArgument when a rule has an
   /// unbound variable under negation (CheckNegationSafety) instead of
   /// evaluating it under the active-domain reading. Applies to all four

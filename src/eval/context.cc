@@ -97,12 +97,6 @@ size_t ResolvedMinSliceRows(const EvalContextOptions& options) {
              : options.min_slice_rows;
 }
 
-double ResolvedStealVariance(const EvalContextOptions& options) {
-  return options.steal_variance == 0
-             ? EvalContextOptions::kDefaultStealVariance
-             : options.steal_variance;
-}
-
 Status EvalContext::Bind(const EvalContextOptions& options) {
   if (options.reject_unsafe_negation) {
     INFLOG_RETURN_IF_ERROR(CheckNegationSafety(*program_));
@@ -112,7 +106,6 @@ Status EvalContext::Bind(const EvalContextOptions& options) {
   num_shards_ = ResolvedNumShards(options);
   scheduler_ = options.scheduler;
   min_slice_rows_ = ResolvedMinSliceRows(options);
-  steal_variance_ = ResolvedStealVariance(options);
   optimizer_passes_ = options.optimizer_passes;
   for (const std::string& name : options.output_predicates) {
     Result<uint32_t> pred = program_->FindPredicate(name);

@@ -54,8 +54,8 @@ enum class StageScheduler {
   /// stage estimates each static task's join work (delta rows weighted by
   /// the probed posting-list lengths, sampled) and flips to kStealing
   /// only when the estimates' coefficient of variation exceeds
-  /// EvalContextOptions::steal_variance — skewed stages get the stealing
-  /// machinery, uniform ones skip its overhead. The decisions are
+  /// EvalContextOptions::kDefaultStealVariance — skewed stages get the
+  /// stealing machinery, uniform ones skip its overhead. The decisions are
   /// surfaced as EvalStats::auto_{static,stealing}_stages.
   kAuto,
 };
@@ -104,13 +104,6 @@ struct EvalContextOptions {
   /// task. 0 picks kDefaultMinSliceRows. Results are identical for every
   /// value; this only moves the parallelism/overhead tradeoff.
   size_t min_slice_rows = 0;
-  /// kAuto's flip threshold: a stage switches to work stealing when the
-  /// coefficient of variation (stddev / mean) of its estimated per-task
-  /// work exceeds this. Lower values steal more eagerly; raise it if the
-  /// estimates misfire on a workload whose skew the static slicer
-  /// handles fine. 0 picks kDefaultStealVariance; inert for the explicit
-  /// schedulers. Results are identical for every value.
-  double steal_variance = 0;
   /// If true, binding fails (InvalidArgument) when any rule carries a
   /// negated literal over a variable bound by no positive body literal
   /// (CheckNegationSafety in src/ast/analysis.h). Off by default: the
@@ -134,10 +127,12 @@ struct EvalContextOptions {
   static constexpr size_t kMaxShards = 64;
   /// Default for min_slice_rows (the pre-tunable hard constant).
   static constexpr size_t kDefaultMinSliceRows = 64;
-  /// Default for steal_variance: at CV 1.0 the work hidden in the
-  /// outlier tasks rivals the whole rest of the stage, the point where
-  /// stealing's chunk staging pays for itself (bench E11 sits far above,
-  /// uniform stages far below).
+  /// kAuto's flip threshold: a stage switches to work stealing when the
+  /// coefficient of variation (stddev / mean) of its estimated per-task
+  /// work exceeds this. At CV 1.0 the work hidden in the outlier tasks
+  /// rivals the whole rest of the stage, the point where stealing's
+  /// chunk staging pays for itself (bench E11 sits far above, uniform
+  /// stages far below).
   static constexpr double kDefaultStealVariance = 1.0;
 };
 
@@ -153,9 +148,6 @@ size_t ResolvedNumShards(const EvalContextOptions& options);
 
 /// `options.min_slice_rows` with 0 resolved to kDefaultMinSliceRows.
 size_t ResolvedMinSliceRows(const EvalContextOptions& options);
-
-/// `options.steal_variance` with 0 resolved to kDefaultStealVariance.
-double ResolvedStealVariance(const EvalContextOptions& options);
 
 /// Per-run binding of predicates to relations plus the index cache.
 class EvalContext {
@@ -221,10 +213,6 @@ class EvalContext {
   /// replaced by EvalContextOptions::kDefaultMinSliceRows).
   size_t min_slice_rows() const { return min_slice_rows_; }
 
-  /// Resolved auto-scheduler flip threshold (> 0; an option of 0 has
-  /// already been replaced by EvalContextOptions::kDefaultStealVariance).
-  double steal_variance() const { return steal_variance_; }
-
   /// The plan-optimizer pass selection for this run.
   const OptimizerPasses& optimizer_passes() const { return optimizer_passes_; }
 
@@ -257,7 +245,6 @@ class EvalContext {
   size_t num_shards_ = 1;
   StageScheduler scheduler_ = StageScheduler::kAuto;
   size_t min_slice_rows_ = EvalContextOptions::kDefaultMinSliceRows;
-  double steal_variance_ = EvalContextOptions::kDefaultStealVariance;
   OptimizerPasses optimizer_passes_;
   std::vector<uint32_t> output_preds_;
   // Relations for EDB predicates bound as empty (allow_missing_edb).

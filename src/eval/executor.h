@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "src/eval/context.h"
@@ -13,125 +14,94 @@
 
 namespace inflog {
 
-/// Counters accumulated across executions; cheap to keep, useful for the
-/// naive-vs-semi-naive ablation benchmarks.
-///
-/// The first block (derivations .. stages) describes *what* was computed
-/// and is bit-identical across every (threads, shards, scheduler,
-/// min_slice_rows) configuration; the executor block (parallel_tasks ..
-/// slice_hist) describes *how* the work was partitioned and necessarily
-/// varies with the configuration (and, for the stealing scheduler, with
-/// run-to-run timing).
+/// The counter groups of EvalStats. Across the {threads × shards ×
+/// scheduler × min_slice_rows} sweep, kExecutor, kOptimizer, kIncremental
+/// and kSat are bit-identical (tests/parallel_determinism_test.cc);
+/// kPartition and kServing describe where and how the work ran and vary
+/// with the configuration (for the stealing scheduler, with timing too).
+enum class StatsGroup {
+  /// What the relational executor computed.
+  kExecutor,
+  /// How parallel stages cut and scheduled the work.
+  kPartition,
+  /// The plan passes (src/opt/pass_manager.h) and program rewrites
+  /// (src/opt/program_rewrite.h), filled at compile time: pure functions
+  /// of the program, the EDB, the declared outputs and the passes.
+  kOptimizer,
+  /// Engine::ApplyUpdate's maintenance (src/eval/incremental.h).
+  kIncremental,
+  /// The CDCL core (src/sat/solver.h SolverStats) behind the SAT-backed
+  /// modes. The search varies with the solver configuration; the results
+  /// it leads to never do.
+  kSat,
+  /// The serving layer (src/serve/): how the session was driven.
+  kServing,
+};
+
+/// Every EvalStats counter, once, as X(field, group, doc) in declaration
+/// order. The fields, EvalStats::Add and kEvalCounters expand from this
+/// list, so adding a counter is one line here.
+#define INFLOG_EVAL_COUNTERS(X)                                                \
+  X(derivations, kExecutor, "Head tuples produced (with duplicates).")         \
+  X(new_tuples, kExecutor, "Head tuples that were new in the output.")         \
+  X(rows_matched, kExecutor, "Rows tested by kMatch ops.")                     \
+  X(index_lookups, kExecutor, "kMatch ops served by a hash index.")            \
+  X(intersections, kExecutor, "Lookups intersecting >= 2 posting lists.")      \
+  X(enumerations, kExecutor, "Universe elements tried by kEnumerate.")         \
+  X(stages, kExecutor, "Iteration stages run (filled by drivers).")            \
+  X(parallel_tasks, kPartition, "Stage tasks run on a thread pool.")           \
+  X(steals, kPartition, "Chunks taken from another worker's deque.")           \
+  X(splits, kPartition, "Chunk halves shed for stealing.")                     \
+  X(parks, kPartition, "Hungry stealing workers that blocked.")                \
+  X(slices, kPartition, "Delta slices run (not full-plan tasks).")             \
+  X(auto_static_stages, kPartition, "Stages auto kept on the static slicer.")  \
+  X(auto_stealing_stages, kPartition, "Stages auto flipped to stealing.")      \
+  X(batched_plans, kPartition, "Tiny delta plans sharing a stage task.")       \
+  X(opt_rules_eliminated, kOptimizer, "Rules dead-rule elimination dropped.")  \
+  X(opt_plans_reordered, kOptimizer, "Plans whose join order changed.")        \
+  X(opt_subplans_shared, kOptimizer, "Plans reading a shared intermediate.")   \
+  X(opt_shared_prefixes, kOptimizer, "Shared intermediates per stage.")        \
+  X(opt_shared_rows, kOptimizer, "Rows put into shared intermediates.")        \
+  X(opt_magic_rules_generated, kOptimizer, "Demand rules magic sets added.")   \
+  X(opt_rules_inlined, kOptimizer, "Predicates inlined at their one use.")     \
+  X(incremental_updates, kIncremental, "Updates maintained incrementally.")    \
+  X(incremental_oracle_runs, kIncremental, "Recomputes and oracle checks.")    \
+  X(incremental_edb_inserted, kIncremental, "EDB tuples actually added.")      \
+  X(incremental_edb_deleted, kIncremental, "EDB tuples actually removed.")     \
+  X(incremental_idb_inserted, kIncremental, "Net IDB tuples added.")           \
+  X(incremental_idb_deleted, kIncremental, "Net IDB tuples removed.")          \
+  X(incremental_del_candidates, kIncremental, "DRed over-deleted candidates.") \
+  X(incremental_rederived, kIncremental, "Candidates DRed put back.")          \
+  X(incremental_recounted, kIncremental, "Tuples whose count was recomputed.") \
+  X(incremental_counting_units, kIncremental, "Units maintained by counting.") \
+  X(incremental_dred_units, kIncremental, "Recursive units kept by DRed.")     \
+  X(sat_conflicts, kSat, "CDCL conflicts across all solves.")                  \
+  X(sat_decisions, kSat, "Branching decisions.")                               \
+  X(sat_propagations, kSat, "Unit propagations.")                              \
+  X(sat_restarts, kSat, "Luby restarts.")                                      \
+  X(sat_learned, kSat, "Clauses learned from conflicts.")                      \
+  X(sat_deleted, kSat, "Learnt clauses dropped by ReduceDB.")                  \
+  X(sat_preprocess_vars_eliminated, kSat, "Vars preprocessing eliminated.")    \
+  X(sat_preprocess_clauses_removed, kSat, "Net clause drop by preprocessing.") \
+  X(serve_epochs_published, kServing, "Snapshots sealed and swapped in.")      \
+  X(serve_snapshots_pinned, kServing, "Pin calls readers made.")               \
+  X(serve_queries, kServing, "Queries evaluated or served from cache.")        \
+  X(serve_updates, kServing, "Update lines accepted.")                         \
+  X(serve_batched_updates, kServing, "Update lines coalesced into a batch.")   \
+  X(serve_compactions, kServing, "Relations compacted by the schedule.")       \
+  X(cache_hits, kServing, "Query-cache lookups that hit.")                     \
+  X(cache_misses, kServing, "Lookups that evaluated instead.")                 \
+  X(cache_invalidations, kServing, "Entries killed by net deltas.")
+
+/// Counters accumulated across executions, one field per
+/// INFLOG_EVAL_COUNTERS entry plus the slice histogram.
 struct EvalStats {
-  uint64_t derivations = 0;    ///< Head tuples produced (with duplicates).
-  uint64_t new_tuples = 0;     ///< Head tuples that were new in the output.
-  uint64_t rows_matched = 0;   ///< Rows tested by kMatch ops.
-  uint64_t index_lookups = 0;  ///< kMatch ops served by a hash index.
-  uint64_t intersections = 0;  ///< Index lookups that intersected two
-                               ///< posting lists (≥2 bound key columns).
-  uint64_t enumerations = 0;   ///< Universe elements tried by kEnumerate.
-  uint64_t stages = 0;         ///< Iteration stages run (filled by drivers).
-  uint64_t parallel_tasks = 0;  ///< Stage tasks run on a thread pool.
-  uint64_t steals = 0;          ///< Chunks a worker took from another's
-                                ///< deque (stealing scheduler only).
-  uint64_t splits = 0;          ///< Chunk halves shed for stealing.
-  uint64_t parks = 0;           ///< Hungry stealing workers that blocked
-                                ///< on the loop's condition variable.
-  uint64_t slices = 0;          ///< Delta slices executed (both
-                                ///< schedulers; full-plan tasks excluded).
-  uint64_t auto_static_stages = 0;    ///< Parallel stages the auto
-                                      ///< scheduler ran with the static
-                                      ///< slicer.
-  uint64_t auto_stealing_stages = 0;  ///< Parallel stages the auto
-                                      ///< scheduler flipped to stealing.
-  uint64_t batched_plans = 0;   ///< Tiny delta plans that shared a stage
-                                ///< task with at least one other plan.
-  // Optimizer pipeline counters (src/opt/pass_manager.h), filled once at
-  // plan-compile time. Pure functions of the program, the EDB contents,
-  // and the pass selection — invariant across the {threads × shards ×
-  // scheduler} sweep at a fixed pass selection.
-  uint64_t opt_rules_eliminated = 0;  ///< Rules dropped by dead-rule
-                                      ///< elimination.
-  uint64_t opt_plans_reordered = 0;   ///< Plans whose join order the
-                                      ///< cost-based pass changed.
-  uint64_t opt_subplans_shared = 0;   ///< Plans rewritten to read a shared
-                                      ///< intermediate.
-  uint64_t opt_shared_prefixes = 0;   ///< Distinct shared intermediates
-                                      ///< materialized per stage.
-  uint64_t opt_shared_rows = 0;       ///< Rows inserted into shared
-                                      ///< intermediates across all stages.
-  // Program-rewrite counters (src/opt/program_rewrite.h), filled by the
-  // evaluators when declared outputs make the magic-sets / inlining
-  // rewrites active. Pure functions of the program, the outputs, and
-  // the pass selection — sweep-invariant like the plan counters above.
-  uint64_t opt_magic_rules_generated = 0;  ///< Magic (demand) rules the
-                                           ///< magic-sets rewrite added.
-  uint64_t opt_rules_inlined = 0;          ///< Predicates inlined into
-                                           ///< their single call site.
-  // Incremental-maintenance counters (src/eval/incremental.h), filled by
-  // Engine::ApplyUpdate. The tuple-level counters (edb/idb inserts and
-  // deletes, candidates, rederived, recounted) are pure functions of the
-  // update stream and invariant across the {threads × shards × scheduler}
-  // sweep; the phase counters count maintenance passes run.
-  uint64_t incremental_updates = 0;      ///< ApplyUpdate calls maintained
-                                         ///< incrementally.
-  uint64_t incremental_oracle_runs = 0;  ///< ApplyUpdate calls that fell
-                                         ///< back to full recompute
-                                         ///< (grounded semantics,
-                                         ///< non-positive inflationary,
-                                         ///< universe growth with unsafe
-                                         ///< rules) or were oracle
-                                         ///< cross-checks.
-  uint64_t incremental_edb_inserted = 0;  ///< EDB tuples actually added.
-  uint64_t incremental_edb_deleted = 0;   ///< EDB tuples actually removed.
-  uint64_t incremental_idb_inserted = 0;  ///< Net IDB tuples added.
-  uint64_t incremental_idb_deleted = 0;   ///< Net IDB tuples removed.
-  uint64_t incremental_del_candidates = 0;  ///< Overcounted DRed deletion
-                                            ///< candidates erased before
-                                            ///< rederivation.
-  uint64_t incremental_rederived = 0;   ///< Candidates DRed put back.
-  uint64_t incremental_recounted = 0;   ///< Tuples whose derivation count
-                                        ///< the counting pass recomputed.
-  uint64_t incremental_counting_units = 0;  ///< Non-recursive rule units
-                                            ///< maintained by counting.
-  uint64_t incremental_dred_units = 0;      ///< Recursive rule units
-                                            ///< maintained by DRed.
-  // SAT core counters (src/sat/solver.h SolverStats), filled by the
-  // grounded stable pipeline (and any caller that runs the CDCL solver).
-  // The search counters (conflicts .. deleted) describe *how* the solver
-  // searched and vary with the solver configuration (preprocessing,
-  // deletion, portfolio width); the results they lead to are bit-identical
-  // across every configuration.
-  uint64_t sat_conflicts = 0;     ///< CDCL conflicts across all solves.
-  uint64_t sat_decisions = 0;     ///< Branching decisions.
-  uint64_t sat_propagations = 0;  ///< Unit propagations.
-  uint64_t sat_restarts = 0;      ///< Luby restarts.
-  uint64_t sat_learned = 0;       ///< Clauses learned from conflicts.
-  uint64_t sat_deleted = 0;       ///< Learnt clauses dropped by ReduceDB.
-  uint64_t sat_preprocess_vars_eliminated = 0;    ///< Vars removed by the
-                                                  ///< preprocessing
-                                                  ///< front-end.
-  uint64_t sat_preprocess_clauses_removed = 0;    ///< Net clause-count
-                                                  ///< drop from
-                                                  ///< preprocessing.
-  // Serving-layer counters (src/serve/), filled by ServingSession. Like
-  // the scheduler counters, they describe how the session was driven
-  // (thread count, cache on/off, batching window) — the query answers
-  // themselves are bit-identical across every configuration.
-  uint64_t serve_epochs_published = 0;  ///< Snapshots sealed and swapped in.
-  uint64_t serve_snapshots_pinned = 0;  ///< Pin calls readers made.
-  uint64_t serve_queries = 0;           ///< Queries evaluated (or served
-                                        ///< from cache).
-  uint64_t serve_updates = 0;           ///< Update lines accepted.
-  uint64_t serve_batched_updates = 0;   ///< Update lines coalesced into a
-                                        ///< larger batch (update_batch>1).
-  uint64_t serve_compactions = 0;       ///< Relations compacted by the
-                                        ///< periodic schedule.
-  uint64_t cache_hits = 0;           ///< Query-cache lookups that hit.
-  uint64_t cache_misses = 0;         ///< Lookups that evaluated instead.
-  uint64_t cache_invalidations = 0;  ///< Entries killed by net deltas.
-  /// Histogram of executed delta-slice sizes: bucket k counts slices with
-  /// row count in [2^k, 2^(k+1)), the last bucket everything larger.
+#define INFLOG_EVAL_COUNTER_FIELD(field, group, doc) uint64_t field = 0;
+  INFLOG_EVAL_COUNTERS(INFLOG_EVAL_COUNTER_FIELD)
+#undef INFLOG_EVAL_COUNTER_FIELD
+  /// Histogram of executed delta-slice sizes (kPartition): bucket k
+  /// counts slices with row count in [2^k, 2^(k+1)), the last bucket
+  /// everything larger.
   static constexpr size_t kSliceHistBuckets = 17;
   std::array<uint64_t, kSliceHistBuckets> slice_hist{};
 
@@ -147,60 +117,29 @@ struct EvalStats {
   }
 
   void Add(const EvalStats& other) {
-    derivations += other.derivations;
-    new_tuples += other.new_tuples;
-    rows_matched += other.rows_matched;
-    index_lookups += other.index_lookups;
-    intersections += other.intersections;
-    enumerations += other.enumerations;
-    stages += other.stages;
-    parallel_tasks += other.parallel_tasks;
-    steals += other.steals;
-    splits += other.splits;
-    parks += other.parks;
-    slices += other.slices;
-    auto_static_stages += other.auto_static_stages;
-    auto_stealing_stages += other.auto_stealing_stages;
-    batched_plans += other.batched_plans;
-    opt_rules_eliminated += other.opt_rules_eliminated;
-    opt_plans_reordered += other.opt_plans_reordered;
-    opt_subplans_shared += other.opt_subplans_shared;
-    opt_shared_prefixes += other.opt_shared_prefixes;
-    opt_shared_rows += other.opt_shared_rows;
-    opt_magic_rules_generated += other.opt_magic_rules_generated;
-    opt_rules_inlined += other.opt_rules_inlined;
-    incremental_updates += other.incremental_updates;
-    incremental_oracle_runs += other.incremental_oracle_runs;
-    incremental_edb_inserted += other.incremental_edb_inserted;
-    incremental_edb_deleted += other.incremental_edb_deleted;
-    incremental_idb_inserted += other.incremental_idb_inserted;
-    incremental_idb_deleted += other.incremental_idb_deleted;
-    incremental_del_candidates += other.incremental_del_candidates;
-    incremental_rederived += other.incremental_rederived;
-    incremental_recounted += other.incremental_recounted;
-    incremental_counting_units += other.incremental_counting_units;
-    incremental_dred_units += other.incremental_dred_units;
-    sat_conflicts += other.sat_conflicts;
-    sat_decisions += other.sat_decisions;
-    sat_propagations += other.sat_propagations;
-    sat_restarts += other.sat_restarts;
-    sat_learned += other.sat_learned;
-    sat_deleted += other.sat_deleted;
-    sat_preprocess_vars_eliminated += other.sat_preprocess_vars_eliminated;
-    sat_preprocess_clauses_removed += other.sat_preprocess_clauses_removed;
-    serve_epochs_published += other.serve_epochs_published;
-    serve_snapshots_pinned += other.serve_snapshots_pinned;
-    serve_queries += other.serve_queries;
-    serve_updates += other.serve_updates;
-    serve_batched_updates += other.serve_batched_updates;
-    serve_compactions += other.serve_compactions;
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
-    cache_invalidations += other.cache_invalidations;
+#define INFLOG_EVAL_COUNTER_ADD(field, group, doc) field += other.field;
+    INFLOG_EVAL_COUNTERS(INFLOG_EVAL_COUNTER_ADD)
+#undef INFLOG_EVAL_COUNTER_ADD
     for (size_t i = 0; i < kSliceHistBuckets; ++i) {
       slice_hist[i] += other.slice_hist[i];
     }
   }
+};
+
+/// One EvalStats counter: its field name, group and member.
+struct EvalCounter {
+  std::string_view name;
+  StatsGroup group;
+  uint64_t EvalStats::*field;
+};
+
+/// Every EvalStats counter in declaration order, for printers and
+/// checks that walk them all.
+inline constexpr EvalCounter kEvalCounters[] = {
+#define INFLOG_EVAL_COUNTER_ENTRY(field, group, doc) \
+  {#field, StatsGroup::group, &EvalStats::field},
+    INFLOG_EVAL_COUNTERS(INFLOG_EVAL_COUNTER_ENTRY)
+#undef INFLOG_EVAL_COUNTER_ENTRY
 };
 
 /// One shard's appended local-row range [begin, end).

@@ -104,7 +104,6 @@ RelationalConsequence::RelationalConsequence(const EvalContext& ctx,
       num_threads_(ctx.num_threads()),
       scheduler_(ctx.scheduler()),
       min_slice_rows_(ctx.min_slice_rows()),
-      steal_variance_(ctx.steal_variance()),
       pool_slot_(options.pool_cache != nullptr ? options.pool_cache
                                                : &own_pool_) {
   const Program& program = ctx.program();
@@ -318,7 +317,8 @@ void RelationalConsequence::RunStageParallel(bool full_pass,
     // deterministic key, so the choice is invisible outside the
     // bookkeeping counters.
     scheduler =
-        (!full_pass && EstimateStaticImbalance(units) > steal_variance_)
+        (!full_pass && EstimateStaticImbalance(units) >
+                           EvalContextOptions::kDefaultStealVariance)
             ? StageScheduler::kStealing
             : StageScheduler::kStatic;
     if (scheduler == StageScheduler::kStealing) {

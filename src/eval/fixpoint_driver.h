@@ -98,9 +98,9 @@ class FixpointDriver {
 ///     delta rows weighted by the posting-list lengths the plan's first
 ///     index probe would walk (EstimateDeltaWork, sampled) — and flips
 ///     the stage to kStealing only when the estimates' coefficient of
-///     variation exceeds EvalContextOptions::steal_variance, so skewed
-///     stages get the stealing machinery and uniform ones skip its
-///     overhead (EvalStats::auto_{static,stealing}_stages record the
+///     variation exceeds EvalContextOptions::kDefaultStealVariance, so
+///     skewed stages get the stealing machinery and uniform ones skip
+///     its overhead (EvalStats::auto_{static,stealing}_stages record the
 ///     decisions).
 ///
 /// Both merges — task stagings into the stage buffers, stage buffers into
@@ -300,8 +300,6 @@ class RelationalConsequence {
   StageScheduler scheduler_ = StageScheduler::kAuto;
   /// The serial-cutoff / slicing granularity (EvalContext::min_slice_rows).
   size_t min_slice_rows_ = EvalContextOptions::kDefaultMinSliceRows;
-  /// kAuto's flip threshold (EvalContext::steal_variance).
-  double steal_variance_ = EvalContextOptions::kDefaultStealVariance;
   /// Points at Options::pool_cache when provided, else at own_pool_. The
   /// slot is filled lazily by the first stage that actually fans out; it
   /// stays null when num_threads_ == 1 or every stage is under the serial

@@ -43,34 +43,26 @@ Result<InflationaryResult> EvalInflationaryCore(
   return result;
 }
 
-/// Moves a rewritten run's per-predicate state and stage bookkeeping
-/// back into the original program's idb_index layout. Predicates the
-/// rewrite dropped get empty relations and all-zero stage rows (their
-/// contents are unspecified under declared outputs, matching the
-/// dead-rule contract; TupleStage reports 0 for them).
-void RemapToOriginalLayout(const Program& original, const Program& rewritten,
-                           InflationaryResult* result) {
-  const std::vector<int> map = MapIdbIndices(original, rewritten);
+/// Moves a rewritten run's stage bookkeeping into the original layout
+/// by the index map its state was moved with. Predicates the rewrite
+/// dropped get all-zero stage rows (TupleStage reports 0 for them).
+void RemapStageSizes(const std::vector<int>& map,
+                     InflationaryResult* result) {
   const size_t num_shards = result->state.relations.empty()
                                 ? 1
                                 : result->state.relations[0].num_shards();
   const size_t num_stage_rows =
       result->stage_sizes.empty() ? 0 : result->stage_sizes[0].size();
-  IdbState remapped = MakeEmptyIdbState(original, num_shards);
-  std::vector<std::vector<size_t>> sizes(map.size());
-  std::vector<std::vector<std::vector<size_t>>> shard_sizes(map.size());
+  std::vector<std::vector<size_t>> sizes(
+      map.size(), std::vector<size_t>(num_stage_rows, 0));
+  std::vector<std::vector<std::vector<size_t>>> shard_sizes(
+      map.size(), std::vector<std::vector<size_t>>(
+                      num_stage_rows, std::vector<size_t>(num_shards, 0)));
   for (size_t i = 0; i < map.size(); ++i) {
-    if (map[i] >= 0) {
-      remapped.relations[i] = std::move(result->state.relations[map[i]]);
-      sizes[i] = std::move(result->stage_sizes[map[i]]);
-      shard_sizes[i] = std::move(result->stage_shard_sizes[map[i]]);
-    } else {
-      sizes[i].assign(num_stage_rows, 0);
-      shard_sizes[i].assign(num_stage_rows,
-                            std::vector<size_t>(num_shards, 0));
-    }
+    if (map[i] < 0) continue;
+    sizes[i] = std::move(result->stage_sizes[map[i]]);
+    shard_sizes[i] = std::move(result->stage_shard_sizes[map[i]]);
   }
-  result->state = std::move(remapped);
   result->stage_sizes = std::move(sizes);
   result->stage_shard_sizes = std::move(shard_sizes);
 }
@@ -80,19 +72,12 @@ void RemapToOriginalLayout(const Program& original, const Program& rewritten,
 Result<InflationaryResult> EvalInflationary(
     const Program& program, const Database& database,
     const InflationaryOptions& options) {
-  const ProgramRewriteResult rewrite = RewriteProgramForOutputs(
-      program, options.context.output_predicates,
-      options.context.optimizer_passes, RewriteSemantics::kInflationary);
-  if (!rewrite.active) {
-    return EvalInflationaryCore(program, database, options);
-  }
-  INFLOG_ASSIGN_OR_RETURN(
-      InflationaryResult result,
-      EvalInflationaryCore(*rewrite.program, database, options));
-  result.stats.opt_magic_rules_generated = rewrite.magic_rules_generated;
-  result.stats.opt_rules_inlined = rewrite.rules_inlined;
-  RemapToOriginalLayout(program, *rewrite.program, &result);
-  return result;
+  return EvalWithRewrites(
+      program, options.context, RewriteSemantics::kInflationary,
+      [&](const Program& p) {
+        return EvalInflationaryCore(p, database, options);
+      },
+      RemapStageSizes);
 }
 
 Result<InflationaryResult> EvalLeastFixpoint(

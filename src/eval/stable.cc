@@ -6,10 +6,6 @@
 
 namespace inflog {
 
-namespace {
-
-// Copies a portfolio's aggregated CDCL counters into the sat_* block of
-// the engine-level stats.
 void FillSatStats(const sat::SolverStats& s, EvalStats* stats) {
   stats->sat_conflicts = s.conflicts;
   stats->sat_decisions = s.decisions;
@@ -20,8 +16,6 @@ void FillSatStats(const sat::SolverStats& s, EvalStats* stats) {
   stats->sat_preprocess_vars_eliminated = s.preprocess_vars_eliminated;
   stats->sat_preprocess_clauses_removed = s.preprocess_clauses_removed;
 }
-
-}  // namespace
 
 Result<StableResult> EnumerateStableModels(const Program& program,
                                            const Database& database,

@@ -45,6 +45,10 @@ struct StableResult {
   EvalStats stats;
 };
 
+/// Copies a solver's (or portfolio's aggregated) CDCL counters into the
+/// sat_* block of `stats`.
+void FillSatStats(const sat::SolverStats& s, EvalStats* stats);
+
 /// Enumerates the stable models of (π, D).
 Result<StableResult> EnumerateStableModels(const Program& program,
                                            const Database& database,

@@ -59,47 +59,21 @@ Result<StratifiedResult> EvalStratifiedCore(const Program& program,
   return result;
 }
 
-/// Moves a rewritten run's state back into the original program's
-/// idb_index layout; predicates the rewrite dropped get empty relations
-/// (unspecified under declared outputs, matching the dead-rule
-/// contract).
-void RemapToOriginalLayout(const Program& original, const Program& rewritten,
-                           StratifiedResult* result) {
-  const std::vector<int> map = MapIdbIndices(original, rewritten);
-  const size_t num_shards = result->state.relations.empty()
-                                ? 1
-                                : result->state.relations[0].num_shards();
-  IdbState remapped = MakeEmptyIdbState(original, num_shards);
-  for (size_t i = 0; i < map.size(); ++i) {
-    if (map[i] >= 0) {
-      remapped.relations[i] = std::move(result->state.relations[map[i]]);
-    }
-  }
-  result->state = std::move(remapped);
-}
-
 }  // namespace
 
 Result<StratifiedResult> EvalStratified(const Program& program,
                                         const Database& database,
                                         const StratifiedOptions& options) {
-  const ProgramRewriteResult rewrite = RewriteProgramForOutputs(
-      program, options.context.output_predicates,
-      options.context.optimizer_passes, RewriteSemantics::kStratified);
-  if (!rewrite.active) {
-    return EvalStratifiedCore(program, database, options);
-  }
   // A rewrite only replaces a stratifiable program with a stratifiable
   // one, so Core's stratifiability error still fires exactly when the
   // ORIGINAL program is not stratifiable. num_strata reports the
   // rewritten program's stratification.
-  INFLOG_ASSIGN_OR_RETURN(
-      StratifiedResult result,
-      EvalStratifiedCore(*rewrite.program, database, options));
-  result.stats.opt_magic_rules_generated = rewrite.magic_rules_generated;
-  result.stats.opt_rules_inlined = rewrite.rules_inlined;
-  RemapToOriginalLayout(program, *rewrite.program, &result);
-  return result;
+  return EvalWithRewrites(
+      program, options.context, RewriteSemantics::kStratified,
+      [&](const Program& p) {
+        return EvalStratifiedCore(p, database, options);
+      },
+      [](const std::vector<int>&, StratifiedResult*) {});
 }
 
 }  // namespace inflog

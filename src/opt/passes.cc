@@ -11,7 +11,7 @@ struct TokenEntry {
   bool OptimizerPasses::* member;
 };
 
-// Canonical token table: parse, render, and --list-optimize-passes all
+// Canonical token table: parse, render, and OptimizerPassTokens all
 // walk this, so a new pass cannot be selectable but unlisted (or vice
 // versa).
 constexpr TokenEntry kTokens[] = {

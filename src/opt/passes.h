@@ -88,9 +88,8 @@ Result<OptimizerPasses> ParseOptimizerPasses(std::string_view text);
 std::string OptimizerPassesName(const OptimizerPasses& passes);
 
 /// The individual pass tokens ParseOptimizerPasses accepts (excluding
-/// the "all"/"none" aggregates), in canonical rendering order. Single
-/// source of truth for CLI/bench token validation
-/// (inflog_cli --list-optimize-passes, bench/run_all.sh).
+/// the "all"/"none" aggregates), in canonical rendering order (the
+/// CLI's --optimize usage line lists them).
 std::vector<std::string_view> OptimizerPassTokens();
 
 }  // namespace inflog

@@ -279,8 +279,9 @@ ProgramRewriteResult RewriteProgramForOutputs(
   return result;
 }
 
-std::vector<int> MapIdbIndices(const Program& original,
-                               const Program& rewritten) {
+std::vector<int> RemapToOriginalLayout(const Program& original,
+                                       const Program& rewritten,
+                                       IdbState* state) {
   const std::vector<uint32_t>& idb = original.idb_predicates();
   std::vector<int> map(idb.size(), -1);
   for (size_t i = 0; i < idb.size(); ++i) {
@@ -290,6 +291,15 @@ std::vector<int> MapIdbIndices(const Program& original,
       map[i] = rewritten.predicate(*id).idb_index;
     }
   }
+  const size_t num_shards =
+      state->relations.empty() ? 1 : state->relations[0].num_shards();
+  IdbState remapped = MakeEmptyIdbState(original, num_shards);
+  for (size_t i = 0; i < map.size(); ++i) {
+    if (map[i] >= 0) {
+      remapped.relations[i] = std::move(state->relations[map[i]]);
+    }
+  }
+  *state = std::move(remapped);
   return map;
 }
 

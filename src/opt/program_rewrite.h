@@ -38,6 +38,9 @@
 #include <vector>
 
 #include "src/ast/program.h"
+#include "src/base/result.h"
+#include "src/eval/context.h"
+#include "src/eval/idb_state.h"
 #include "src/opt/passes.h"
 
 namespace inflog {
@@ -94,13 +97,39 @@ ProgramRewriteResult RewriteProgramForOutputs(
     const Program& program, const std::vector<std::string>& outputs,
     const OptimizerPasses& passes, RewriteSemantics semantics);
 
-/// For each IDB predicate of `original` (by idb_index), the idb_index
-/// of the same-named predicate in `rewritten`, or -1 when the rewrite
-/// dropped it (its relation is then empty / unspecified). Used by the
-/// evaluators to remap a rewritten run's state back to the original
-/// program's layout.
-std::vector<int> MapIdbIndices(const Program& original,
-                               const Program& rewritten);
+/// Moves a rewritten run's `state` back into `original`'s idb_index
+/// layout, matching predicates by name. Predicates the rewrite dropped
+/// get empty relations (unspecified under declared outputs, matching the
+/// dead-rule contract). Returns the map it used — for each original
+/// idb_index the rewritten one, or -1 when dropped — so callers can move
+/// their other per-predicate tables the same way.
+std::vector<int> RemapToOriginalLayout(const Program& original,
+                                       const Program& rewritten,
+                                       IdbState* state);
+
+/// The relational evaluators' rewrite-then-evaluate path. `eval` maps a
+/// Program to Result<R>, R having `state` and `stats` members. Without
+/// an active rewrite for the outputs `context` declares this is
+/// eval(program). Otherwise it evaluates the rewritten program, records
+/// the rewrite counters in the result's stats, moves its state back with
+/// RemapToOriginalLayout, and passes the index map to `remap(map, &r)`
+/// for the result's other per-predicate tables.
+template <typename Eval, typename Remap>
+auto EvalWithRewrites(const Program& program,
+                      const EvalContextOptions& context,
+                      RewriteSemantics semantics, const Eval& eval,
+                      const Remap& remap) -> decltype(eval(program)) {
+  const ProgramRewriteResult rewrite = RewriteProgramForOutputs(
+      program, context.output_predicates, context.optimizer_passes,
+      semantics);
+  if (!rewrite.active) return eval(program);
+  INFLOG_ASSIGN_OR_RETURN(auto result, eval(*rewrite.program));
+  result.stats.opt_magic_rules_generated = rewrite.magic_rules_generated;
+  result.stats.opt_rules_inlined = rewrite.rules_inlined;
+  remap(RemapToOriginalLayout(program, *rewrite.program, &result.state),
+        &result);
+  return result;
+}
 
 }  // namespace inflog
 

@@ -200,5 +200,26 @@ TEST_F(ExecutorFixture, ZeroArityEmit) {
   EXPECT_EQ(out.size(), 1u);
 }
 
+TEST(EvalStatsTest, AddSumsEveryCounter) {
+  // Every uint64_t of EvalStats is a listed counter or a histogram bucket.
+  EXPECT_EQ(sizeof(EvalStats),
+            sizeof(uint64_t) *
+                (std::size(kEvalCounters) + EvalStats::kSliceHistBuckets));
+  // Distinct values, so a sum routed into the wrong field shows.
+  EvalStats part;
+  uint64_t value = 1;
+  for (const EvalCounter& c : kEvalCounters) part.*c.field = value++;
+  for (uint64_t& bucket : part.slice_hist) bucket = value++;
+  EvalStats sum;
+  sum.Add(part);
+  sum.Add(part);
+  for (const EvalCounter& c : kEvalCounters) {
+    EXPECT_EQ(sum.*c.field, 2 * (part.*c.field)) << c.name;
+  }
+  for (size_t b = 0; b < EvalStats::kSliceHistBuckets; ++b) {
+    EXPECT_EQ(sum.slice_hist[b], 2 * part.slice_hist[b]) << "bucket " << b;
+  }
+}
+
 }  // namespace
 }  // namespace inflog

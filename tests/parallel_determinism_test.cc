@@ -12,8 +12,8 @@
 //     included — across every thread count;
 //   * across shard counts, the relations are equal as sets (sharding
 //     changes only where a row lives), and stage counts, stage_sizes,
-//     per-tuple stages (TupleStage) and every executor stat except the
-//     fan-out bookkeeping (parallel_tasks) are bit-identical.
+//     per-tuple stages (TupleStage) and every counter of the
+//     sweep-invariant EvalStats groups are bit-identical.
 //
 // These tests hold both invariants over {1,2,4,8} threads × {1,2,8}
 // shards × {static, stealing, auto} stage schedulers on all four
@@ -29,15 +29,12 @@
 // AutoSchedulerTest cases below pin which machinery it picks on a
 // uniform and on a hub-skewed workload, via the decision counters).
 //
-// Data-race coverage: build with ThreadSanitizer and run this binary (and
-// the relation/executor tests) —
+// Data-race coverage: configure a build-tsan tree with
+// -DCMAKE_BUILD_TYPE=RelWithDebInfo, -DCMAKE_CXX_FLAGS=-fsanitize=thread
+// and -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread, build it, and run this
+// binary with the relation/executor tests:
 //
-//   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-//     -DCMAKE_CXX_FLAGS=-fsanitize=thread \
-//     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
-//   cmake --build build-tsan -j && \
-//     ctest --test-dir build-tsan -R 'Parallel|Relation|Executor' \
-//       --output-on-failure
+//   ctest --test-dir build-tsan -R 'Parallel|Relation|Executor'
 //
 // The CI workflow runs the same job (see .github/workflows/ci.yml).
 
@@ -126,18 +123,19 @@ void ExpectSameSets(const IdbState& reference, const IdbState& candidate) {
   }
 }
 
-/// Every counter except parallel_tasks (which records the fan-out itself,
-/// so it necessarily varies with the thread/shard configuration) must be
-/// identical: the partition decides where work runs, never what runs.
+/// Every counter of the sweep-invariant groups must be identical: the
+/// partition decides where work runs, never what runs. Only the partition
+/// and serving groups record the configuration itself.
 void ExpectSameStats(const EvalStats& reference, const EvalStats& candidate,
                      const std::string& config) {
-  EXPECT_EQ(reference.stages, candidate.stages) << config;
-  EXPECT_EQ(reference.derivations, candidate.derivations) << config;
-  EXPECT_EQ(reference.new_tuples, candidate.new_tuples) << config;
-  EXPECT_EQ(reference.rows_matched, candidate.rows_matched) << config;
-  EXPECT_EQ(reference.index_lookups, candidate.index_lookups) << config;
-  EXPECT_EQ(reference.intersections, candidate.intersections) << config;
-  EXPECT_EQ(reference.enumerations, candidate.enumerations) << config;
+  for (const EvalCounter& c : kEvalCounters) {
+    if (c.group == StatsGroup::kPartition ||
+        c.group == StatsGroup::kServing) {
+      continue;
+    }
+    EXPECT_EQ(reference.*c.field, candidate.*c.field)
+        << c.name << " " << config;
+  }
 }
 
 std::string ConfigName(size_t threads, size_t shards,
@@ -674,17 +672,6 @@ TEST(AutoSchedulerTest, HotShardHubSkewPicksStealing) {
   ExpectSameSets(serial->state, result->state);
   EXPECT_EQ(serial->stage_sizes, result->stage_sizes);
   ExpectSameStats(serial->stats, result->stats, "auto skew");
-
-  // Raising the flip threshold above the workload's CV must pin the
-  // very same stage back to static — the knob is live end to end.
-  InflationaryOptions capped = opts;
-  capped.context.steal_variance = 1e9;
-  auto pinned = EvalInflationary(program, db, capped);
-  ASSERT_TRUE(pinned.ok());
-  EXPECT_EQ(pinned->stats.auto_stealing_stages, 0u);
-  EXPECT_GT(pinned->stats.auto_static_stages, 0u);
-  ExpectSameSets(serial->state, pinned->state);
-  ExpectSameStats(serial->stats, pinned->stats, "auto skew pinned");
 }
 
 TEST(AutoSchedulerTest, TinyDeltaPlansAreBatched) {
