@@ -50,13 +50,13 @@ int main() {
 
   std::cout << "graph: " << g.ToString() << "\n\n";
 
-  auto inflationary = engine.Inflationary();
+  auto inflationary = engine.Evaluate(inflog::SemanticsKind::kInflationary);
   if (!inflationary.ok()) return Fail(inflationary.status());
-  auto stratified = engine.Stratified();
+  auto stratified = engine.Evaluate(inflog::SemanticsKind::kStratified);
   if (!stratified.ok()) return Fail(stratified.status());
 
-  auto inf_s3 = engine.RelationOf(inflationary->state, "S3");
-  auto str_s3 = engine.RelationOf(stratified->state, "S3");
+  auto inf_s3 = engine.RelationOf(inflationary->state(), "S3");
+  auto str_s3 = engine.RelationOf(stratified->state(), "S3");
   if (!inf_s3.ok() || !str_s3.ok()) return Fail(inf_s3.status());
 
   std::cout << "inflationary S3 size: " << (*inf_s3)->size()

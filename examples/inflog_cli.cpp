@@ -360,9 +360,6 @@ int main(int argc, char** argv) {
     };
     inflog::serve::ServingSession* session = nullptr;
     if (settings.serve || !apply_updates.empty()) {
-      // Output predicates would let dead-rule elimination drop rules the
-      // maintainer needs intact; the session maintains every IDB.
-      options.output_predicates.clear();
       // --apply-updates routes through the serving layer too (cache off —
       // nothing queries it) so --compact-threshold and --update-batch
       // apply to file-driven streams; with the defaults the output is

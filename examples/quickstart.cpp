@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <variant>
 
 #include "src/core/engine.h"
 
@@ -38,13 +39,16 @@ int main() {
   std::cout << "== program ==\n" << *description << "\n";
 
   // --- Inflationary semantics (Section 4): total, PTIME. ---
-  auto inflationary = engine.Inflationary();
+  auto inflationary = engine.Evaluate(inflog::SemanticsKind::kInflationary);
   if (!inflationary.ok()) return Fail(inflationary.status());
-  auto t_rel = engine.RelationOf(inflationary->state, "T");
+  auto t_rel = engine.RelationOf(inflationary->state(), "T");
   if (!t_rel.ok()) return Fail(t_rel.status());
   std::cout << "== inflationary semantics ==\n"
             << "T = " << (*t_rel)->ToString(*engine.symbols()) << "\n"
-            << "stages: " << inflationary->num_stages << "\n\n";
+            << "stages: "
+            << std::get<inflog::InflationaryResult>(inflationary->detail)
+                   .num_stages
+            << "\n\n";
 
   // --- Fixpoint analysis (Section 3): NP/US/FONP questions. ---
   auto analyzer = engine.MakeAnalyzer();
@@ -73,18 +77,21 @@ int main() {
             << least->sat_calls << " SAT calls)\n\n";
 
   // --- The same program under the other semantics. ---
-  auto wf = engine.WellFounded();
+  auto wf = engine.Evaluate(inflog::SemanticsKind::kWellFounded);
   if (!wf.ok()) return Fail(wf.status());
-  auto wf_t = engine.RelationOf(wf->true_state, "T");
+  auto wf_t = engine.RelationOf(wf->state(), "T");
+  const bool total = std::get<inflog::WellFoundedResult>(wf->detail).total;
   std::cout << "== well-founded model ==\n"
             << "T(true) = " << (*wf_t)->ToString(*engine.symbols())
-            << "  total: " << (wf->total ? "yes" : "no") << "\n";
+            << "  total: " << (total ? "yes" : "no") << "\n";
 
-  auto stable = engine.StableModels();
+  auto stable = engine.Evaluate(inflog::SemanticsKind::kStable);
   if (!stable.ok()) return Fail(stable.status());
-  std::cout << "stable models: " << stable->models.size() << "\n";
+  std::cout << "stable models: "
+            << std::get<inflog::StableResult>(stable->detail).models.size()
+            << "\n";
 
-  auto stratified = engine.Stratified();
+  auto stratified = engine.Evaluate(inflog::SemanticsKind::kStratified);
   std::cout << "stratified semantics: "
             << (stratified.ok() ? "defined"
                                 : stratified.status().ToString())

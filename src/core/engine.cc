@@ -4,32 +4,6 @@
 
 namespace inflog {
 
-std::string_view SemanticsKindName(SemanticsKind kind) {
-  switch (kind) {
-    case SemanticsKind::kInflationary:
-      return "inflationary";
-    case SemanticsKind::kStratified:
-      return "stratified";
-    case SemanticsKind::kWellFounded:
-      return "wellfounded";
-    case SemanticsKind::kStable:
-      return "stable";
-  }
-  INFLOG_CHECK(false) << "bad SemanticsKind";
-  return "";
-}
-
-Result<SemanticsKind> ParseSemanticsKind(std::string_view name) {
-  for (SemanticsKind kind :
-       {SemanticsKind::kInflationary, SemanticsKind::kStratified,
-        SemanticsKind::kWellFounded, SemanticsKind::kStable}) {
-    if (name == SemanticsKindName(kind)) return kind;
-  }
-  return Status::InvalidArgument(
-      StrCat("unknown semantics: ", std::string(name),
-             " (expected inflationary|stratified|wellfounded|stable)"));
-}
-
 Engine::Engine()
     : symbols_(std::make_shared<SymbolTable>()), database_(symbols_) {}
 
@@ -98,183 +72,51 @@ Result<std::string> Engine::Describe() const {
   return out;
 }
 
-const IdbState& EvalOutcome::state() const {
-  switch (kind) {
-    case SemanticsKind::kInflationary:
-      return std::get<InflationaryResult>(detail).state;
-    case SemanticsKind::kStratified:
-      return std::get<StratifiedResult>(detail).state;
-    case SemanticsKind::kWellFounded:
-      return std::get<WellFoundedResult>(detail).true_state;
-    case SemanticsKind::kStable: {
-      const std::vector<IdbState>& models =
-          std::get<StableResult>(detail).models;
-      static const IdbState kNoModel;
-      return models.empty() ? kNoModel : models.front();
-    }
-  }
-  INFLOG_CHECK(false) << "bad SemanticsKind";
-  static const IdbState kUnreachable;
-  return kUnreachable;
+IncrementalOptions ResolveEvalOptions(SemanticsKind kind,
+                                      const EvalOptions& options) {
+  IncrementalOptions resolved;
+  resolved.semantics = kind;
+  // The stratified pipeline is the only one whose naive driver EvalOptions
+  // reaches.
+  resolved.use_seminaive =
+      kind != SemanticsKind::kStratified || options.stratified.use_seminaive;
+  resolved.verify = options.verify_incremental;
+  resolved.context.num_threads = options.num_threads;
+  resolved.context.num_shards = options.num_shards;
+  resolved.context.scheduler = options.scheduler;
+  resolved.context.min_slice_rows = options.min_slice_rows;
+  resolved.context.reject_unsafe_negation = options.reject_unsafe_negation;
+  resolved.context.optimizer_passes = options.optimizer_passes;
+  resolved.context.output_predicates = options.output_predicates;
+  resolved.sat = options.sat;
+  return resolved;
 }
-
-const EvalStats* EvalOutcome::stats() const {
-  switch (kind) {
-    case SemanticsKind::kInflationary:
-      return &std::get<InflationaryResult>(detail).stats;
-    case SemanticsKind::kStratified:
-      return &std::get<StratifiedResult>(detail).stats;
-    case SemanticsKind::kStable:
-      // The stable pipeline bypasses the executor but carries the CDCL
-      // counters of its supported-model enumeration.
-      return &std::get<StableResult>(detail).stats;
-    case SemanticsKind::kWellFounded:
-      return nullptr;  // grounded pipeline, bypasses the executor
-  }
-  return nullptr;
-}
-
-namespace {
-
-/// Copies EvalOptions' top-level knobs, which are authoritative over the
-/// nested per-semantics copies, into an evaluator's context options.
-/// Output predicates are left to the caller.
-void ApplyContextOptions(const EvalOptions& options,
-                         EvalContextOptions* context) {
-  context->num_threads = options.num_threads;
-  context->num_shards = options.num_shards;
-  context->scheduler = options.scheduler;
-  context->min_slice_rows = options.min_slice_rows;
-  context->reject_unsafe_negation = options.reject_unsafe_negation;
-  context->optimizer_passes = options.optimizer_passes;
-}
-
-/// The shared EvalOptions -> IncrementalOptions mapping of
-/// BeginIncremental and BeginServing.
-IncrementalOptions MakeIncrementalOptions(SemanticsKind kind,
-                                          const EvalOptions& options) {
-  IncrementalOptions opts;
-  switch (kind) {
-    case SemanticsKind::kInflationary:
-      opts.semantics = MaintainedSemantics::kInflationary;
-      opts.use_seminaive = options.inflationary.use_seminaive;
-      break;
-    case SemanticsKind::kStratified:
-      opts.semantics = MaintainedSemantics::kStratified;
-      opts.use_seminaive = options.stratified.use_seminaive;
-      break;
-    case SemanticsKind::kWellFounded:
-      opts.semantics = MaintainedSemantics::kWellFounded;
-      break;
-    case SemanticsKind::kStable:
-      opts.semantics = MaintainedSemantics::kStable;
-      break;
-  }
-  opts.verify = options.verify_incremental;
-  // Output predicates stay empty: the maintainer keeps every IDB.
-  ApplyContextOptions(options, &opts.context);
-  opts.wellfounded = options.wellfounded;
-  opts.stable = options.stable;
-  opts.stable.analyze.solver = options.sat;
-  return opts;
-}
-
-}  // namespace
 
 Result<EvalOutcome> Engine::Evaluate(SemanticsKind kind,
                                      const EvalOptions& options) const {
-  if (options.reject_unsafe_negation) {
-    // Checked here for every semantics: the grounded pipelines never
-    // build an EvalContext, so they would otherwise accept such rules
-    // silently (the relational pipelines re-check through their context).
-    INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-    INFLOG_RETURN_IF_ERROR(CheckNegationSafety(*p));
-  }
-  EvalOutcome out;
-  out.kind = kind;
-  switch (kind) {
-    case SemanticsKind::kInflationary: {
-      InflationaryOptions opts = options.inflationary;
-      ApplyContextOptions(options, &opts.context);
-      opts.context.output_predicates = options.output_predicates;
-      INFLOG_ASSIGN_OR_RETURN(InflationaryResult r, Inflationary(opts));
-      out.detail = std::move(r);
-      return out;
-    }
-    case SemanticsKind::kStratified: {
-      StratifiedOptions opts = options.stratified;
-      ApplyContextOptions(options, &opts.context);
-      opts.context.output_predicates = options.output_predicates;
-      INFLOG_ASSIGN_OR_RETURN(StratifiedResult r, Stratified(opts));
-      out.detail = std::move(r);
-      return out;
-    }
-    case SemanticsKind::kWellFounded: {
-      INFLOG_ASSIGN_OR_RETURN(WellFoundedResult r,
-                              WellFounded(options.wellfounded));
-      out.detail = std::move(r);
-      return out;
-    }
-    case SemanticsKind::kStable: {
-      StableOptions opts = options.stable;
-      opts.analyze.solver = options.sat;
-      INFLOG_ASSIGN_OR_RETURN(StableResult r, StableModels(opts));
-      out.detail = std::move(r);
-      return out;
-    }
-  }
-  return Status::InvalidArgument("bad SemanticsKind");
-}
-
-Result<InflationaryResult> Engine::Inflationary(
-    const InflationaryOptions& options) const {
   INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-  return EvalInflationary(*p, database_, options);
-}
-
-Result<StratifiedResult> Engine::Stratified(
-    const StratifiedOptions& options) const {
-  INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-  return EvalStratified(*p, database_, options);
-}
-
-Result<WellFoundedResult> Engine::WellFounded(
-    const GrounderOptions& options) const {
-  INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-  return EvalWellFounded(*p, database_, options);
-}
-
-Result<StableResult> Engine::StableModels(
-    const StableOptions& options) const {
-  INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-  return EnumerateStableModels(*p, database_, options);
+  return EvalSemantics(*p, database_, ResolveEvalOptions(kind, options));
 }
 
 Status Engine::BeginIncremental(SemanticsKind kind,
                                 const EvalOptions& options) {
   INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-  if (options.reject_unsafe_negation) {
-    INFLOG_RETURN_IF_ERROR(CheckNegationSafety(*p));
-  }
-  serving_.reset();  // both sessions borrow the same live database
   INFLOG_ASSIGN_OR_RETURN(
       incremental_,
       IncrementalSession::Create(*p, &database_,
-                                 MakeIncrementalOptions(kind, options)));
+                                 ResolveEvalOptions(kind, options)));
+  serving_.reset();  // both sessions borrow the same live database
   return Status::OK();
 }
 
 Status Engine::BeginServing(SemanticsKind kind, const EvalOptions& options) {
   INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-  if (options.reject_unsafe_negation) {
-    INFLOG_RETURN_IF_ERROR(CheckNegationSafety(*p));
-  }
-  incremental_.reset();  // both sessions borrow the same live database
   INFLOG_ASSIGN_OR_RETURN(
       serving_,
       serve::ServingSession::Create(*p, &database_,
-                                    MakeIncrementalOptions(kind, options),
+                                    ResolveEvalOptions(kind, options),
                                     options.serving));
+  incremental_.reset();  // both sessions borrow the same live database
   return Status::OK();
 }
 

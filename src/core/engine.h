@@ -12,7 +12,8 @@
 //   INFLOG_RETURN_IF_ERROR(engine.LoadProgramText(
 //       "T(X) :- E(Y,X), !T(Y)."));
 //   INFLOG_RETURN_IF_ERROR(engine.LoadDatabaseText("E(1,2). E(2,3)."));
-//   auto result = engine.Inflationary();          // Θ^∞, total semantics
+//   auto result = engine.Evaluate(            // Θ^∞, total semantics
+//       inflog::SemanticsKind::kInflationary);
 //   auto analyzer = engine.MakeAnalyzer();        // Section 3 questions
 //   auto unique = analyzer->UniqueFixpoint();     // US-complete question
 
@@ -23,7 +24,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
 #include "src/ast/analysis.h"
@@ -31,10 +31,8 @@
 #include "src/ast/program.h"
 #include "src/base/result.h"
 #include "src/eval/incremental.h"
-#include "src/eval/inflationary.h"
-#include "src/eval/stable.h"
+#include "src/eval/semantics.h"
 #include "src/eval/stratified.h"
-#include "src/eval/wellfounded.h"
 #include "src/fixpoint/analysis.h"
 #include "src/opt/passes.h"
 #include "src/relation/database.h"
@@ -42,68 +40,51 @@
 
 namespace inflog {
 
-/// The four semantics the engine can evaluate a program under.
-enum class SemanticsKind {
-  kInflationary,  ///< Θ^∞ — the paper's proposal; total and PTIME.
-  kStratified,    ///< Stratum-by-stratum least fixpoints; partial.
-  kWellFounded,   ///< Three-valued alternating fixpoint; total.
-  kStable,        ///< Gelfond–Lifschitz answer sets; 0..2^k models.
-};
-
-/// Canonical lowercase name ("inflationary", ...), for CLIs and logs.
-std::string_view SemanticsKindName(SemanticsKind kind);
-
-/// Parses a SemanticsKindName back; InvalidArgument on unknown names.
-Result<SemanticsKind> ParseSemanticsKind(std::string_view name);
-
-/// Options for the unified Evaluate entry point; only the member matching
-/// the requested kind is consulted (plus the cross-cutting num_threads).
+/// Options of Evaluate, BeginIncremental and BeginServing, resolved for
+/// each by ResolveEvalOptions.
 struct EvalOptions {
   /// Worker threads for the relational fixpoint stages (1 = the exact
-  /// serial path, 0 = hardware concurrency). Authoritative for Evaluate():
-  /// it overrides the per-semantics context options below. The grounded
-  /// pipelines (well-founded, stable) are unaffected — their results never
-  /// depend on it.
+  /// serial path, 0 = hardware concurrency). The grounded pipelines
+  /// (well-founded, stable) are unaffected — their results never depend
+  /// on it.
   size_t num_threads = 1;
   /// Hash shards per IDB relation for the relational fixpoint stages
-  /// (1 = unsharded, 0 = auto: one shard per resolved thread).
-  /// Authoritative for Evaluate(), like num_threads; results are
-  /// identical for every (threads, shards) combination.
+  /// (1 = unsharded, 0 = auto: one shard per resolved thread). Results
+  /// are identical for every (threads, shards) combination.
   size_t num_shards = 1;
   /// How parallel fixpoint stages partition their delta rows: kAuto (the
   /// default — per stage, pick the static slicer or work stealing from
   /// the estimated slice-work variance), kStatic (up-front equal-row
   /// slices) or kStealing (per-worker deques with dynamic chunk
-  /// splitting, for skewed stages). Authoritative for Evaluate(); inert
-  /// at num_threads == 1 and for the grounded pipelines. Results are
-  /// identical under every scheduler.
+  /// splitting, for skewed stages). Inert at num_threads == 1 and for the
+  /// grounded pipelines. Results are identical under every scheduler.
   StageScheduler scheduler = StageScheduler::kAuto;
   /// Minimum delta rows per stage task (serial cutoff, static slice
   /// floor, stealing split grain, tiny-plan batching threshold); 0 = the
-  /// built-in default (64). Authoritative for Evaluate(); results are
-  /// identical for every value.
+  /// built-in default (64). Results are identical for every value.
   size_t min_slice_rows = 0;
-  /// If true, Evaluate fails with InvalidArgument when a rule has an
-  /// unbound variable under negation (CheckNegationSafety) instead of
-  /// evaluating it under the active-domain reading. Applies to all four
-  /// semantics.
+  /// If true, Evaluate, BeginIncremental and BeginServing fail with
+  /// InvalidArgument when a rule has an unbound variable under negation
+  /// (CheckNegationSafety) instead of evaluating it under the
+  /// active-domain reading. Applies to all four semantics.
   bool reject_unsafe_negation = false;
   /// Which plan-optimizer passes run between rule lowering and fixpoint
-  /// dispatch (default: all). Authoritative for Evaluate() on the
-  /// relational pipelines (inflationary, stratified); inert for the
-  /// grounded pipelines. Results are identical for every selection.
+  /// dispatch (default: all), on the relational pipelines (inflationary,
+  /// stratified); inert for the grounded pipelines. Results are identical
+  /// for every selection.
   OptimizerPasses optimizer_passes = OptimizerPasses::All();
   /// Queried/output IDB predicate names. Empty (the default) means every
   /// IDB predicate is an output. When non-empty and dead-rule elimination
   /// is enabled, rules unreachable from these predicates are dropped, so
   /// only the listed predicates' relations are specified. Evaluate fails
-  /// with InvalidArgument on names that are unknown or not IDB.
+  /// with InvalidArgument on names that are unknown or not IDB. Sessions
+  /// (BeginIncremental, BeginServing) maintain every IDB and ignore it.
   std::vector<std::string> output_predicates;
   /// Cross-check every incrementally maintained ApplyUpdate against a
   /// from-scratch evaluation (the recompute oracle); a mismatch fails the
-  /// update with an Internal error. Consulted by BeginIncremental only —
-  /// expensive (each update costs a full evaluation), meant for tests and
-  /// the E13 oracle sweeps.
+  /// update with an Internal error. Consulted by BeginIncremental and
+  /// BeginServing only — expensive (each update costs a full evaluation),
+  /// meant for tests and the E13 oracle sweeps.
   bool verify_incremental = false;
   /// Serving-layer tuning (query cache, periodic compaction, update
   /// coalescing). Consulted by BeginServing only; the query answers are
@@ -111,35 +92,20 @@ struct EvalOptions {
   serve::ServingTuning serving;
   /// CDCL solver configuration for the SAT-backed stable pipeline
   /// (preprocessing, learnt-clause deletion, portfolio width, budgets).
-  /// Authoritative for Evaluate(): it overrides the solver options nested
-  /// in `stable`. Results are identical for every configuration —
-  /// enumeration is canonicalized — only the search statistics vary.
+  /// Results are identical for every configuration — enumeration is
+  /// canonicalized — only the search statistics vary.
   sat::SolverOptions sat;
-  InflationaryOptions inflationary;
+  /// Only `stratified.use_seminaive` is read (false runs the stratified
+  /// pipeline on the naive driver); its context is ignored, the knobs
+  /// above being the only context settings.
   StratifiedOptions stratified;
-  GrounderOptions wellfounded;
-  StableOptions stable;
 };
 
-/// Result of the unified Evaluate entry point: the full semantics-specific
-/// result plus a uniform view of the canonical two-valued answer.
-struct EvalOutcome {
-  SemanticsKind kind;
-  std::variant<InflationaryResult, StratifiedResult, WellFoundedResult,
-               StableResult>
-      detail;
-
-  /// The "true" part of the answer: Θ^∞ (inflationary), the stratified
-  /// model, the well-founded true atoms, or the first stable model found
-  /// (a relation-less empty state when there is none). Borrowed from
-  /// `detail`: valid while this outcome is alive.
-  const IdbState& state() const;
-
-  /// The executor counters of the run, or nullptr for the grounded
-  /// pipelines (well-founded, stable), which do not run the relational
-  /// executor. Borrowed from `detail`.
-  const EvalStats* stats() const;
-};
+/// The one EvalOptions → IncrementalOptions mapping: Evaluate runs
+/// EvalSemantics with the result, BeginIncremental and BeginServing
+/// create their session with it.
+IncrementalOptions ResolveEvalOptions(SemanticsKind kind,
+                                      const EvalOptions& options);
 
 /// Facade over the parsing, evaluation and analysis pipeline.
 class Engine {
@@ -176,26 +142,11 @@ class Engine {
 
   // --- Semantics (Section 4 and baselines). ---
 
-  /// Unified dispatch over the four semantics. Callers that don't care
-  /// which semantics runs (CLIs, benches, sweep harnesses) program against
-  /// this; the typed entry points below remain for callers that do.
+  /// Evaluates the loaded program under `kind` (EvalSemantics). The
+  /// stratified semantics fails on non-stratifiable programs; the other
+  /// three are total. `detail` carries each semantics' own result.
   Result<EvalOutcome> Evaluate(SemanticsKind kind,
                                const EvalOptions& options = {}) const;
-
-  /// Inflationary DATALOG: the paper's proposal. Total and PTIME.
-  Result<InflationaryResult> Inflationary(
-      const InflationaryOptions& options = {}) const;
-
-  /// Stratified semantics; fails on non-stratifiable programs.
-  Result<StratifiedResult> Stratified(
-      const StratifiedOptions& options = {}) const;
-
-  /// Well-founded (three-valued) semantics; always defined.
-  Result<WellFoundedResult> WellFounded(
-      const GrounderOptions& options = {}) const;
-
-  /// Stable models (answer sets).
-  Result<StableResult> StableModels(const StableOptions& options = {}) const;
 
   // --- Incremental view maintenance. ---
 
@@ -203,7 +154,8 @@ class Engine {
   /// engine into incremental mode: subsequent ApplyUpdate calls maintain
   /// the materialized result in O(delta) (counting for non-recursive
   /// predicates, DRed for recursive ones) instead of re-evaluating.
-  /// Replaces any previous session. The relational semantics maintain
+  /// Replaces any previous session; a failed call leaves the sessions
+  /// as they were. The relational semantics maintain
   /// incrementally (inflationary requires a positive program); the
   /// grounded semantics recompute per update but share the same API.
   Status BeginIncremental(SemanticsKind kind, const EvalOptions& options = {});
@@ -241,7 +193,8 @@ class Engine {
   /// epoch snapshot 0, ApplyUpdate maintains it incrementally and
   /// publishes the next epoch, and any number of threads may Open pinned
   /// snapshots and Query them concurrently with the writer. Replaces any
-  /// previous serving or incremental session. Tuning (query cache,
+  /// previous serving or incremental session; a failed call leaves the
+  /// sessions as they were. Tuning (query cache,
   /// periodic compaction, update coalescing) comes from
   /// `options.serving`.
   Status BeginServing(SemanticsKind kind, const EvalOptions& options = {});

@@ -9,11 +9,11 @@
 
 namespace inflog {
 
-FixpointDriver::Outcome FixpointDriver::Iterate(const Options& options,
-                                                const StepFn& step) {
+FixpointDriver::Outcome FixpointDriver::Iterate(const StepFn& step,
+                                                size_t max_stages) {
   Outcome out;
   while (true) {
-    if (options.max_stages != 0 && out.num_stages >= options.max_stages) {
+    if (max_stages != 0 && out.num_stages >= max_stages) {
       return out;  // converged stays false
     }
     if (step(out.num_stages) == 0) {
@@ -96,7 +96,7 @@ std::vector<ShardRange> ProjectDeltaWindow(
 }  // namespace
 
 RelationalConsequence::RelationalConsequence(const EvalContext& ctx,
-                                             const Options& options,
+                                             const SemiNaiveOptions& options,
                                              IdbState* state)
     : ctx_(ctx),
       state_(state),

@@ -35,6 +35,7 @@
 #include "src/base/thread_pool.h"
 #include "src/eval/context.h"
 #include "src/eval/executor.h"
+#include "src/eval/seminaive.h"
 #include "src/ground/ground_program.h"
 #include "src/opt/plan_ir.h"
 
@@ -43,11 +44,6 @@ namespace inflog {
 /// The shared stage loop.
 class FixpointDriver {
  public:
-  struct Options {
-    /// Stop after this many productive stages (0 = run to the fixpoint).
-    size_t max_stages = 0;
-  };
-
   struct Outcome {
     /// Number of productive stages (stages that added at least one fact);
     /// the n₀ with S^{n₀} = S^{n₀+1} of Section 4.
@@ -63,8 +59,8 @@ class FixpointDriver {
   using StepFn = std::function<size_t(size_t stage)>;
 
   /// Iterates `step` until it returns 0 (converged) or `max_stages`
-  /// productive stages have run.
-  static Outcome Iterate(const Options& options, const StepFn& step);
+  /// productive stages have run (0 = run to the fixpoint).
+  static Outcome Iterate(const StepFn& step, size_t max_stages = 0);
 };
 
 /// Θ̂ over an IdbState: the relational immediate-consequence operator with
@@ -119,40 +115,19 @@ class FixpointDriver {
 /// the stage lock-free.
 class RelationalConsequence {
  public:
-  struct Options {
-    /// Rules to evaluate (indices into program.rules()); empty = all.
-    std::vector<size_t> rule_subset;
-    /// If false, recompute full Θ every stage (the naive driver; used as a
-    /// cross-check oracle and as the ablation baseline in bench E6).
-    bool use_deltas = true;
-    /// Optional caller-owned pool slot shared across several consequence
-    /// operators (the stratified evaluator reuses one pool across strata
-    /// instead of spawning threads per stratum). The slot is filled lazily
-    /// by the first stage that fans out; when null the operator keeps its
-    /// own private slot. Must outlive the operator.
-    std::unique_ptr<ThreadPool>* pool_cache = nullptr;
-    /// Externally seeded initial deltas: when non-null (and use_deltas is
-    /// on), stage 0 runs *delta* plans over these per-shard ranges instead
-    /// of the full pass. The incremental maintainer records the
-    /// [pre-insert, post-insert) shard ranges of the tuples it appended to
-    /// the state and seeds the closure run with them, so resuming a
-    /// fixpoint after a small insertion costs O(delta), not O(state).
-    /// Copied at construction; sized num_idb × num_shards.
-    const DeltaRanges* initial_deltas = nullptr;
-  };
-
   /// Compiles the rule plans through the optimizer pass pipeline selected
-  /// by ctx.optimizer_passes() (src/opt/pass_manager.h). Rules whose head
-  /// predicate is not dynamic in `ctx` must not be part of the subset.
-  /// `ctx` and `state` must outlive the operator.
-  RelationalConsequence(const EvalContext& ctx, const Options& options,
-                        IdbState* state);
+  /// by ctx.optimizer_passes() (src/opt/pass_manager.h). Reads every
+  /// option but max_stages, which bounds the driver loop instead. Rules
+  /// whose head predicate is not dynamic in `ctx` must not be part of the
+  /// subset. `ctx` and `state` must outlive the operator.
+  RelationalConsequence(const EvalContext& ctx,
+                        const SemiNaiveOptions& options, IdbState* state);
 
   /// Runs one stage: executes the plans (full plans at stage 0 — unless
-  /// Options::initial_deltas seeded the run — or when deltas are off,
-  /// delta plans otherwise) into fresh buffers, merges the buffers into
-  /// the state, and exposes the appended row ranges as the next stage's
-  /// deltas. Returns the number of new tuples.
+  /// SemiNaiveOptions::initial_deltas seeded the run — or when deltas are
+  /// off, delta plans otherwise) into fresh buffers, merges the buffers
+  /// into the state, and exposes the appended row ranges as the next
+  /// stage's deltas. Returns the number of new tuples.
   size_t Step(size_t stage);
 
   /// stage_sizes[idb_index][k] = relation size after productive stage k+1.
@@ -283,8 +258,8 @@ class RelationalConsequence {
   const EvalContext& ctx_;
   IdbState* state_;
   bool use_deltas_;
-  /// True iff Options::initial_deltas seeded delta_ranges_, making stage 0
-  /// a delta pass.
+  /// True iff SemiNaiveOptions::initial_deltas seeded delta_ranges_,
+  /// making stage 0 a delta pass.
   bool seeded_ = false;
   /// The optimized plan set (src/opt/pass_manager.h).
   StagePlans plans_;
@@ -300,10 +275,10 @@ class RelationalConsequence {
   StageScheduler scheduler_ = StageScheduler::kAuto;
   /// The serial-cutoff / slicing granularity (EvalContext::min_slice_rows).
   size_t min_slice_rows_ = EvalContextOptions::kDefaultMinSliceRows;
-  /// Points at Options::pool_cache when provided, else at own_pool_. The
-  /// slot is filled lazily by the first stage that actually fans out; it
-  /// stays null when num_threads_ == 1 or every stage is under the serial
-  /// cutoff.
+  /// Points at SemiNaiveOptions::pool_cache when provided, else at
+  /// own_pool_. The slot is filled lazily by the first stage that
+  /// actually fans out; it stays null when num_threads_ == 1 or every
+  /// stage is under the serial cutoff.
   std::unique_ptr<ThreadPool>* pool_slot_ = nullptr;
   std::unique_ptr<ThreadPool> own_pool_;
 };

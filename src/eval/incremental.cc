@@ -10,10 +10,8 @@
 #include "src/ast/ast.h"
 #include "src/base/logging.h"
 #include "src/base/strings.h"
-#include "src/eval/inflationary.h"
 #include "src/eval/plan.h"
 #include "src/eval/seminaive.h"
-#include "src/eval/stratified.h"
 #include "src/opt/passes.h"
 #include "src/relation/relation.h"
 
@@ -269,7 +267,11 @@ IncrementalSession::IncrementalSession(const Program& program,
     : program_(&program),
       database_(database),
       options_(options),
-      analysis_(AnalyzeProgram(program)) {}
+      analysis_(AnalyzeProgram(program)) {
+  // Output predicates would let dead-rule elimination drop rules the
+  // maintainer needs intact.
+  options_.context.output_predicates.clear();
+}
 
 Result<std::unique_ptr<IncrementalSession>> IncrementalSession::Create(
     const Program& program, Database* database,
@@ -283,10 +285,10 @@ Result<std::unique_ptr<IncrementalSession>> IncrementalSession::Create(
 Status IncrementalSession::Init() {
   all_safe_ = analysis_.AllSafe();
   switch (options_.semantics) {
-    case MaintainedSemantics::kStratified:
+    case SemanticsKind::kStratified:
       capable_ = analysis_.stratifiable;
       break;
-    case MaintainedSemantics::kInflationary:
+    case SemanticsKind::kInflationary:
       // The inflationary fixpoint of a positive program is the least
       // fixpoint, which counting/DRed maintain exactly. Non-positive
       // inflationary results are stage-sensitive: a deletion can change
@@ -294,8 +296,8 @@ Status IncrementalSession::Init() {
       // effects no delta algorithm bounds — recompute instead.
       capable_ = program_->IsPositive();
       break;
-    case MaintainedSemantics::kWellFounded:
-    case MaintainedSemantics::kStable:
+    case SemanticsKind::kWellFounded:
+    case SemanticsKind::kStable:
       capable_ = false;
       break;
   }
@@ -403,40 +405,15 @@ void IncrementalSession::BuildUnits() {
 }
 
 Result<IdbState> IncrementalSession::ComputeFullState(EvalStats* stats) {
-  switch (options_.semantics) {
-    case MaintainedSemantics::kStratified: {
-      StratifiedOptions opts;
-      opts.use_seminaive = options_.use_seminaive;
-      opts.context = options_.context;
-      INFLOG_ASSIGN_OR_RETURN(StratifiedResult result,
-                              EvalStratified(*program_, *database_, opts));
-      stats->Add(result.stats);
-      return std::move(result.state);
-    }
-    case MaintainedSemantics::kInflationary: {
-      InflationaryOptions opts;
-      opts.use_seminaive = options_.use_seminaive;
-      opts.context = options_.context;
-      INFLOG_ASSIGN_OR_RETURN(InflationaryResult result,
-                              EvalInflationary(*program_, *database_, opts));
-      stats->Add(result.stats);
-      return std::move(result.state);
-    }
-    case MaintainedSemantics::kWellFounded: {
-      INFLOG_ASSIGN_OR_RETURN(
-          WellFoundedResult result,
-          EvalWellFounded(*program_, *database_, options_.wellfounded));
-      return std::move(result.true_state);
-    }
-    case MaintainedSemantics::kStable: {
-      INFLOG_ASSIGN_OR_RETURN(
-          StableResult result,
-          EnumerateStableModels(*program_, *database_, options_.stable));
-      if (result.models.empty()) return MakeEmptyIdbState(*program_, 1);
-      return std::move(result.models.front());
-    }
+  INFLOG_ASSIGN_OR_RETURN(EvalOutcome outcome,
+                          EvalSemantics(*program_, *database_, options_));
+  // Only executor work joins the session's counters: the stable
+  // pipeline's SAT counters stay out of them.
+  if (options_.semantics == SemanticsKind::kInflationary ||
+      options_.semantics == SemanticsKind::kStratified) {
+    stats->Add(*outcome.stats());
   }
-  return Status::Internal("unknown maintained semantics");
+  return std::move(outcome.state());
 }
 
 Status IncrementalSession::FullRecompute(EvalStats* stats) {
@@ -457,7 +434,6 @@ EvalContextOptions IncrementalSession::PhaseOptions() const {
   // reorder against stale statistics and sharing would complicate the
   // seeded delta bookkeeping.
   opts.optimizer_passes = OptimizerPasses::None();
-  opts.output_predicates.clear();
   opts.num_shards = num_shards_;
   return opts;
 }

@@ -68,8 +68,7 @@
 #include "src/eval/context.h"
 #include "src/eval/executor.h"
 #include "src/eval/idb_state.h"
-#include "src/eval/stable.h"
-#include "src/eval/wellfounded.h"
+#include "src/eval/semantics.h"
 #include "src/relation/database.h"
 
 namespace inflog {
@@ -109,30 +108,19 @@ struct UpdateResult {
 Result<UpdateBatch> ParseUpdateLine(std::string_view line,
                                     SymbolTable* symbols);
 
-/// Which semantics an IncrementalSession maintains (mirrors the engine's
-/// SemanticsKind without depending on src/core/).
-enum class MaintainedSemantics {
-  kInflationary,
-  kStratified,
-  kWellFounded,
-  kStable,
-};
+/// Which semantics an IncrementalSession maintains.
+using MaintainedSemantics = SemanticsKind;
 
-/// Options for an incremental session.
-struct IncrementalOptions {
-  MaintainedSemantics semantics = MaintainedSemantics::kStratified;
-  /// Semi-naive stages for the full evaluations (initial run, oracle
-  /// recomputes). Maintenance phases always run semi-naive.
-  bool use_seminaive = true;
+/// Options for an incremental session: those of its full evaluations
+/// (initial run, oracle recomputes), which run through EvalSemantics,
+/// plus the oracle switch. Maintenance phases always run semi-naive, and
+/// take threads / shards / scheduler / slicing from `context` too. The
+/// session maintains every IDB predicate, so it ignores
+/// `context.output_predicates`.
+struct IncrementalOptions : SemanticsOptions {
   /// Cross-check every maintained update against a from-scratch
   /// evaluation; mismatches fail ApplyUpdate with an Internal error.
   bool verify = false;
-  /// Threads / shards / scheduler / slicing for every evaluation and
-  /// maintenance phase of the session.
-  EvalContextOptions context;
-  /// Grounded-pipeline options, consulted for those semantics only.
-  GrounderOptions wellfounded;
-  StableOptions stable;
 };
 
 /// A materialized evaluation kept consistent under EDB updates.
@@ -231,8 +219,8 @@ class IncrementalSession {
   IdbState state_;
   IdbCounts counts_;
   EvalStats cumulative_;
-  /// Pool shared by every maintenance phase and full evaluation of the
-  /// session (RelationalConsequence::Options::pool_cache).
+  /// Pool shared by every maintenance phase of the session
+  /// (SemiNaiveOptions::pool_cache).
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -8,7 +8,7 @@ std::vector<bool> LeastModelOfReduct(const GroundProgram& ground,
                                      const std::vector<bool>& assumed_true) {
   GroundConsequence consequence(ground, assumed_true);
   FixpointDriver::Iterate(
-      {}, [&](size_t stage) { return consequence.Step(stage); });
+      [&](size_t stage) { return consequence.Step(stage); });
   return std::move(consequence).TakeModel();
 }
 

@@ -7,17 +7,9 @@ namespace inflog {
 SemiNaiveOutcome RunSemiNaive(const EvalContext& ctx,
                               const SemiNaiveOptions& options,
                               IdbState* state) {
-  RelationalConsequence::Options theta_options;
-  theta_options.rule_subset = options.rule_subset;
-  theta_options.use_deltas = options.use_deltas;
-  theta_options.pool_cache = options.pool_cache;
-  theta_options.initial_deltas = options.initial_deltas;
-  RelationalConsequence theta(ctx, theta_options, state);
-
-  FixpointDriver::Options driver_options;
-  driver_options.max_stages = options.max_stages;
+  RelationalConsequence theta(ctx, options, state);
   const FixpointDriver::Outcome outcome = FixpointDriver::Iterate(
-      driver_options, [&](size_t stage) { return theta.Step(stage); });
+      [&](size_t stage) { return theta.Step(stage); }, options.max_stages);
 
   SemiNaiveOutcome out;
   out.num_stages = outcome.num_stages;

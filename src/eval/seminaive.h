@@ -33,7 +33,8 @@
 
 namespace inflog {
 
-/// Options for one semi-naive run.
+/// Options for one semi-naive run: the stage cap for the driver loop and
+/// everything else for the RelationalConsequence it iterates.
 struct SemiNaiveOptions {
   /// Rules to evaluate (indices into program.rules()); empty = all rules.
   std::vector<size_t> rule_subset;
@@ -42,14 +43,19 @@ struct SemiNaiveOptions {
   /// If false, recompute full Θ every stage (the naive driver; used as a
   /// cross-check oracle and as the ablation baseline in bench E6).
   bool use_deltas = true;
-  /// Optional caller-owned pool slot shared across runs (see
-  /// RelationalConsequence::Options::pool_cache).
+  /// Optional caller-owned pool slot shared across runs (the stratified
+  /// evaluator reuses one pool across strata instead of spawning threads
+  /// per stratum). The slot is filled lazily by the first stage that fans
+  /// out; when null the run keeps its own private slot. Must outlive the
+  /// run.
   std::unique_ptr<ThreadPool>* pool_cache = nullptr;
-  /// Externally seeded initial deltas (see
-  /// RelationalConsequence::Options::initial_deltas): when non-null,
-  /// stage 0 is a delta pass over these per-shard ranges instead of a
-  /// full pass. Used by the incremental maintainer to resume a fixpoint
-  /// after appending a small set of tuples to `state`.
+  /// Externally seeded initial deltas: when non-null (and use_deltas is
+  /// on), stage 0 runs *delta* plans over these per-shard ranges instead
+  /// of the full pass. The incremental maintainer records the
+  /// [pre-insert, post-insert) shard ranges of the tuples it appended to
+  /// the state and seeds the closure run with them, so resuming a
+  /// fixpoint after a small insertion costs O(delta), not O(state).
+  /// Copied at construction; sized num_idb × num_shards.
   const DeltaRanges* initial_deltas = nullptr;
 };
 

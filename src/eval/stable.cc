@@ -19,10 +19,10 @@ void FillSatStats(const sat::SolverStats& s, EvalStats* stats) {
 
 Result<StableResult> EnumerateStableModels(const Program& program,
                                            const Database& database,
-                                           const StableOptions& options) {
+                                           const AnalyzeOptions& options) {
   INFLOG_ASSIGN_OR_RETURN(
       FixpointAnalyzer analyzer,
-      FixpointAnalyzer::Create(&program, &database, options.analyze));
+      FixpointAnalyzer::Create(&program, &database, options));
   const GroundProgram& ground = analyzer.ground();
   const CompletionEncoding& encoding = analyzer.encoding();
 
@@ -30,7 +30,7 @@ Result<StableResult> EnumerateStableModels(const Program& program,
   // the stability filter on atom vectors. Atom variables are frozen: the
   // blocking clauses below reference them after the first Solve, and
   // freezing keeps preprocessing an exact projection onto them.
-  sat::PortfolioSolver solver(options.analyze.solver);
+  sat::PortfolioSolver solver(options.solver);
   solver.AddCnf(encoding.cnf);
   for (const int32_t var : encoding.atom_vars) {
     if (var >= 0) solver.FreezeVar(var);
@@ -39,7 +39,7 @@ Result<StableResult> EnumerateStableModels(const Program& program,
   StableResult out;
   std::vector<std::vector<bool>> stable_atoms;
   bool enumeration_complete = false;
-  while (out.supported_examined < options.max_supported) {
+  while (out.supported_examined < kMaxSupportedModels) {
     const sat::SolveResult res = solver.Solve();
     if (res == sat::SolveResult::kUnknown) {
       return Status::ResourceExhausted("SAT conflict budget exhausted");

@@ -24,12 +24,9 @@
 
 namespace inflog {
 
-/// Options for stable-model enumeration.
-struct StableOptions {
-  /// Cap on the number of *supported* models examined.
-  size_t max_supported = 100'000;
-  AnalyzeOptions analyze;
-};
+/// Cap on the number of *supported* models one enumeration examines;
+/// beyond it EnumerateStableModels fails with ResourceExhausted.
+inline constexpr size_t kMaxSupportedModels = 100'000;
 
 /// Result of stable-model enumeration.
 struct StableResult {
@@ -52,7 +49,7 @@ void FillSatStats(const sat::SolverStats& s, EvalStats* stats);
 /// Enumerates the stable models of (π, D).
 Result<StableResult> EnumerateStableModels(const Program& program,
                                            const Database& database,
-                                           const StableOptions& options = {});
+                                           const AnalyzeOptions& options = {});
 
 }  // namespace inflog
 

@@ -18,7 +18,7 @@ Result<WellFoundedResult> EvalWellFounded(const Program& program,
   // ⊆-increasing, so 0 new atoms means the alternation has converged).
   std::vector<bool> under(num_atoms, false);  // U: definitely true
   std::vector<bool> over;                     // V: possibly true
-  FixpointDriver::Iterate({}, [&](size_t) -> size_t {
+  FixpointDriver::Iterate([&](size_t) -> size_t {
     ++out.rounds;
     over = LeastModelOfReduct(out.ground, under);
     std::vector<bool> next_under = LeastModelOfReduct(out.ground, over);

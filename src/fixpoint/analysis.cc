@@ -35,13 +35,11 @@ Result<sat::PortfolioSolver> FixpointAnalyzer::MakeSolver() const {
 Result<IdbState> FixpointAnalyzer::DecodeModel(
     const std::vector<bool>& atoms) const {
   IdbState state = ground_.DecodeState(*program_, atoms);
-  if (options_.verify_models) {
-    INFLOG_ASSIGN_OR_RETURN(const bool is_fixpoint, VerifyFixpoint(state));
-    if (!is_fixpoint) {
-      return Status::Internal(
-          "SAT model of the completion is not a fixpoint of Θ; "
-          "encoding bug");
-    }
+  INFLOG_ASSIGN_OR_RETURN(const bool is_fixpoint, VerifyFixpoint(state));
+  if (!is_fixpoint) {
+    return Status::Internal(
+        "SAT model of the completion is not a fixpoint of Θ; "
+        "encoding bug");
   }
   return state;
 }

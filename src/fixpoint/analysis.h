@@ -42,8 +42,6 @@ namespace inflog {
 struct AnalyzeOptions {
   GrounderOptions grounder;
   sat::SolverOptions solver;
-  /// Verify each decoded fixpoint with a direct Θ(S) = S check.
-  bool verify_models = true;
 };
 
 /// Three-way answer for unique-fixpoint queries (the class US asks for
@@ -113,7 +111,7 @@ class FixpointAnalyzer {
   /// under preprocessing.
   Result<sat::PortfolioSolver> MakeSolver() const;
 
-  /// Decodes + optionally verifies an atom assignment.
+  /// Decodes an atom assignment and verifies it with Θ(S) = S.
   Result<IdbState> DecodeModel(const std::vector<bool>& atoms) const;
 
   /// Clause blocking the given head-atom assignment.

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "src/base/rng.h"
 #include "src/core/engine.h"
 #include "src/graphs/digraph.h"
@@ -58,22 +60,20 @@ TEST_P(CrossSemantics, PositiveProgramAllFourAgree) {
                   .ok());
   LoadRandomGraphDb(&engine, 12, 1000 + GetParam());
 
-  auto inflationary = engine.Inflationary();
+  auto inflationary = engine.Evaluate(SemanticsKind::kInflationary);
   ASSERT_TRUE(inflationary.ok());
-  auto least = engine.Evaluate(SemanticsKind::kInflationary);
-  ASSERT_TRUE(least.ok());
-  auto stratified = engine.Stratified();
+  auto stratified = engine.Evaluate(SemanticsKind::kStratified);
   ASSERT_TRUE(stratified.ok());
-  auto wellfounded = engine.WellFounded();
+  auto wellfounded = engine.Evaluate(SemanticsKind::kWellFounded);
   ASSERT_TRUE(wellfounded.ok());
-  auto stable = engine.StableModels();
+  auto stable = engine.Evaluate(SemanticsKind::kStable);
   ASSERT_TRUE(stable.ok());
 
-  EXPECT_EQ(inflationary->state, stratified->state);
-  EXPECT_TRUE(wellfounded->total);
-  EXPECT_EQ(inflationary->state, wellfounded->true_state);
-  ASSERT_EQ(stable->models.size(), 1u);
-  EXPECT_EQ(inflationary->state, stable->models.front());
+  EXPECT_EQ(inflationary->state(), stratified->state());
+  EXPECT_TRUE(std::get<WellFoundedResult>(wellfounded->detail).total);
+  EXPECT_EQ(inflationary->state(), wellfounded->state());
+  ASSERT_EQ(std::get<StableResult>(stable->detail).models.size(), 1u);
+  EXPECT_EQ(inflationary->state(), stable->state());
 }
 
 TEST_P(CrossSemantics, SemipositiveProgramAllFourAgree) {
@@ -88,24 +88,24 @@ TEST_P(CrossSemantics, SemipositiveProgramAllFourAgree) {
                   .ok());
   LoadRandomGraphDb(&engine, 12, 2000 + GetParam());
 
-  auto inflationary = engine.Inflationary();
+  auto inflationary = engine.Evaluate(SemanticsKind::kInflationary);
   ASSERT_TRUE(inflationary.ok());
-  auto stratified = engine.Stratified();
+  auto stratified = engine.Evaluate(SemanticsKind::kStratified);
   ASSERT_TRUE(stratified.ok());
-  auto wellfounded = engine.WellFounded();
+  auto wellfounded = engine.Evaluate(SemanticsKind::kWellFounded);
   ASSERT_TRUE(wellfounded.ok());
-  auto stable = engine.StableModels();
+  auto stable = engine.Evaluate(SemanticsKind::kStable);
   ASSERT_TRUE(stable.ok());
 
-  EXPECT_EQ(inflationary->state, stratified->state)
+  EXPECT_EQ(inflationary->state(), stratified->state())
       << "inflationary:\n"
-      << testing::CanonState(**engine.program(), inflationary->state)
+      << testing::CanonState(**engine.program(), inflationary->state())
       << "stratified:\n"
-      << testing::CanonState(**engine.program(), stratified->state);
-  EXPECT_TRUE(wellfounded->total);
-  EXPECT_EQ(inflationary->state, wellfounded->true_state);
-  ASSERT_EQ(stable->models.size(), 1u);
-  EXPECT_EQ(inflationary->state, stable->models.front());
+      << testing::CanonState(**engine.program(), stratified->state());
+  EXPECT_TRUE(std::get<WellFoundedResult>(wellfounded->detail).total);
+  EXPECT_EQ(inflationary->state(), wellfounded->state());
+  ASSERT_EQ(std::get<StableResult>(stable->detail).models.size(), 1u);
+  EXPECT_EQ(inflationary->state(), stable->state());
 }
 
 TEST_P(CrossSemantics, StratifiableProgramStratifiedEqualsWellFounded) {
@@ -122,22 +122,22 @@ TEST_P(CrossSemantics, StratifiableProgramStratifiedEqualsWellFounded) {
                   .ok());
   LoadRandomGraphDb(&engine, 10, 3000 + GetParam());
 
-  auto stratified = engine.Stratified();
+  auto stratified = engine.Evaluate(SemanticsKind::kStratified);
   ASSERT_TRUE(stratified.ok());
-  auto wellfounded = engine.WellFounded();
+  auto wellfounded = engine.Evaluate(SemanticsKind::kWellFounded);
   ASSERT_TRUE(wellfounded.ok());
 
-  EXPECT_TRUE(wellfounded->total);
-  EXPECT_EQ(stratified->state, wellfounded->true_state)
+  EXPECT_TRUE(std::get<WellFoundedResult>(wellfounded->detail).total);
+  EXPECT_EQ(stratified->state(), wellfounded->state())
       << "stratified:\n"
-      << testing::CanonState(**engine.program(), stratified->state)
+      << testing::CanonState(**engine.program(), stratified->state())
       << "well-founded true part:\n"
-      << testing::CanonState(**engine.program(), wellfounded->true_state);
+      << testing::CanonState(**engine.program(), wellfounded->state());
   // And the stratified model is the unique stable model.
-  auto stable = engine.StableModels();
+  auto stable = engine.Evaluate(SemanticsKind::kStable);
   ASSERT_TRUE(stable.ok());
-  ASSERT_EQ(stable->models.size(), 1u);
-  EXPECT_EQ(stratified->state, stable->models.front());
+  ASSERT_EQ(std::get<StableResult>(stable->detail).models.size(), 1u);
+  EXPECT_EQ(stratified->state(), stable->state());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossSemantics, ::testing::Range(0, 8));

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/core/engine.h"
@@ -31,10 +33,10 @@ TEST(EdgeCaseTest, EmptyDatabaseEmptyUniverse) {
   // No facts, no universe: Θ^∞ is empty, trivially converged.
   Engine engine;
   ASSERT_TRUE(engine.LoadProgramText("T(X) :- !T(X).").ok());
-  auto result = engine.Inflationary();
+  auto result = engine.Evaluate(SemanticsKind::kInflationary);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->state.TotalTuples(), 0u);
-  EXPECT_TRUE(result->converged);
+  EXPECT_EQ(result->state().TotalTuples(), 0u);
+  EXPECT_TRUE(std::get<InflationaryResult>(result->detail).converged);
   // And the unique fixpoint is the empty one.
   auto analyzer = engine.MakeAnalyzer();
   ASSERT_TRUE(analyzer.ok());
@@ -48,9 +50,9 @@ TEST(EdgeCaseTest, UniverseWithoutFacts) {
   ASSERT_TRUE(engine.LoadProgramText("T(X) :- !T(X).").ok());
   ASSERT_TRUE(engine.LoadDatabaseText("@universe a b.").ok());
   // T(x) ← ¬T(x) on a 2-element universe: Θ^∞ = A.
-  auto result = engine.Inflationary();
+  auto result = engine.Evaluate(SemanticsKind::kInflationary);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->state.TotalTuples(), 2u);
+  EXPECT_EQ(result->state().TotalTuples(), 2u);
   // ...and (π, D) has no fixpoint (pointwise toggle).
   auto analyzer = engine.MakeAnalyzer();
   ASSERT_TRUE(analyzer.ok());
@@ -65,9 +67,9 @@ TEST(EdgeCaseTest, ProgramConstantsJoinTheUniverse) {
   Engine engine;
   ASSERT_TRUE(engine.LoadProgramText("P(X) :- X = c42.").ok());
   ASSERT_TRUE(engine.LoadDatabaseText("@universe a.").ok());
-  auto result = engine.Inflationary();
+  auto result = engine.Evaluate(SemanticsKind::kInflationary);
   ASSERT_TRUE(result.ok());
-  auto p = engine.RelationOf(result->state, "P");
+  auto p = engine.RelationOf(result->state(), "P");
   ASSERT_TRUE(p.ok());
   ASSERT_EQ((*p)->size(), 1u);
   EXPECT_EQ(engine.symbols()->Name((*p)->Row(0)[0]), "c42");
@@ -77,19 +79,19 @@ TEST(EdgeCaseTest, FactsOnlyProgram) {
   // Bodyless ground rules behave like IDB facts under every semantics.
   Engine engine;
   ASSERT_TRUE(engine.LoadProgramText("F(a,b).\nF(b,c).").ok());
-  auto inf = engine.Inflationary();
+  auto inf = engine.Evaluate(SemanticsKind::kInflationary);
   ASSERT_TRUE(inf.ok());
-  EXPECT_EQ(inf->state.TotalTuples(), 2u);
-  EXPECT_EQ(inf->num_stages, 1u);
+  EXPECT_EQ(inf->state().TotalTuples(), 2u);
+  EXPECT_EQ(std::get<InflationaryResult>(inf->detail).num_stages, 1u);
   auto analyzer = engine.MakeAnalyzer();
   ASSERT_TRUE(analyzer.ok());
   auto unique = analyzer->UniqueFixpoint();
   ASSERT_TRUE(unique.ok());
   EXPECT_EQ(*unique, UniqueStatus::kUnique);
-  auto wf = engine.WellFounded();
+  auto wf = engine.Evaluate(SemanticsKind::kWellFounded);
   ASSERT_TRUE(wf.ok());
-  EXPECT_TRUE(wf->total);
-  EXPECT_EQ(wf->true_state.TotalTuples(), 2u);
+  EXPECT_TRUE(std::get<WellFoundedResult>(wf->detail).total);
+  EXPECT_EQ(wf->state().TotalTuples(), 2u);
 }
 
 TEST(EdgeCaseTest, SelfLoopGraph) {
@@ -128,10 +130,10 @@ TEST(EdgeCaseTest, ArityZeroEverywhere) {
                       "Done :- Go.\n")
                   .ok());
   ASSERT_TRUE(engine.LoadDatabaseText("Start.").ok());
-  EvalContextOptions ctx_opts;
   InflationaryOptions opts;
   opts.context.allow_missing_edb = true;  // Stop has no facts
-  auto result = engine.Inflationary(opts);
+  auto result =
+      EvalInflationary(**engine.program(), engine.database(), opts);
   ASSERT_TRUE(result.ok());
   auto go = engine.RelationOf(result->state, "Go");
   auto done = engine.RelationOf(result->state, "Done");

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <variant>
+
 #include "src/core/engine.h"
 #include "src/reductions/hamilton.h"
 #include "src/reductions/sat_db.h"
@@ -15,9 +19,9 @@ TEST(EngineTest, EndToEndPi1) {
   Engine engine;
   ASSERT_TRUE(engine.LoadProgramText("T(X) :- E(Y,X), !T(Y).").ok());
   ASSERT_TRUE(engine.LoadDatabaseText("E(1,2). E(2,3). E(3,4).").ok());
-  auto result = engine.Inflationary();
+  auto result = engine.Evaluate(SemanticsKind::kInflationary);
   ASSERT_TRUE(result.ok());
-  auto t = engine.RelationOf(result->state, "T");
+  auto t = engine.RelationOf(result->state(), "T");
   ASSERT_TRUE(t.ok());
   EXPECT_EQ((*t)->size(), 3u);  // {2,3,4}: vertices with predecessors
   auto analyzer = engine.MakeAnalyzer();
@@ -60,20 +64,21 @@ TEST(EngineTest, UnifiedEvaluateMatchesTypedEntryPoints) {
     ASSERT_TRUE(outcome.ok()) << SemanticsKindName(kind);
     EXPECT_EQ(outcome->kind, kind);
   }
-  // The unified answer matches each typed entry point's canonical state.
-  auto inflationary = engine.Inflationary();
+  // The unified answer matches each typed evaluator's canonical state.
+  const Program& program = **engine.program();
+  auto inflationary = EvalInflationary(program, engine.database());
   ASSERT_TRUE(inflationary.ok());
   EXPECT_EQ(engine.Evaluate(SemanticsKind::kInflationary)->state(),
             inflationary->state);
-  auto stratified = engine.Stratified();
+  auto stratified = EvalStratified(program, engine.database());
   ASSERT_TRUE(stratified.ok());
   EXPECT_EQ(engine.Evaluate(SemanticsKind::kStratified)->state(),
             stratified->state);
-  auto wellfounded = engine.WellFounded();
+  auto wellfounded = EvalWellFounded(program, engine.database());
   ASSERT_TRUE(wellfounded.ok());
   EXPECT_EQ(engine.Evaluate(SemanticsKind::kWellFounded)->state(),
             wellfounded->true_state);
-  auto stable = engine.StableModels();
+  auto stable = EnumerateStableModels(program, engine.database());
   ASSERT_TRUE(stable.ok());
   ASSERT_EQ(stable->models.size(), 1u);
   EXPECT_EQ(engine.Evaluate(SemanticsKind::kStable)->state(),
@@ -102,8 +107,7 @@ TEST(EngineTest, UnifiedEvaluateDetailCarriesSemanticsSpecifics) {
 
 TEST(EngineTest, RequiresProgramBeforeEvaluation) {
   Engine engine;
-  EXPECT_FALSE(engine.Inflationary().ok());
-  EXPECT_EQ(engine.Inflationary().status().code(),
+  EXPECT_EQ(engine.Evaluate(SemanticsKind::kInflationary).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_FALSE(engine.program().ok());
 }
@@ -146,10 +150,10 @@ TEST(EngineTest, RelationOfRejectsEdb) {
   Engine engine;
   ASSERT_TRUE(engine.LoadProgramText("T(X) :- E(Y,X).").ok());
   ASSERT_TRUE(engine.LoadDatabaseText("E(1,2).").ok());
-  auto result = engine.Inflationary();
+  auto result = engine.Evaluate(SemanticsKind::kInflationary);
   ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(engine.RelationOf(result->state, "E").ok());
-  EXPECT_FALSE(engine.RelationOf(result->state, "Nope").ok());
+  EXPECT_FALSE(engine.RelationOf(result->state(), "E").ok());
+  EXPECT_FALSE(engine.RelationOf(result->state(), "Nope").ok());
 }
 
 TEST(EngineTest, AllSemanticsOnOneProgram) {
@@ -161,16 +165,78 @@ TEST(EngineTest, AllSemanticsOnOneProgram) {
                       "Un(X,Y) :- E(Y,X), !R(X,Y).\n")
                   .ok());
   ASSERT_TRUE(engine.LoadDatabaseText("E(1,2). E(2,3).").ok());
-  auto inf = engine.Inflationary();
-  auto strat = engine.Stratified();
-  auto wf = engine.WellFounded();
-  auto stable = engine.StableModels();
+  auto inf = engine.Evaluate(SemanticsKind::kInflationary);
+  auto strat = engine.Evaluate(SemanticsKind::kStratified);
+  auto wf = engine.Evaluate(SemanticsKind::kWellFounded);
+  auto stable = engine.Evaluate(SemanticsKind::kStable);
   ASSERT_TRUE(inf.ok() && strat.ok() && wf.ok() && stable.ok());
   // Stratified program: all four agree on the (total) model.
-  EXPECT_TRUE(wf->total);
-  EXPECT_EQ(wf->true_state, strat->state);
-  ASSERT_EQ(stable->models.size(), 1u);
-  EXPECT_EQ(stable->models[0], strat->state);
+  EXPECT_TRUE(std::get<WellFoundedResult>(wf->detail).total);
+  EXPECT_EQ(wf->state(), strat->state());
+  ASSERT_EQ(std::get<StableResult>(stable->detail).models.size(), 1u);
+  EXPECT_EQ(stable->state(), strat->state());
+}
+
+TEST(EngineTest, EvaluateAndIncrementalSessionAgree) {
+  // Both run EvalSemantics, so they return the same error or the same
+  // state — one relation per IDB predicate, also when the stable
+  // semantics finds no model (the first program has none).
+  const std::pair<const char*, const char*> cases[] = {
+      {"P(X) :- E(X), !P(X).", "E(1)."},
+      {"R(X) :- S(X), !B(X).\nR(Y) :- R(X), E(X,Y).\n",
+       "S(1). S(4). B(4). E(1,2). E(2,3). E(4,5)."},
+  };
+  for (const auto& [program_text, facts] : cases) {
+    for (SemanticsKind kind :
+         {SemanticsKind::kInflationary, SemanticsKind::kStratified,
+          SemanticsKind::kWellFounded, SemanticsKind::kStable}) {
+      const std::string where = std::string(program_text) + " under " +
+                                std::string(SemanticsKindName(kind));
+      Engine engine;
+      ASSERT_TRUE(engine.LoadProgramText(program_text).ok());
+      ASSERT_TRUE(engine.LoadDatabaseText(facts).ok());
+      auto evaluated = engine.Evaluate(kind);
+      const Status begun = engine.BeginIncremental(kind);
+      ASSERT_EQ(evaluated.status().code(), begun.code()) << where;
+      if (!begun.ok()) continue;
+      const IdbState& maintained = **engine.IncrementalState();
+      const Program& program = **engine.program();
+      EXPECT_EQ(evaluated->state().relations.size(),
+                program.idb_predicates().size())
+          << where;
+      EXPECT_EQ(maintained.relations.size(),
+                program.idb_predicates().size())
+          << where;
+      EXPECT_EQ(evaluated->state(), maintained) << where;
+      for (const uint32_t pred : program.idb_predicates()) {
+        EXPECT_TRUE(
+            engine.RelationOf(evaluated->state(), program.predicate(pred).name)
+                .ok())
+            << where;
+      }
+    }
+  }
+}
+
+TEST(EngineTest, FailedBeginKeepsTheLiveSession) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgramText("T(X) :- E(Y,X), !T(W).").ok());
+  ASSERT_TRUE(engine.LoadDatabaseText("E(1,2). E(2,3).").ok());
+  ASSERT_TRUE(engine.BeginServing(SemanticsKind::kInflationary).ok());
+  // Neither session can start: the program is not stratifiable, and W
+  // occurs only under negation.
+  EXPECT_EQ(engine.BeginIncremental(SemanticsKind::kStratified).code(),
+            StatusCode::kFailedPrecondition);
+  EvalOptions strict;
+  strict.reject_unsafe_negation = true;
+  EXPECT_EQ(engine.BeginIncremental(SemanticsKind::kInflationary, strict)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine.HasIncrementalSession());
+  ASSERT_TRUE(engine.HasServingSession());
+  const Tuple edge{engine.symbols()->Intern("3"),
+                   engine.symbols()->Intern("4")};
+  EXPECT_TRUE(engine.ApplyUpdate({{"E", edge}}, {}).ok());
 }
 
 TEST(EngineTest, RejectUnsafeNegationGatesAllFourSemantics) {
