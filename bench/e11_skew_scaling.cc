@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/base/strings.h"
 #include "src/eval/inflationary.h"
 #include "src/relation/tuple.h"
 
@@ -63,7 +64,7 @@ constexpr uint32_t kShardBits = 3;   // 8 shards
 std::vector<std::string> HotSymbols(SymbolTable* symbols, size_t count) {
   std::vector<std::string> hot;
   for (size_t i = 0; hot.size() < count; ++i) {
-    std::string name = "h" + std::to_string(i);
+    std::string name = StrCat("h", i);
     const Value v = symbols->Intern(name);
     const Tuple tuple{v};
     if (ShardOfHash(HashTuple(tuple), kShardBits) == 0) {
@@ -97,7 +98,7 @@ void BM_SkewedStageSchedulers(benchmark::State& state) {
     const size_t fanout = hub ? kHubFanout : 1;
     for (size_t j = 0; j < fanout; ++j) {
       INFLOG_CHECK(
-          db.AddFactNamed("Big", {hot[i], "t" + std::to_string(j)}).ok());
+          db.AddFactNamed("Big", {hot[i], StrCat("t", j)}).ok());
       ++big_rows;
     }
   }

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/base/strings.h"
 #include "src/core/engine.h"
 
 namespace inflog {
@@ -64,7 +65,7 @@ struct Workload {
 
 // Interns node `i` of ring `c` and returns its symbol id.
 Value Node(SymbolTable* symbols, size_t c, size_t i) {
-  return symbols->Intern("n" + std::to_string(c * kNodesPerRing + i));
+  return symbols->Intern(StrCat("n", c * kNodesPerRing + i));
 }
 
 // Loads `components` disjoint rings into the engine's database and

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/base/strings.h"
 #include "src/core/engine.h"
 #include "src/serve/query.h"
 #include "src/serve/serving.h"
@@ -53,11 +54,11 @@ constexpr size_t kComponents = 64;  // 1024 edges, 16384 closure rows
 constexpr size_t kQueriesPerThread = 256;
 
 Value Node(SymbolTable* symbols, size_t c, size_t i) {
-  return symbols->Intern("n" + std::to_string(c * kNodesPerRing + i));
+  return symbols->Intern(StrCat("n", c * kNodesPerRing + i));
 }
 
 std::string NodeName(size_t c, size_t i) {
-  return "n" + std::to_string(c * kNodesPerRing + i);
+  return StrCat("n", c * kNodesPerRing + i);
 }
 
 // Loads kComponents disjoint 16-node rings into the engine.

@@ -23,6 +23,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "src/base/strings.h"
 #include "src/core/engine.h"
 #include "src/eval/inflationary.h"
 
@@ -59,7 +60,7 @@ Database ChainDb(size_t num_chains, std::shared_ptr<SymbolTable> symbols) {
   Database db(std::move(symbols));
   auto vertex = [](size_t chain, size_t pos) {
     if (chain == 0 && pos == 0) return std::string("c0");
-    return "v" + std::to_string(chain) + "_" + std::to_string(pos);
+    return StrCat("v", chain, "_", pos);
   };
   for (size_t c = 0; c < num_chains; ++c) {
     for (size_t p = 0; p < kChainLength; ++p) {
@@ -130,7 +131,7 @@ Database TreeDb(size_t depth, std::shared_ptr<SymbolTable> symbols) {
   const size_t leftmost_leaf = size_t(1) << depth;
   auto node = [&](size_t i) {
     if (i == leftmost_leaf) return std::string("c0");
-    return "n" + std::to_string(i);
+    return StrCat("n", i);
   };
   for (size_t i = 2; i < (size_t(1) << (depth + 1)); ++i) {
     INFLOG_CHECK(db.AddFactNamed("Up", {node(i), node(i / 2)}).ok());

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "src/base/strings.h"
 #include "src/core/engine.h"
 #include "src/graphs/digraph.h"
 
@@ -56,16 +57,16 @@ int main() {
   };
 
   for (size_t n : {3u, 4u, 5u, 8u}) {
-    print(Analyze("L" + std::to_string(n), inflog::PathGraph(n)));
+    print(Analyze(inflog::StrCat("L", n), inflog::PathGraph(n)));
   }
   for (size_t n : {3u, 5u, 7u}) {
-    print(Analyze("C" + std::to_string(n), inflog::CycleGraph(n)));
+    print(Analyze(inflog::StrCat("C", n), inflog::CycleGraph(n)));
   }
   for (size_t n : {4u, 6u, 8u}) {
-    print(Analyze("C" + std::to_string(n), inflog::CycleGraph(n)));
+    print(Analyze(inflog::StrCat("C", n), inflog::CycleGraph(n)));
   }
   for (size_t k : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    print(Analyze("G" + std::to_string(k),
+    print(Analyze(inflog::StrCat("G", k),
                   inflog::DisjointCycles(k, 4)));
   }
 

@@ -487,7 +487,7 @@ int main(int argc, char** argv) {
         const inflog::EvalStats s = session->stats();
         PrintStats("stats:", s,
                    {inflog::StatsGroup::kIncremental,
-                    inflog::StatsGroup::kExecutor});
+                    inflog::StatsGroup::kExecutor, inflog::StatsGroup::kSat});
         print_serve_stats(s);
       }
       return 0;

@@ -15,7 +15,7 @@ class Interpreter {
  public:
   Interpreter(const EvalContext& ctx, const RulePlan& plan,
               const IdbState& state, const DeltaRanges* deltas,
-              Relation* out, TupleCountMap* counts, EvalStats* stats,
+              Relation* out, EvalStats* stats,
               const std::vector<Relation>* shared)
       : ctx_(ctx),
         plan_(plan),
@@ -25,7 +25,6 @@ class Interpreter {
         deltas_(deltas),
         shared_(shared),
         out_(out),
-        counts_(counts),
         stats_(stats) {
     bindings_.assign(rule_.num_vars, kNoValue);
     head_tuple_.resize(head_.size());
@@ -230,12 +229,6 @@ class Interpreter {
     for (size_t i = 0; i < head_.size(); ++i) {
       head_tuple_[i] = TermValue(head_[i]);
     }
-    if (counts_ != nullptr) {
-      // Counting mode keeps every derivation (multiplicity), not the set:
-      // the incremental recount pass diffs these against stored counts.
-      ++(*counts_)[head_tuple_];
-      return;
-    }
     if (out_->Insert(head_tuple_)) ++stats_->new_tuples;
   }
 
@@ -249,7 +242,6 @@ class Interpreter {
   const DeltaRanges* deltas_;
   const std::vector<Relation>* shared_;
   Relation* out_;
-  TupleCountMap* counts_;
   EvalStats* stats_;
   std::vector<Value> bindings_;
   Tuple head_tuple_;
@@ -271,17 +263,7 @@ void ExecutePlan(const EvalContext& ctx, const RulePlan& plan,
                  const IdbState& state, const DeltaRanges* deltas,
                  Relation* out, EvalStats* stats,
                  const std::vector<Relation>* shared) {
-  Interpreter(ctx, plan, state, deltas, out, /*counts=*/nullptr, stats,
-              shared)
-      .Run();
-}
-
-void ExecutePlanCounted(const EvalContext& ctx, const RulePlan& plan,
-                        const IdbState& state, const DeltaRanges* deltas,
-                        TupleCountMap* out, EvalStats* stats,
-                        const std::vector<Relation>* shared) {
-  Interpreter(ctx, plan, state, deltas, /*out=*/nullptr, out, stats, shared)
-      .Run();
+  Interpreter(ctx, plan, state, deltas, out, stats, shared).Run();
 }
 
 DeltaWorkEstimate EstimateDeltaWork(

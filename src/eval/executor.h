@@ -163,16 +163,6 @@ void ExecutePlan(const EvalContext& ctx, const RulePlan& plan,
                  Relation* out, EvalStats* stats,
                  const std::vector<Relation>* shared = nullptr);
 
-/// ExecutePlan variant that keeps derivation *multiplicities* instead of
-/// the derived set: each emitted head tuple increments its entry in `out`.
-/// The counting-based incremental maintainer recounts candidate tuples
-/// with this (a tuple's support is the number of distinct body matches,
-/// which plain ExecutePlan's set insertion collapses).
-void ExecutePlanCounted(const EvalContext& ctx, const RulePlan& plan,
-                        const IdbState& state, const DeltaRanges* deltas,
-                        TupleCountMap* out, EvalStats* stats,
-                        const std::vector<Relation>* shared = nullptr);
-
 /// Sampled per-row work estimate of one delta plan, used by the auto
 /// stage scheduler (StageScheduler::kAuto) to predict how unevenly the
 /// static partition's tasks would be loaded.

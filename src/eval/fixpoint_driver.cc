@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "src/base/logging.h"
 #include "src/opt/pass_manager.h"
@@ -26,58 +25,17 @@ FixpointDriver::Outcome FixpointDriver::Iterate(const StepFn& step,
 
 namespace {
 
-/// Cuts one predicate's per-shard delta ranges into about `desired`
-/// slices, each itself a per-shard range vector. Slices align to shard
-/// boundaries — whole shards are grouped until a slice holds ~1/desired
-/// of the rows — except that a shard holding more than two targets'
-/// worth of rows is split by rows, so a skewed hash cannot starve the
-/// fan-out. Deterministic in (ranges, desired) only.
-std::vector<std::vector<ShardRange>> SliceDeltaRanges(
-    const std::vector<ShardRange>& ranges, size_t desired) {
-  const size_t num_shards = ranges.size();
-  size_t rows = 0;
-  for (const auto& [b, e] : ranges) rows += e - b;
-  std::vector<std::vector<ShardRange>> out;
-  if (rows == 0 || desired <= 1) {
-    out.push_back(ranges);
-    return out;
-  }
-  const size_t target = (rows + desired - 1) / desired;
-  std::vector<ShardRange> cur(num_shards, {0, 0});
-  size_t acc = 0;
-  auto flush = [&] {
-    if (acc == 0) return;
-    out.push_back(cur);
-    cur.assign(num_shards, {0, 0});
-    acc = 0;
-  };
-  for (size_t s = 0; s < num_shards; ++s) {
-    const auto [b, e] = ranges[s];
-    const size_t n = e - b;
-    if (n == 0) continue;
-    if (n > 2 * target) {
-      flush();
-      const size_t pieces = (n + target - 1) / target;
-      for (size_t k = 0; k < pieces; ++k) {
-        cur[s] = {b + n * k / pieces, b + n * (k + 1) / pieces};
-        acc = cur[s].second - cur[s].first;
-        flush();
-      }
-      continue;
-    }
-    cur[s] = ranges[s];
-    acc += n;
-    if (acc >= target) flush();
-  }
-  flush();
-  return out;
-}
+/// Number of delta rows EstimateDeltaWork may probe per big unit. The
+/// whole estimate costs at most one posting-length lookup per sampled
+/// row — a fraction of the join that follows — and a stride this dense
+/// still catches hub windows much smaller than a static window.
+constexpr size_t kMaxWorkSamples = 2048;
 
 /// Projects the linearized row window [begin, end) — shards concatenated
 /// in shard order, the delta-scan walk order — back onto per-shard
-/// ranges. Pure function of (base, begin, end): however the stealing
-/// scheduler happened to cut a delta chunk, the rows it covers are
-/// determined by its window alone.
+/// ranges. Pure function of (base, begin, end): however a scheduler cut
+/// or split a delta chunk, the rows it covers are determined by its
+/// window alone.
 std::vector<ShardRange> ProjectDeltaWindow(
     const std::vector<ShardRange>& base, size_t begin, size_t end) {
   std::vector<ShardRange> out(base.size(), {0, 0});
@@ -204,18 +162,7 @@ void RelationalConsequence::ComputeSharedIntermediates(bool full_pass) {
   // Workers read the frozen state concurrently: finalize the column
   // indexes the subplans probe before the fan-out, as RunStageParallel
   // does for the rule plans.
-  if (ctx_.use_join_indexes()) {
-    for (size_t k : pending) {
-      for (const PlanOp& op : plans_.shared[k].plan.ops) {
-        if (op.kind != PlanOp::Kind::kMatch || op.is_delta_scan ||
-            op.key_cols.empty()) {
-          continue;
-        }
-        const Relation& rel = ctx_.Resolve(op.predicate, *state_);
-        for (size_t col : op.key_cols) rel.EnsureIndexed(col);
-      }
-    }
-  }
+  for (size_t k : pending) FinalizeIndexes(plans_.shared[k].plan);
   std::vector<EvalStats> task_stats(pending.size());
   (*pool_slot_)->ParallelFor(pending.size(), [&](size_t i) {
     run_one(pending[i], &task_stats[i]);
@@ -245,23 +192,15 @@ void RelationalConsequence::RunStageSerial(bool full_pass,
   }
 }
 
-void RelationalConsequence::FinalizeStageIndexes(bool full_pass) const {
-  auto touch = [&](const RulePlan& plan) {
-    for (const PlanOp& op : plan.ops) {
-      if (op.kind != PlanOp::Kind::kMatch || op.is_delta_scan ||
-          op.key_cols.empty()) {
-        continue;
-      }
-      const Relation& rel = ctx_.Resolve(op.predicate, *state_);
-      for (size_t col : op.key_cols) rel.EnsureIndexed(col);
+void RelationalConsequence::FinalizeIndexes(const RulePlan& plan) const {
+  if (!ctx_.use_join_indexes()) return;
+  for (const PlanOp& op : plan.ops) {
+    if (op.kind != PlanOp::Kind::kMatch || op.is_delta_scan ||
+        op.key_cols.empty()) {
+      continue;
     }
-  };
-  for (const CompiledRulePlans& c : plans_.rules) {
-    if (full_pass) {
-      touch(c.full);
-    } else {
-      for (const CompiledDeltaPlan& d : c.deltas) touch(d.plan);
-    }
+    const Relation& rel = ctx_.Resolve(op.predicate, *state_);
+    for (size_t col : op.key_cols) rel.EnsureIndexed(col);
   }
 }
 
@@ -301,51 +240,117 @@ void RelationalConsequence::RunStageParallel(bool full_pass,
   }
   ThreadPool& pool = **pool_slot_;
 
-  // During the fan-out every worker reads the frozen Sⁿ concurrently, so
-  // first finalize each column index the plans can probe; after this no
-  // relation read mutates anything (Relation::EnsureIndexed contract).
-  if (ctx_.use_join_indexes()) FinalizeStageIndexes(full_pass);
-
-  std::vector<DeltaUnit> units;
-  if (!full_pass) units = PartitionDeltaUnits();
+  // Partition the stage, then — since during the fan-out every worker
+  // reads the frozen Sⁿ concurrently — finalize each column index its
+  // plans can probe; after this no relation read mutates anything
+  // (Relation::EnsureIndexed contract).
+  std::vector<StageUnit> units = PartitionStageUnits(full_pass);
+  for (const StageUnit& u : units) {
+    for (const UnitPlan& p : u.plans) FinalizeIndexes(*p.plan);
+  }
 
   StageScheduler scheduler = scheduler_;
+  if (scheduler != StageScheduler::kStatic) {
+    // One work sample per big unit feeds both auto's imbalance estimate
+    // and the stealing deal.
+    for (StageUnit& u : units) {
+      if (u.rows == 0) continue;
+      u.work = EstimateDeltaWork(ctx_, *u.plans[0].plan, *state_,
+                                 delta_ranges_[u.delta_idb], kMaxWorkSamples);
+    }
+  }
   if (scheduler == StageScheduler::kAuto) {
-    // Full passes run one atomic task per rule — there is no slice for
-    // stealing to re-cut — so only delta stages consult the imbalance
-    // estimate. Either way both machineries fold by the same
-    // deterministic key, so the choice is invisible outside the
-    // bookkeeping counters.
-    scheduler =
-        (!full_pass && EstimateStaticImbalance(units) >
-                           EvalContextOptions::kDefaultStealVariance)
-            ? StageScheduler::kStealing
-            : StageScheduler::kStatic;
+    // A full pass has no big unit — nothing for stealing to re-cut — so
+    // it reports itself balanced and stays static. Either way every
+    // chunk folds by the same deterministic key, so the choice is
+    // invisible outside the bookkeeping counters.
+    scheduler = EstimateStaticImbalance(units) >
+                        EvalContextOptions::kDefaultStealVariance
+                    ? StageScheduler::kStealing
+                    : StageScheduler::kStatic;
     if (scheduler == StageScheduler::kStealing) {
       ++stats_.auto_stealing_stages;
     } else {
       ++stats_.auto_static_stages;
     }
   }
+
+  std::vector<Chunk> chunks;
   if (scheduler == StageScheduler::kStealing) {
-    RunStageStealing(full_pass, units, buffers, pool);
+    // One splittable chunk per big unit (full plans and batches have 0
+    // rows: atomic), dealt by estimated work — batches weigh their delta
+    // rows, big units their sampled join work, so a hub-heavy plan
+    // outweighs an equal-row uniform one — so the stealing starts
+    // balanced and only corrects estimation error. Full-pass units all
+    // weigh 1, which deals them round-robin. Chunks are collected per
+    // participant, so workers never share a vector.
+    std::vector<size_t> rows;
+    std::vector<uint64_t> weights;
+    for (const StageUnit& u : units) {
+      uint64_t weight = 0;
+      if (u.rows == 0) {
+        for (const UnitPlan& p : u.plans) weight += p.rows;
+      } else if (u.work.sample_cost.empty()) {
+        weight = static_cast<uint64_t>(u.rows) * u.work.uniform_cost;
+      } else {
+        for (const uint64_t c : u.work.sample_cost) {
+          weight += c * u.work.stride;
+        }
+      }
+      rows.push_back(u.rows);
+      weights.push_back(std::max<uint64_t>(weight, 1));
+    }
+    std::vector<std::vector<Chunk>> done(pool.num_workers() + 1);
+    const ThreadPool::DynamicLoopStats dyn = pool.ParallelForDynamic(
+        rows, weights, min_slice_rows_,
+        [&](size_t i, size_t begin, size_t end, size_t worker) {
+          Chunk chunk{i, begin, end, {}, {}};
+          RunChunk(units[i], &chunk);
+          done[worker].push_back(std::move(chunk));
+        });
+    for (std::vector<Chunk>& worker_chunks : done) {
+      for (Chunk& chunk : worker_chunks) chunks.push_back(std::move(chunk));
+    }
+    stats_.steals += dyn.steals;
+    stats_.splits += dyn.splits;
+    stats_.parks += dyn.parks;
   } else {
-    RunStageStatic(full_pass, units, buffers, pool);
+    // Equal row windows of every big unit, cut up front — the windows the
+    // imbalance estimate weighed — and claimed from a shared counter.
+    for (size_t i = 0; i < units.size(); ++i) {
+      const size_t rows = units[i].rows;
+      const size_t windows = StaticWindows(units[i]);
+      for (size_t w = 0; w < windows; ++w) {
+        chunks.push_back(Chunk{i, rows * w / windows,
+                               rows * (w + 1) / windows, {}, {}});
+      }
+    }
+    pool.ParallelFor(chunks.size(), [&](size_t c) {
+      RunChunk(units[chunks[c].unit], &chunks[c]);
+    });
   }
+  FoldStagedOutputs(units, &chunks, buffers, pool);
 }
 
-std::vector<RelationalConsequence::DeltaUnit>
-RelationalConsequence::PartitionDeltaUnits() {
-  std::vector<DeltaUnit> units;
-  DeltaUnit pending;  // batch being accumulated
+std::vector<RelationalConsequence::StageUnit>
+RelationalConsequence::PartitionStageUnits(bool full_pass) {
+  std::vector<StageUnit> units;
+  if (full_pass) {
+    for (const CompiledRulePlans& c : plans_.rules) {
+      units.push_back(StageUnit{
+          {UnitPlan{&c.full, c.head_idb, 0}}, {c.head_idb}, -1, 0, {}});
+    }
+    return units;
+  }
+  StageUnit pending;  // batch being accumulated
   size_t pending_rows = 0;
   auto flush = [&] {
-    if (pending.batch.empty()) return;
-    if (pending.batch.size() >= 2) {
-      stats_.batched_plans += pending.batch.size();
+    if (pending.plans.empty()) return;
+    if (pending.plans.size() >= 2) {
+      stats_.batched_plans += pending.plans.size();
     }
     units.push_back(std::move(pending));
-    pending = DeltaUnit();
+    pending = StageUnit();
     pending_rows = 0;
   };
   for (const CompiledRulePlans& c : plans_.rules) {
@@ -358,20 +363,15 @@ RelationalConsequence::PartitionDeltaUnits() {
       }
       if (d.delta_idb >= 0 && rows >= min_slice_rows_) {
         flush();
-        DeltaUnit u;
-        u.plan = &d.plan;
-        u.head_idb = c.head_idb;
-        u.delta_idb = d.delta_idb;
-        u.rows = rows;
-        u.heads.push_back(c.head_idb);
-        units.push_back(std::move(u));
+        units.push_back(StageUnit{{UnitPlan{&d.plan, c.head_idb, rows}},
+                                  {c.head_idb}, d.delta_idb, rows, {}});
         continue;
       }
-      // Tiny (or delta-less) plan: share a task with its neighbours so
+      // Tiny (or delta-less) plan: share a chunk with its neighbours so
       // rule-heavy programs don't pay one staging relation per nearly
       // empty plan. Batches stay contiguous in plan order — the ordered
       // fold depends on it.
-      pending.batch.push_back(BatchEntry{&d.plan, c.head_idb, rows});
+      pending.plans.push_back(UnitPlan{&d.plan, c.head_idb, rows});
       bool seen = false;
       for (int h : pending.heads) seen = seen || h == c.head_idb;
       if (!seen) pending.heads.push_back(c.head_idb);
@@ -384,61 +384,60 @@ RelationalConsequence::PartitionDeltaUnits() {
   return units;
 }
 
-double RelationalConsequence::EstimateStaticImbalance(
-    const std::vector<DeltaUnit>& units) const {
-  // Number of delta rows EstimateDeltaWork may probe per plan. The whole
-  // estimate costs at most one posting-length lookup per sampled row —
-  // a fraction of the join that follows — and a stride this dense still
-  // catches hub windows much smaller than a slice.
-  constexpr size_t kMaxWorkSamples = 2048;
+size_t RelationalConsequence::StaticWindows(const StageUnit& u) const {
+  // A few windows per thread so claim-order load imbalance evens out,
+  // but none below min_slice_rows_.
+  return std::max<size_t>(
+      1, std::min(num_threads_ * 4, u.rows / min_slice_rows_));
+}
 
-  // Stealing can only re-cut sliceable units; a stage made purely of
-  // atomic batches runs the same tasks under either machinery, so
-  // report it balanced and skip the estimation entirely.
+double RelationalConsequence::EstimateStaticImbalance(
+    const std::vector<StageUnit>& units) const {
+  // Stealing can only re-cut big units; a stage made purely of full
+  // plans and batches runs the same chunks under either scheduler, so
+  // report it balanced.
   bool sliceable = false;
-  for (const DeltaUnit& u : units) sliceable = sliceable || u.batch.empty();
+  for (const StageUnit& u : units) sliceable = sliceable || u.rows > 0;
   if (!sliceable) return 0.0;
 
-  // Pool the estimated work of every task the static partition would
-  // create: one value per batch, one per up-front slice of each big
-  // plan. The per-row signal is the posting-list length of the plan's
-  // first index probe; plans giving no such signal fall back to row
-  // counts — exactly the proxy the static slicer itself balances, so
-  // they report a perfectly balanced contribution. Zero-work batches
-  // (runs of never-fires / empty-delta plans) are skipped: they are
-  // near-free tasks under either scheduler, and counting them would
-  // only drag the mean down and inflate the CV.
+  // Pool the estimated work of every chunk the static scheduler would
+  // run: one value per batch, one per window of each big unit. The
+  // per-row signal is the posting-list length of the plan's first index
+  // probe; plans giving no such signal fall back to row counts — exactly
+  // the proxy the static windows balance, so they report a perfectly
+  // balanced contribution. Zero-work batches (runs of never-fires /
+  // empty-delta plans) are skipped: they are near-free chunks under
+  // either scheduler, and counting them would only drag the mean down
+  // and inflate the CV.
   std::vector<double> work;
-  for (const DeltaUnit& u : units) {
-    if (!u.batch.empty()) {
+  for (const StageUnit& u : units) {
+    if (u.rows == 0) {
       double rows = 0;
-      for (const BatchEntry& e : u.batch) rows += static_cast<double>(e.rows);
+      for (const UnitPlan& p : u.plans) rows += static_cast<double>(p.rows);
       if (rows > 0) work.push_back(rows);
       continue;
     }
-    const size_t desired = std::max<size_t>(
-        1, std::min(num_threads_ * 4, u.rows / min_slice_rows_));
-    const DeltaWorkEstimate est = EstimateDeltaWork(
-        ctx_, *u.plan, *state_, delta_ranges_[u.delta_idb], kMaxWorkSamples);
-    std::vector<double> slice(desired, 0.0);
+    const size_t windows = StaticWindows(u);
+    const DeltaWorkEstimate& est = u.work;
+    std::vector<double> window(windows, 0.0);
     if (est.sample_cost.empty()) {
       // Uniform plans weigh each row by the estimate's scan-aware
       // per-row cost (the first joined relation's cardinality when the
       // plan probes nothing), so scan-heavy plans aren't under-counted
       // against probed ones.
-      for (size_t w = 0; w < desired; ++w) {
-        slice[w] = static_cast<double>(u.rows * (w + 1) / desired -
-                                       u.rows * w / desired) *
-                   static_cast<double>(est.uniform_cost);
+      for (size_t w = 0; w < windows; ++w) {
+        window[w] = static_cast<double>(u.rows * (w + 1) / windows -
+                                        u.rows * w / windows) *
+                    static_cast<double>(est.uniform_cost);
       }
     } else {
       for (size_t i = 0; i < est.sample_cost.size(); ++i) {
         const size_t row = i * est.stride;
-        slice[row * desired / u.rows] +=
+        window[row * windows / u.rows] +=
             static_cast<double>(est.sample_cost[i] * est.stride);
       }
     }
-    for (double v : slice) work.push_back(v);
+    for (double v : window) work.push_back(v);
   }
   if (work.size() < 2) return 0.0;
   double sum = 0;
@@ -450,292 +449,66 @@ double RelationalConsequence::EstimateStaticImbalance(
   return std::sqrt(var / static_cast<double>(work.size())) / mean;
 }
 
-void RelationalConsequence::RunStageStatic(
-    bool full_pass, const std::vector<DeltaUnit>& units,
-    std::vector<Relation>* buffers, ThreadPool& pool) {
-  // Partition the stage: full passes split per rule plan; delta passes
-  // take the shared units — one task per batch, and per (big plan ×
-  // delta slice) with the slices cut from the per-shard delta ranges so
-  // the fan-out partitions along shard boundaries. Task order — units in
-  // program order, then ascending slices — is exactly the serial
-  // execution order; the ordered shard-wise merge below relies on that.
-  struct StageTask {
-    const RulePlan* plan = nullptr;    ///< Single-plan task.
-    int head_idb = -1;
-    int sliced = -1;                   ///< Index into sliced ranges, or -1.
-    const DeltaUnit* batch = nullptr;  ///< Batch task (overrides plan).
-  };
-  std::vector<StageTask> tasks;
-  // Per-sliced-task delta ranges, precomputed here (serially) so the
-  // workers read them in place instead of deep-copying DeltaRanges on
-  // the hot fan-out path.
-  std::vector<DeltaRanges> sliced_ranges;
-  if (full_pass) {
-    for (const CompiledRulePlans& c : plans_.rules) {
-      tasks.push_back(StageTask{&c.full, c.head_idb, -1, nullptr});
-    }
-  } else {
-    for (const DeltaUnit& u : units) {
-      if (!u.batch.empty()) {
-        tasks.push_back(StageTask{nullptr, -1, -1, &u});
-        continue;
-      }
-      const std::vector<ShardRange>& ranges = delta_ranges_[u.delta_idb];
-      // Aim for a few slices per thread so claim-order load imbalance
-      // evens out, but never slices smaller than min_slice_rows_.
-      const size_t desired =
-          std::min(num_threads_ * 4, u.rows / min_slice_rows_);
-      for (std::vector<ShardRange>& slice :
-           SliceDeltaRanges(ranges, desired)) {
-        size_t slice_rows = 0;
-        for (const auto& [begin, end] : slice) slice_rows += end - begin;
-        stats_.RecordSlice(slice_rows);
-        DeltaRanges local = delta_ranges_;
-        local[u.delta_idb] = std::move(slice);
-        tasks.push_back(StageTask{u.plan, u.head_idb,
-                                  static_cast<int>(sliced_ranges.size()),
-                                  nullptr});
-        sliced_ranges.push_back(std::move(local));
-      }
-    }
+void RelationalConsequence::RunChunk(const StageUnit& u, Chunk* chunk) const {
+  // A big unit reads only the chunk's window of its delta; full plans
+  // read no delta and batches run over their full (small) deltas.
+  DeltaRanges window;
+  const DeltaRanges* deltas = &delta_ranges_;
+  if (u.rows > 0) {
+    window = delta_ranges_;
+    window[u.delta_idb] = ProjectDeltaWindow(delta_ranges_[u.delta_idb],
+                                             chunk->begin, chunk->end);
+    deltas = &window;
   }
-
-  // Per-task staging: one sharded output relation and stats block per
-  // head the task stages into (single-plan tasks exactly one, batch
-  // tasks one per distinct head), so workers never share a mutable
-  // object and a batch never interleaves two heads in one relation.
-  std::vector<std::vector<Relation>> outs(tasks.size());
-  std::vector<std::vector<EvalStats>> task_stats(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    const StageTask& t = tasks[i];
-    const size_t num_heads = t.batch != nullptr ? t.batch->heads.size() : 1;
-    outs[i].reserve(num_heads);
-    for (size_t slot = 0; slot < num_heads; ++slot) {
-      const int head = t.batch != nullptr ? t.batch->heads[slot] : t.head_idb;
-      const Relation& buffer = (*buffers)[head];
-      outs[i].emplace_back(buffer.arity(), buffer.num_shards());
-    }
-    task_stats[i].resize(num_heads);
+  chunk->outs.reserve(u.heads.size());
+  for (int head : u.heads) {
+    chunk->outs.emplace_back(state_->relations[head].arity(), num_shards_);
   }
-
-  pool.ParallelFor(tasks.size(), [&](size_t i) {
-    const StageTask& t = tasks[i];
-    if (t.batch != nullptr) {
-      // Batched tiny plans run back to back over their full (small)
-      // delta ranges, each staging into its head's slot.
-      for (const BatchEntry& e : t.batch->batch) {
-        size_t slot = 0;
-        while (t.batch->heads[slot] != e.head_idb) ++slot;
-        ExecutePlan(ctx_, *e.plan, *state_, &delta_ranges_, &outs[i][slot],
-                    &task_stats[i][slot], &shared_rels_);
-      }
-      return;
-    }
-    const DeltaRanges* deltas =
-        full_pass ? nullptr
-                  : (t.sliced >= 0 ? &sliced_ranges[t.sliced]
-                                   : &delta_ranges_);
-    ExecutePlan(ctx_, *t.plan, *state_, deltas, &outs[i][0],
-                &task_stats[i][0], &shared_rels_);
-  });
-
-  // Fold the per-task stagings in task order — the serial execution
-  // order, which the ordered shard-wise merge relies on. A batch's heads
-  // fold in first-appearance order; per buffer that is still the serial
-  // insertion order, because each head's staging received its batch
-  // plans' rows in plan order.
-  std::vector<StagedOutput> ordered;
-  ordered.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    const StageTask& t = tasks[i];
-    const size_t num_heads = t.batch != nullptr ? t.batch->heads.size() : 1;
-    for (size_t slot = 0; slot < num_heads; ++slot) {
-      const int head = t.batch != nullptr ? t.batch->heads[slot] : t.head_idb;
-      ordered.push_back(StagedOutput{head, &outs[i][slot],
-                                     &task_stats[i][slot]});
-    }
+  chunk->stats.resize(u.heads.size());
+  for (const UnitPlan& p : u.plans) {
+    size_t slot = 0;
+    while (u.heads[slot] != p.head_idb) ++slot;
+    ExecutePlan(ctx_, *p.plan, *state_, deltas, &chunk->outs[slot],
+                &chunk->stats[slot], &shared_rels_);
   }
-  FoldStagedOutputs(ordered, buffers, pool);
-}
-
-void RelationalConsequence::RunStageStealing(
-    bool full_pass, const std::vector<DeltaUnit>& units,
-    std::vector<Relation>* buffers, ThreadPool& pool) {
-  // One item per unit, in serial execution order. Big delta plans carry
-  // their predicate's whole delta range (ParallelForDynamic splits it on
-  // demand); batches and full plans are atomic (0 rows — exactly one
-  // body call).
-  struct StealItem {
-    const RulePlan* plan = nullptr;
-    int head_idb = -1;
-    int delta_idb = -1;                ///< < 0: atomic.
-    const DeltaUnit* batch = nullptr;  ///< Batch item (overrides plan).
-  };
-  std::vector<StealItem> items;
-  std::vector<size_t> item_rows;
-  if (full_pass) {
-    for (const CompiledRulePlans& c : plans_.rules) {
-      items.push_back(StealItem{&c.full, c.head_idb, -1, nullptr});
-      item_rows.push_back(0);
-    }
-  } else {
-    for (const DeltaUnit& u : units) {
-      if (!u.batch.empty()) {
-        items.push_back(StealItem{nullptr, -1, -1, &u});
-        item_rows.push_back(0);
-      } else {
-        items.push_back(StealItem{u.plan, u.head_idb, u.delta_idb, nullptr});
-        item_rows.push_back(u.rows);
-      }
-    }
-  }
-
-  // Per-item work estimates steer the initial deal (LPT instead of
-  // round-robin), so the stealing machinery starts balanced and steals
-  // only to correct estimation error. Batches weigh their summed delta
-  // rows; big plans reuse EstimateDeltaWork's posting-length signal
-  // (the same proxy the auto scheduler's imbalance estimate pools), so
-  // a hub-heavy plan outweighs an equal-row uniform one. Full passes
-  // have no delta signal and keep the round-robin deal.
-  std::vector<uint64_t> item_weights;
-  if (!full_pass && items.size() > 1) {
-    constexpr size_t kMaxWorkSamples = 2048;
-    item_weights.reserve(items.size());
-    for (const DeltaUnit& u : units) {
-      if (!u.batch.empty()) {
-        uint64_t rows = 0;
-        for (const BatchEntry& e : u.batch) rows += e.rows;
-        item_weights.push_back(std::max<uint64_t>(rows, 1));
-        continue;
-      }
-      const DeltaWorkEstimate est = EstimateDeltaWork(
-          ctx_, *u.plan, *state_, delta_ranges_[u.delta_idb],
-          kMaxWorkSamples);
-      uint64_t cost = 0;
-      if (est.sample_cost.empty()) {
-        cost = static_cast<uint64_t>(u.rows) * est.uniform_cost;
-      } else {
-        for (const uint64_t c : est.sample_cost) cost += c * est.stride;
-      }
-      item_weights.push_back(std::max<uint64_t>(cost, 1));
-    }
-  }
-
-  // Each executed chunk stages into its own sharded relation(s) — one
-  // per head for batch items. The set of chunks depends on steal timing,
-  // but a chunk's (item, begin) key fully determines the delta rows it
-  // covered, so sorting the records by that key reconstructs the serial
-  // execution order whatever the partition was. Records are
-  // per-participant, so workers never share a vector.
-  struct ChunkRecord {
-    size_t item;
-    size_t begin;
-    size_t rows;
-    std::vector<Relation> outs;    // parallel to the item's heads
-    std::vector<EvalStats> stats;
-  };
-  std::vector<std::vector<ChunkRecord>> records(pool.num_workers() + 1);
-  // Chunks are cut dynamically, so their restricted DeltaRanges cannot
-  // be precomputed serially as on the static path. Instead each worker
-  // keeps one scratch copy of the full ranges (made on its first chunk)
-  // and per chunk overwrites — then restores — only the sliced
-  // predicate's entry, so the hot fan-out path never deep-copies the
-  // whole DeltaRanges per chunk.
-  std::vector<DeltaRanges> scratch(pool.num_workers() + 1);
-
-  const ThreadPool::DynamicLoopStats dyn = pool.ParallelForDynamic(
-      item_rows, item_weights, min_slice_rows_,
-      [&](size_t i, size_t begin, size_t end, size_t worker) {
-        const StealItem& item = items[i];
-        ChunkRecord rec{i, begin, end - begin, {}, {}};
-        if (item.batch != nullptr) {
-          const DeltaUnit& u = *item.batch;
-          rec.outs.reserve(u.heads.size());
-          for (int head : u.heads) {
-            rec.outs.emplace_back((*buffers)[head].arity(), num_shards_);
-          }
-          rec.stats.resize(u.heads.size());
-          for (const BatchEntry& e : u.batch) {
-            size_t slot = 0;
-            while (u.heads[slot] != e.head_idb) ++slot;
-            ExecutePlan(ctx_, *e.plan, *state_, &delta_ranges_,
-                        &rec.outs[slot], &rec.stats[slot], &shared_rels_);
-          }
-          records[worker].push_back(std::move(rec));
-          return;
-        }
-        rec.outs.emplace_back((*buffers)[item.head_idb].arity(),
-                              num_shards_);
-        rec.stats.resize(1);
-        const DeltaRanges* deltas = nullptr;
-        if (!full_pass) {
-          if (item.delta_idb >= 0) {
-            DeltaRanges& local = scratch[worker];
-            if (local.empty()) local = delta_ranges_;
-            local[item.delta_idb] = ProjectDeltaWindow(
-                delta_ranges_[item.delta_idb], begin, end);
-            deltas = &local;
-          } else {
-            deltas = &delta_ranges_;
-          }
-        }
-        ExecutePlan(ctx_, *item.plan, *state_, deltas, &rec.outs[0],
-                    &rec.stats[0], &shared_rels_);
-        if (!full_pass && item.delta_idb >= 0) {
-          // Restore the invariant scratch[worker] == delta_ranges_.
-          scratch[worker][item.delta_idb] = delta_ranges_[item.delta_idb];
-        }
-        records[worker].push_back(std::move(rec));
-      });
-
-  // Deterministic fold order: ascending (unit, first delta row). Stealing
-  // reordered which worker ran which rows, never which rows exist or how
-  // they fold.
-  std::vector<ChunkRecord*> chunks;
-  for (std::vector<ChunkRecord>& worker_records : records) {
-    for (ChunkRecord& rec : worker_records) chunks.push_back(&rec);
-  }
-  std::sort(chunks.begin(), chunks.end(),
-            [](const ChunkRecord* a, const ChunkRecord* b) {
-              return a->item != b->item ? a->item < b->item
-                                        : a->begin < b->begin;
-            });
-  std::vector<StagedOutput> ordered;
-  ordered.reserve(chunks.size());
-  for (ChunkRecord* rec : chunks) {
-    const StealItem& item = items[rec->item];
-    if (item.batch != nullptr) {
-      // Batched plans recorded their slices at partition time.
-      for (size_t slot = 0; slot < item.batch->heads.size(); ++slot) {
-        ordered.push_back(StagedOutput{item.batch->heads[slot],
-                                       &rec->outs[slot], &rec->stats[slot]});
-      }
-      continue;
-    }
-    if (item.delta_idb >= 0) rec->stats[0].RecordSlice(rec->rows);
-    ordered.push_back(StagedOutput{item.head_idb, &rec->outs[0],
-                                   &rec->stats[0]});
-  }
-  FoldStagedOutputs(ordered, buffers, pool);
-  stats_.steals += dyn.steals;
-  stats_.splits += dyn.splits;
-  stats_.parks += dyn.parks;
 }
 
 void RelationalConsequence::FoldStagedOutputs(
-    const std::vector<StagedOutput>& ordered, std::vector<Relation>* buffers,
-    ThreadPool& pool) {
+    const std::vector<StageUnit>& units, std::vector<Chunk>* chunks,
+    std::vector<Relation>* buffers, ThreadPool& pool) {
+  // Deterministic fold order: ascending (unit, first delta row). A
+  // scheduler decides which worker runs which rows, never which rows a
+  // chunk covers or how they fold. Batched plans recorded their slices
+  // at partition time.
+  std::sort(chunks->begin(), chunks->end(),
+            [](const Chunk& a, const Chunk& b) {
+              return a.unit != b.unit ? a.unit < b.unit : a.begin < b.begin;
+            });
+  size_t num_outputs = 0;
+  for (Chunk& chunk : *chunks) {
+    if (units[chunk.unit].rows > 0) {
+      chunk.stats[0].RecordSlice(chunk.end - chunk.begin);
+    }
+    num_outputs += chunk.outs.size();
+  }
+
   // Shard-wise ordered merge: each worker owns one shard of every buffer
-  // and folds the staged outputs in the given order — the serial
-  // execution order — so the per-shard sequence of first appearances in
-  // `buffers` (and therefore row ids, stage sizes, and every downstream
-  // stage) is identical to the serial run, while no two workers ever
-  // write the same shard and no serial merge runs.
-  std::vector<size_t> merged(ordered.size() * num_shards_, 0);
+  // and folds the stagings in chunk order — a batch's heads in
+  // first-appearance order, which per buffer is still the serial
+  // insertion order, because each head's staging received its batch
+  // plans' rows in plan order — so the per-shard sequence of first
+  // appearances in `buffers` (and therefore row ids, stage sizes, and
+  // every downstream stage) is identical to the serial run, while no two
+  // workers ever write the same shard and no serial merge runs.
+  std::vector<size_t> merged(num_outputs * num_shards_, 0);
   auto merge_shard = [&](size_t s) {
-    for (size_t i = 0; i < ordered.size(); ++i) {
-      merged[i * num_shards_ + s] =
-          (*buffers)[ordered[i].head_idb].MergeShardFrom(*ordered[i].out, s);
+    size_t i = 0;
+    for (Chunk& chunk : *chunks) {
+      const std::vector<int>& heads = units[chunk.unit].heads;
+      for (size_t slot = 0; slot < heads.size(); ++slot, ++i) {
+        merged[i * num_shards_ + s] =
+            (*buffers)[heads[slot]].MergeShardFrom(chunk.outs[slot], s);
+      }
     }
   };
   if (num_shards_ > 1) {
@@ -743,17 +516,21 @@ void RelationalConsequence::FoldStagedOutputs(
   } else {
     merge_shard(0);
   }
-  for (size_t i = 0; i < ordered.size(); ++i) {
-    size_t merged_new = 0;
-    for (size_t s = 0; s < num_shards_; ++s) {
-      merged_new += merged[i * num_shards_ + s];
+  size_t i = 0;
+  for (Chunk& chunk : *chunks) {
+    for (EvalStats& stats : chunk.stats) {
+      size_t merged_new = 0;
+      for (size_t s = 0; s < num_shards_; ++s) {
+        merged_new += merged[i * num_shards_ + s];
+      }
+      ++i;
+      // A tuple derived by two stagings is new in both but was counted
+      // once serially; the merge count restores the serial new_tuples.
+      stats.new_tuples = merged_new;
+      stats_.Add(stats);
     }
-    // A tuple derived by two stagings is new in both but was counted once
-    // serially; the merge count restores the serial new_tuples.
-    ordered[i].stats->new_tuples = merged_new;
-    stats_.Add(*ordered[i].stats);
   }
-  stats_.parallel_tasks += ordered.size();
+  stats_.parallel_tasks += num_outputs;
 }
 
 size_t RelationalConsequence::MergeStageBuffers(

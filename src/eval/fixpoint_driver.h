@@ -72,47 +72,49 @@ class FixpointDriver {
 ///
 /// Parallel stages (EvalContextOptions::num_threads > 1): every stage is a
 /// pure join over the frozen previous state Sⁿ, so the stage's work is
-/// split into (rule plan × delta slice) tasks that run on a
-/// base::ThreadPool, each writing into its own sharded staging Relation.
-/// Before either scheduler runs, the stage's delta plans are partitioned
-/// into units: plans whose delta is at least min_slice_rows rows stand
-/// alone (and get sliced or stolen), while consecutive smaller plans are
-/// batched into one unit sharing a single task — rule-heavy programs no
-/// longer pay one staging relation per nearly empty plan
-/// (EvalStats::batched_plans counts them). Two schedulers then cut the
-/// work, with a third mode choosing between them per stage
-/// (EvalContextOptions::scheduler):
+/// split into chunks that run on a base::ThreadPool, each writing into its
+/// own sharded staging Relations. The stage's plans are first grouped into
+/// units, in serial execution order: one per rule plan on a full pass; on
+/// a delta pass, plans whose delta is at least min_slice_rows rows stand
+/// alone, while consecutive smaller plans are batched into one unit —
+/// rule-heavy programs no longer pay one staging relation per nearly
+/// empty plan (EvalStats::batched_plans counts them). A chunk
+/// (unit, begin, end) is a row window of a big delta plan's delta, or a
+/// whole full plan or batch. One body runs every chunk; the schedulers
+/// differ only in the chunk list and the dispatch call, with a third mode
+/// choosing between them per stage (EvalContextOptions::scheduler):
 ///
-///   * kStatic slices each delta predicate's per-shard ranges up front
-///     (about four slices per thread, none below min_slice_rows) and
-///     claims them from a shared counter;
-///   * kStealing hands one chunk per delta plan to per-worker deques
-///     (ThreadPool::ParallelForDynamic); idle workers steal, and
-///     oversized chunks split in half while anyone is hungry, so a slice
-///     hiding most of the stage's join work cannot serialize the stage;
-///   * kAuto (the default) estimates each static task's work up front —
+///   * kStatic pre-cuts each big unit into min(4·threads,
+///     rows/min_slice_rows) equal row windows and claims them from a
+///     shared counter (ThreadPool::ParallelFor); it never steals or splits;
+///   * kStealing hands one chunk per unit to per-worker deques
+///     (ThreadPool::ParallelForDynamic), dealt largest estimated work
+///     first; idle workers steal, and oversized chunks split in half while
+///     anyone is hungry, so a window hiding most of the stage's join work
+///     cannot serialize the stage;
+///   * kAuto (the default) estimates the work of each static window —
 ///     delta rows weighted by the posting-list lengths the plan's first
-///     index probe would walk (EstimateDeltaWork, sampled) — and flips
+///     index probe would walk (EstimateDeltaWork, sampled once per big
+///     unit and stage; the stealing deal reuses the sample) — and flips
 ///     the stage to kStealing only when the estimates' coefficient of
 ///     variation exceeds EvalContextOptions::kDefaultStealVariance, so
 ///     skewed stages get the stealing machinery and uniform ones skip
 ///     its overhead (EvalStats::auto_{static,stealing}_stages record the
 ///     decisions).
 ///
-/// Both merges — task stagings into the stage buffers, stage buffers into
+/// Both merges — chunk stagings into the stage buffers, stage buffers into
 /// the state — are shard-wise ParallelFors: each worker owns one shard
-/// across all relations and folds the task outputs in serial task order
-/// (for the stealing scheduler, chunk outputs sorted by their
-/// deterministic (plan, first delta row) key — stealing reorders
-/// *execution*, never the fold), so no two workers ever write the same
-/// shard and no serial merge runs on the hot path. The fold order being
-/// the serial execution order, relations (per-shard row ids included),
-/// stage_sizes(), and stats (apart from the partition bookkeeping:
-/// parallel_tasks, steals, splits, slices, slice_hist) are bit-identical
-/// to the num_threads == 1 run at every shard count under either
-/// scheduler. Before fan-out, the stage finalizes every column index its
-/// plans will probe (Relation::EnsureIndexed), making all reads during
-/// the stage lock-free.
+/// across all relations and folds the chunk outputs in ascending
+/// (unit, first delta row) order — the serial execution order, however
+/// the scheduler cut or stole the rows — so no two workers ever write the
+/// same shard and no serial merge runs on the hot path. Relations
+/// (per-shard row ids included), stage_sizes(), and stats (apart from the
+/// partition bookkeeping: parallel_tasks, steals, splits, parks, slices,
+/// slice_hist) are therefore bit-identical to the num_threads == 1 run at
+/// every shard count under every scheduler. Before fan-out, the stage
+/// finalizes every column index its plans will probe
+/// (Relation::EnsureIndexed), making all reads during the stage
+/// lock-free.
 class RelationalConsequence {
  public:
   /// Compiles the rule plans through the optimizer pass pipeline selected
@@ -147,29 +149,43 @@ class RelationalConsequence {
   const EvalStats& stats() const { return stats_; }
 
  private:
-  /// One plan of a batched delta unit.
-  struct BatchEntry {
+  /// One plan of a stage unit.
+  struct UnitPlan {
     const RulePlan* plan;
     int head_idb;
-    size_t rows;  ///< The plan's delta rows (0 for plans with no delta).
+    size_t rows;  ///< The plan's delta rows (0 for full plans and plans
+                  ///< with no delta).
   };
 
-  /// One schedulable unit of a delta stage, shared by both parallel
-  /// schedulers: either a single plan whose delta is big enough to slice
-  /// or steal (batch empty), or a contiguous run of tiny plans executed
-  /// back to back inside one task. Units appear in serial execution
-  /// order (rules in program order, then plan order), which the ordered
-  /// fold relies on.
-  struct DeltaUnit {
-    const RulePlan* plan = nullptr;  ///< Single-plan unit iff batch empty.
-    int head_idb = -1;
-    int delta_idb = -1;
-    size_t rows = 0;
-    std::vector<BatchEntry> batch;
+  /// One schedulable unit of a parallel stage: a full rule plan, a
+  /// contiguous run of tiny delta plans executed back to back, or one big
+  /// delta plan whose delta rows chunks may cut into windows. Units
+  /// appear in serial execution order (rules in program order, then plan
+  /// order), which the ordered fold relies on.
+  struct StageUnit {
+    std::vector<UnitPlan> plans;
     /// Distinct head_idbs this unit stages into, in first-appearance
     /// order — one staging relation and stats block per entry, so a
     /// batch never interleaves two heads in one relation.
     std::vector<int> heads;
+    /// A big delta plan's delta predicate and delta rows; -1 and 0 for
+    /// full plans and batches, which always run as one chunk.
+    int delta_idb = -1;
+    size_t rows = 0;
+    /// A big delta plan's sampled join work, filled at most once per
+    /// stage and only when auto or stealing reads it.
+    DeltaWorkEstimate work;
+  };
+
+  /// Chunk `unit` of the stage — rows [begin, end) of a big unit's delta,
+  /// or (unit, 0, 0) for a full plan or batch — and its staging: one
+  /// relation and stats block per unit head.
+  struct Chunk {
+    size_t unit;
+    size_t begin;
+    size_t end;
+    std::vector<Relation> outs;
+    std::vector<EvalStats> stats;
   };
 
   /// Executes the stage's plans serially, straight into `buffers` (the
@@ -178,59 +194,44 @@ class RelationalConsequence {
   /// when num_threads == 1.
   void RunStageSerial(bool full_pass, std::vector<Relation>* buffers);
 
-  /// Estimates the stage's work, takes the serial path under the
-  /// min_slice_rows cutoff, and otherwise partitions the delta plans
-  /// into units, resolves kAuto from the estimated static-task imbalance,
-  /// and dispatches to RunStageStatic / RunStageStealing after finalizing
-  /// the stage's indexes.
+  /// Takes the serial path under the min_slice_rows cutoff; otherwise
+  /// partitions the stage into units, finalizes their indexes, resolves
+  /// kAuto from the estimated static imbalance, runs the scheduler's
+  /// chunks through RunChunk, and folds them into `buffers`.
   void RunStageParallel(bool full_pass, std::vector<Relation>* buffers);
 
-  /// Cuts the stage's delta plans into DeltaUnits: plans with at least
-  /// min_slice_rows delta rows stand alone; consecutive smaller plans
-  /// accumulate into batches that flush once they hold min_slice_rows
-  /// rows. Records the batching bookkeeping (batched_plans, slices for
-  /// the batched plans) into stats_.
-  std::vector<DeltaUnit> PartitionDeltaUnits();
+  /// Groups the stage's plans into StageUnits: one per rule plan on a
+  /// full pass; on a delta pass, plans with at least min_slice_rows delta
+  /// rows stand alone and consecutive smaller plans accumulate into
+  /// batches that flush once they hold min_slice_rows rows. Records the
+  /// batching bookkeeping (batched_plans, slices for the batched plans)
+  /// into stats_.
+  std::vector<StageUnit> PartitionStageUnits(bool full_pass);
+
+  /// Number of equal row windows the static scheduler cuts `u` into:
+  /// min(4·threads, rows/min_slice_rows), and 1 for a full plan or batch.
+  size_t StaticWindows(const StageUnit& u) const;
 
   /// The kAuto signal: coefficient of variation of the estimated work of
-  /// the tasks the static partition would create (batches whole; big
-  /// plans cut into their up-front slices, each weighted by the sampled
-  /// posting-list lengths of the plan's first index probe). Deterministic
-  /// in (units, state, thread count); reads no EvalStats.
-  double EstimateStaticImbalance(const std::vector<DeltaUnit>& units) const;
+  /// the static scheduler's chunks (batches whole; each big unit's
+  /// StaticWindows weighted by its sampled posting-list lengths).
+  /// Deterministic in (units, state, thread count); reads no EvalStats.
+  double EstimateStaticImbalance(const std::vector<StageUnit>& units) const;
 
-  /// The kStatic partition: cuts the big units' delta ranges into slices
-  /// up front, runs the (unit × slice) tasks with ThreadPool::ParallelFor,
-  /// and folds the per-task stagings into `buffers` shard-wise in task
-  /// order. `units` is ignored on full passes (one task per rule plan).
-  void RunStageStatic(bool full_pass, const std::vector<DeltaUnit>& units,
-                      std::vector<Relation>* buffers, ThreadPool& pool);
+  /// The one chunk body of both schedulers: runs `u`'s plans over the
+  /// chunk's window of the delta (the whole delta for batches) into the
+  /// chunk's own stagings.
+  void RunChunk(const StageUnit& u, Chunk* chunk) const;
 
-  /// The kStealing partition: one splittable chunk per big unit (batches
-  /// and full plans are atomic) on ThreadPool::ParallelForDynamic; each
-  /// executed chunk stages into its own relation(s), and the chunk
-  /// outputs are folded shard-wise sorted by (unit, first delta row) —
-  /// the serial execution order — so results are bit-identical to the
-  /// serial and static paths.
-  void RunStageStealing(bool full_pass, const std::vector<DeltaUnit>& units,
-                        std::vector<Relation>* buffers, ThreadPool& pool);
-
-  /// One staging relation awaiting its ordered fold into the stage
-  /// buffers, with the stats block whose new_tuples the fold rewrites.
-  struct StagedOutput {
-    int head_idb;
-    Relation* out;
-    EvalStats* stats;
-  };
-
-  /// The determinism-critical fold shared by both schedulers: merges
-  /// `ordered` into `buffers` shard-wise (each worker owns one shard,
-  /// folding in the given order — which callers must make the serial
-  /// execution order), rewrites each stats block's new_tuples from the
-  /// merge counts (a tuple derived by two stagings is new in both but
-  /// was counted once serially), and accumulates everything — including
-  /// the fan-out count — into stats_.
-  void FoldStagedOutputs(const std::vector<StagedOutput>& ordered,
+  /// The determinism-critical fold: sorts `chunks` by (unit, begin) — the
+  /// serial execution order — and merges their stagings into `buffers`
+  /// shard-wise (each worker owns one shard, folding in that order),
+  /// rewrites each stats block's new_tuples from the merge counts (a
+  /// tuple derived by two stagings is new in both but was counted once
+  /// serially), and accumulates everything — including the slice and
+  /// fan-out counts — into stats_.
+  void FoldStagedOutputs(const std::vector<StageUnit>& units,
+                         std::vector<Chunk>* chunks,
                          std::vector<Relation>* buffers, ThreadPool& pool);
 
   /// Merges the stage buffers into the state and refreshes the per-shard
@@ -239,9 +240,9 @@ class RelationalConsequence {
   /// the number of new tuples.
   size_t MergeStageBuffers(const std::vector<Relation>& buffers);
 
-  /// Brings every column index the stage's plans will probe up to date,
-  /// so all relation reads during the parallel stage are lock-free.
-  void FinalizeStageIndexes(bool full_pass) const;
+  /// Brings every column index `plan` can probe up to date (when join
+  /// indexes are on), so reads during a fan-out are lock-free.
+  void FinalizeIndexes(const RulePlan& plan) const;
 
   /// Recomputes the stage's shared intermediates (subplan sharing): runs
   /// every SharedSubplan of the pass kind into a fresh shared_rels_ slot

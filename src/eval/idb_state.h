@@ -8,7 +8,6 @@
 #define INFLOG_EVAL_IDB_STATE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/ast/program.h"
@@ -16,20 +15,6 @@
 #include "src/relation/tuple.h"
 
 namespace inflog {
-
-/// Derivation multiplicities of one relation's tuples: how many distinct
-/// (rule, body match) derivations currently support each tuple. The
-/// counting-based incremental maintainer stores these for non-recursive
-/// predicates — a tuple belongs to the relation iff its count is > 0, so
-/// a delete only removes it when the last derivation dies.
-using TupleCountMap = std::unordered_map<Tuple, uint64_t, TupleHash, TupleEq>;
-
-/// Per-predicate derivation counts riding alongside an IdbState, indexed
-/// by the same dense idb_index. Predicates maintained by DRed (recursive)
-/// keep an empty map — DRed tracks support by rederivation, not counting.
-struct IdbCounts {
-  std::vector<TupleCountMap> counts;
-};
 
 /// The IDB relation values, indexed by Program idb_index.
 struct IdbState {

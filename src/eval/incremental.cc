@@ -20,8 +20,6 @@ namespace {
 
 using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
 
-Tuple ToTuple(TupleView view) { return Tuple(view.begin(), view.end()); }
-
 /// Iterates the live rows of `rel` in shard / physical-row order — the
 /// deterministic walk every maintenance membership decision uses (never
 /// an unordered map), so ApplyUpdate commits tuples in the same order on
@@ -307,7 +305,6 @@ Status IncrementalSession::Init() {
                     ? ResolvedNumShards(options_.context)
                     : state_.relations[0].num_shards();
   BuildUnits();
-  if (capable_) INFLOG_RETURN_IF_ERROR(InitCounts());
   return Status::OK();
 }
 
@@ -407,12 +404,9 @@ void IncrementalSession::BuildUnits() {
 Result<IdbState> IncrementalSession::ComputeFullState(EvalStats* stats) {
   INFLOG_ASSIGN_OR_RETURN(EvalOutcome outcome,
                           EvalSemantics(*program_, *database_, options_));
-  // Only executor work joins the session's counters: the stable
-  // pipeline's SAT counters stay out of them.
-  if (options_.semantics == SemanticsKind::kInflationary ||
-      options_.semantics == SemanticsKind::kStratified) {
-    stats->Add(*outcome.stats());
-  }
+  // Whatever the run counted joins the session's counters: executor work,
+  // or the stable pipeline's SAT search.
+  if (const EvalStats* run = outcome.stats()) stats->Add(*run);
   return std::move(outcome.state());
 }
 
@@ -421,7 +415,6 @@ Status IncrementalSession::FullRecompute(EvalStats* stats) {
   if (!state_.relations.empty()) {
     num_shards_ = state_.relations[0].num_shards();
   }
-  if (capable_) INFLOG_RETURN_IF_ERROR(InitCounts());
   return Status::OK();
 }
 
@@ -436,27 +429,6 @@ EvalContextOptions IncrementalSession::PhaseOptions() const {
   opts.optimizer_passes = OptimizerPasses::None();
   opts.num_shards = num_shards_;
   return opts;
-}
-
-Status IncrementalSession::InitCounts() {
-  const size_t num_idb = program_->idb_predicates().size();
-  counts_.counts.assign(num_idb, TupleCountMap{});
-  INFLOG_ASSIGN_OR_RETURN(
-      const EvalContext ctx,
-      EvalContext::CreateWithOverrides(*program_, *database_, {},
-                                       PhaseOptions()));
-  const std::vector<bool> dyn(num_idb, false);
-  EvalStats scratch;
-  for (const Unit& unit : units_) {
-    if (unit.recursive) continue;
-    const size_t idb = program_->predicate(unit.preds[0]).idb_index;
-    for (const size_t r : unit.rules) {
-      const RulePlan plan = PlanRule(*program_, r, dyn, -1);
-      ExecutePlanCounted(ctx, plan, state_, nullptr, &counts_.counts[idb],
-                         &scratch);
-    }
-  }
-  return Status::OK();
 }
 
 Result<UpdateResult> IncrementalSession::ApplyUpdate(
@@ -689,7 +661,6 @@ Status IncrementalSession::MaintainCounting(
   const PredicateInfo& head_info = program_->predicate(head_pred);
   const size_t head_idb = head_info.idb_index;
   Relation& target = state_.relations[head_idb];
-  TupleCountMap& counts = counts_.counts[head_idb];
 
   SynthBuilder sb(*program_);
   INFLOG_ASSIGN_OR_RETURN(const uint32_t synth_head, sb.Map(head_pred));
@@ -744,7 +715,7 @@ Status IncrementalSession::MaintainCounting(
                                          &trigger_rules));
     }
     // Exact recount: H :- H~cand(head args), <original body> — candidates
-    // first, counted over the *new* state only.
+    // first, re-derived over the *new* state only.
     Rule recount;
     recount.head = HeadAtom{synth_head, orig.head.args};
     recount.num_vars = orig.num_vars;
@@ -776,33 +747,27 @@ Status IncrementalSession::MaintainCounting(
   }
   if (cand.empty()) return Status::OK();
 
-  TupleCountMap fresh;
+  Relation rederived(head_info.arity, 1);
   for (const size_t rr : recount_rules) {
     const RulePlan plan = PlanRuleWithOrder(
         sb.prog(), rr, dyn, -1, AscendingAtomOrder(sb.prog().rules()[rr]));
-    ExecutePlanCounted(ctx, plan, dummy, nullptr, &fresh, st);
+    ExecutePlan(ctx, plan, dummy, nullptr, &rederived, st);
   }
 
-  // Commit: membership is (derivation count > 0); candidates whose count
-  // did not cross zero fall through both branches untouched.
+  // Commit: a candidate belongs to the relation iff the recount
+  // re-derived it (its derivation count is > 0); candidates whose
+  // membership did not change fall through both branches untouched.
   PredDelta out(head_info.arity);
   ForEachRow(cand, [&](TupleView row) {
     st->incremental_recounted++;
-    const Tuple t = ToTuple(row);
-    const auto fit = fresh.find(t);
-    const uint64_t now = fit == fresh.end() ? 0 : fit->second;
-    if (now == 0) {
-      counts.erase(t);
-      if (target.Erase(t)) {
-        out.del.Insert(t);
-        out.chg.Insert(t);
+    if (!rederived.Contains(row)) {
+      if (target.Erase(row)) {
+        out.del.Insert(row);
+        out.chg.Insert(row);
       }
-    } else {
-      counts[t] = now;
-      if (target.Insert(t)) {
-        out.ins.Insert(t);
-        out.chg.Insert(t);
-      }
+    } else if (target.Insert(row)) {
+      out.ins.Insert(row);
+      out.chg.Insert(row);
     }
   });
   st->incremental_idb_inserted += out.ins.size();

@@ -9,15 +9,16 @@
 // topological (dependency-first) order, which refines the stratification —
 // and each unit is maintained by the algorithm its shape admits:
 //
-//   * Non-recursive units (singleton SCCs without self-loops) keep a
-//     per-tuple derivation count (TupleCountMap). An update derives a
+//   * Non-recursive units (singleton SCCs without self-loops) are
+//     maintained by counting, without storing the counts: a tuple is in
+//     the relation iff its derivation count is > 0. An update derives a
 //     superset of the tuples whose support may have changed (trigger
-//     passes scanning the small delta relations first), recounts exactly
-//     those candidates against the new state (ExecutePlanCounted), and
-//     inserts / erases tuples whose count crossed zero. No mixed
-//     old/new-state joins: candidate generation over-approximates (the
-//     recount is exact), so old-state views reduce to splitting changed
-//     body literals over {current relation, net-deleted delta}.
+//     passes scanning the small delta relations first), re-derives
+//     exactly those candidates against the new state, and inserts the
+//     re-derived candidates / erases the rest. No mixed old/new-state
+//     joins: candidate generation over-approximates (the recount is
+//     exact), so old-state views reduce to splitting changed body
+//     literals over {current relation, net-deleted delta}.
 //
 //   * Recursive units run DRed (delete-and-rederive): (1) overcount —
 //     propagate deletions through the unit's rules over the frozen old
@@ -127,8 +128,7 @@ struct IncrementalOptions : SemanticsOptions {
 class IncrementalSession {
  public:
   /// Evaluates (program, *database) under the requested semantics and
-  /// prepares the maintenance machinery (unit decomposition, derivation
-  /// counts for the counting-maintained predicates). `program` and
+  /// prepares the maintenance machinery (unit decomposition). `program` and
   /// `database` must outlive the session; the session mutates *database*
   /// in ApplyUpdate and nothing else may (a concurrent mutation leaves
   /// the maintained state stale).
@@ -193,7 +193,6 @@ class IncrementalSession {
                      const IncrementalOptions& options);
 
   Status Init();
-  Status InitCounts();
   void BuildUnits();
   Result<IdbState> ComputeFullState(EvalStats* stats);
   Status FullRecompute(EvalStats* stats);
@@ -217,7 +216,6 @@ class IncrementalSession {
   /// Unit index per IDB predicate id (dense by idb_index).
   std::vector<size_t> unit_of_idb_;
   IdbState state_;
-  IdbCounts counts_;
   EvalStats cumulative_;
   /// Pool shared by every maintenance phase of the session
   /// (SemiNaiveOptions::pool_cache).

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/ast/analysis.h"
+#include "src/base/strings.h"
 #include "src/opt/inline_rules.h"
 #include "src/opt/magic.h"
 
@@ -51,7 +52,7 @@ void CompactRuleVariables(Rule* rule) {
   for (uint32_t v = 0; v < rule->num_vars; ++v) {
     if (remap[v] == kNoPredicate) continue;
     names[remap[v]] =
-        v < rule->var_names.size() ? rule->var_names[v] : "V" + std::to_string(v);
+        v < rule->var_names.size() ? rule->var_names[v] : StrCat("V", v);
   }
   auto apply = [&](Term& t) {
     if (t.IsVariable()) t.id = remap[t.id];

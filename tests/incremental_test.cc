@@ -94,7 +94,7 @@ TEST_F(IncrementalTest, CountingInsertAndDelete) {
 
 TEST_F(IncrementalTest, CountingKeepsTuplesWithSurvivingDerivations) {
   // P(1) has two derivations (through Y=2 and Y=3): deleting one support
-  // must not delete the tuple — exactly what the counts track.
+  // must not delete the tuple — its count stays above zero.
   Load("P(X) :- A(X,Y).", "A(1,2). A(1,3).");
   ASSERT_TRUE(engine_->BeginIncremental(SemanticsKind::kStratified).ok());
 
@@ -292,6 +292,22 @@ TEST_F(IncrementalTest, GroundedSemanticsFallBackToOracle) {
     // Undo so the second semantics starts from the same database.
     ASSERT_TRUE(engine_->ApplyUpdate({}, {Fact("E", {"3", "4"})}).ok());
   }
+}
+
+TEST_F(IncrementalTest, StableOracleRecomputeCarriesSatCounters) {
+  // The win-move game on a cycle: the recompute behind each update of a
+  // stable session runs the CDCL search for its models, and that search's
+  // counters belong to the update and to the session's totals.
+  Load("W(X) :- M(X,Y), !W(Y).", "M(1,2). M(2,3). M(3,4). M(4,1).");
+  ASSERT_TRUE(engine_->BeginIncremental(SemanticsKind::kStable).ok());
+  auto r = engine_->ApplyUpdate({Fact("M", {"1", "3"})}, {});
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->used_oracle);
+  EXPECT_GT(r->stats.sat_propagations, 0u);
+  auto cumulative = engine_->IncrementalStats();
+  ASSERT_TRUE(cumulative.ok());
+  EXPECT_EQ((*cumulative)->sat_propagations, r->stats.sat_propagations);
+  ExpectMatchesScratch(SemanticsKind::kStable);
 }
 
 TEST_F(IncrementalTest, UniverseGrowthUnderActiveDomainNegationUsesOracle) {

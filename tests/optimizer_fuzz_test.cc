@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/core/engine.h"
 #include "tests/program_generator.h"
 #include "tests/test_util.h"
@@ -214,8 +215,8 @@ TEST_P(OptimizerFuzzIncremental, UpdateStreamMatchesRecomputeOracle) {
       << Describe(gen);
 
   auto fact = [&](const std::pair<int, int>& e) {
-    Tuple t{engine.symbols()->Intern("c" + std::to_string(e.first)),
-            engine.symbols()->Intern("c" + std::to_string(e.second))};
+    Tuple t{engine.symbols()->Intern(StrCat("c", e.first)),
+            engine.symbols()->Intern(StrCat("c", e.second))};
     return std::make_pair(std::string("E"), std::move(t));
   };
   for (int step = 0; step < 6; ++step) {

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/base/strings.h"
 #include "src/core/engine.h"
 #include "src/eval/inflationary.h"
 #include "src/eval/stratified.h"
@@ -243,9 +244,9 @@ TEST_P(ParallelDeterminism, NaiveDriverMatchesSerial) {
 }
 
 TEST_P(ParallelDeterminism, TransitiveClosureManyStagesManySlices) {
-  // Larger delta ranges so stages genuinely split into several slices —
-  // and, at 2/8 shards, into shard-aligned slices with a shard-parallel
-  // merge on every stage.
+  // Larger delta ranges so stages genuinely split into several row
+  // windows — at 2/8 shards, windows that may span shard boundaries —
+  // with a shard-parallel merge on every stage.
   Rng rng(8000 + GetParam());
   const size_t n = 48;
   const Digraph g = RandomDigraph(n, 3.0 / n, &rng);
@@ -437,7 +438,7 @@ std::vector<std::string> HotShardSymbols(size_t num_candidates,
   INFLOG_CHECK(scout.LoadDatabaseText(DomBlock(num_candidates)).ok());
   std::vector<std::string> hot;
   for (size_t i = 0; i < num_candidates; ++i) {
-    const std::string name = "c" + std::to_string(i);
+    const std::string name = StrCat("c", i);
     const Value v = scout.symbols()->Find(name);
     INFLOG_CHECK(v != kNoValue);
     const Tuple tuple{v};
@@ -636,7 +637,7 @@ TEST(AutoSchedulerTest, HotShardHubSkewPicksStealing) {
   Database db;
   std::vector<std::string> hot;
   for (size_t i = 0; hot.size() < kRows; ++i) {
-    std::string name = "h" + std::to_string(i);
+    std::string name = StrCat("h", i);
     const Value v = db.shared_symbols()->Intern(name);
     if (ShardOfHash(HashTuple(Tuple{v}), 3) == 0) {
       hot.push_back(std::move(name));
@@ -651,7 +652,7 @@ TEST(AutoSchedulerTest, HotShardHubSkewPicksStealing) {
     const size_t fanout = hub ? kHubFanout : 1;
     for (size_t j = 0; j < fanout; ++j) {
       ASSERT_TRUE(
-          db.AddFactNamed("Big", {hot[i], "t" + std::to_string(j)}).ok());
+          db.AddFactNamed("Big", {hot[i], StrCat("t", j)}).ok());
     }
   }
   Program program = testing::MustProgram(kProgram, db.shared_symbols());
@@ -687,8 +688,7 @@ TEST(AutoSchedulerTest, TinyDeltaPlansAreBatched) {
   GraphToDatabase(g, "E", &db);
   std::string text = "C1(X,Y) :- E(X,Y).\n";
   for (int k = 2; k <= 8; ++k) {
-    text += "C" + std::to_string(k) + "(X,Y) :- C" + std::to_string(k - 1) +
-            "(X,Y).\n";
+    text += StrCat("C", k, "(X,Y) :- C", k - 1, "(X,Y).\n");
   }
   Program program = testing::MustProgram(text, db.shared_symbols());
 

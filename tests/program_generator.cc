@@ -1,5 +1,7 @@
 #include "tests/program_generator.h"
 
+#include "src/base/strings.h"
+
 namespace inflog {
 namespace testing {
 
@@ -42,7 +44,7 @@ GeneratedProgram GenerateProgram(Rng* rng, const GeneratorOptions& options) {
   }
 
   auto constant = [&] {
-    return "c" + std::to_string(rng->Uniform(options.domain_size));
+    return StrCat("c", rng->Uniform(options.domain_size));
   };
 
   std::string text;

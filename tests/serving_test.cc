@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/ast/parser.h"
+#include "src/base/strings.h"
 #include "src/core/engine.h"
 #include "src/eval/stratified.h"
 #include "src/serve/cache.h"
@@ -345,7 +346,7 @@ TEST_F(ServingTest, ServingPeriodicCompaction) {
     tuning.compact_threshold = threshold;
     Begin(SemanticsKind::kStratified, tuning);
     for (int i = 0; i < 150; ++i) {
-      Update({}, {Fact("E", {"a" + std::to_string(i), "b"})});
+      Update({}, {Fact("E", {StrCat("a", i), "b"})});
     }
     const EvalStats stats = Session()->stats();
     if (threshold == 0.0) {
