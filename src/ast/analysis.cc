@@ -40,6 +40,47 @@ std::vector<bool> BoundVariables(const Rule& rule) {
   return bound;
 }
 
+std::vector<std::vector<size_t>> ExistentialComponents(const Rule& rule) {
+  // Union-find over variables: each literal joins all of its variables.
+  std::vector<uint32_t> parent(rule.num_vars);
+  for (uint32_t v = 0; v < rule.num_vars; ++v) parent[v] = v;
+  const auto find = [&](uint32_t v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  const auto first_var = [](const Literal& lit) -> int64_t {
+    for (const Term& t : lit.args) {
+      if (t.IsVariable()) return t.id;
+    }
+    return -1;
+  };
+  for (const Literal& lit : rule.body) {
+    const int64_t first = first_var(lit);
+    if (first < 0) continue;
+    for (const Term& t : lit.args) {
+      if (t.IsVariable()) parent[find(t.id)] = find(first);
+    }
+  }
+  std::vector<bool> in_head(rule.num_vars, false);
+  for (const Term& t : rule.head.args) {
+    if (t.IsVariable()) in_head[find(t.id)] = true;
+  }
+  std::vector<std::vector<size_t>> out;
+  std::vector<int> component_of(rule.num_vars, -1);  // by root variable
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    const int64_t first = first_var(rule.body[i]);
+    if (first < 0) continue;  // variable-free literals stay in the rule
+    const uint32_t root = find(static_cast<uint32_t>(first));
+    if (in_head[root]) continue;
+    if (component_of[root] < 0) {
+      component_of[root] = static_cast<int>(out.size());
+      out.emplace_back();
+    }
+    out[component_of[root]].push_back(i);
+  }
+  return out;
+}
+
 namespace {
 
 /// The variables of `rule` that occur in a negated body literal but are

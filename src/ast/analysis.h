@@ -97,6 +97,19 @@ Status CheckNegationSafety(const Program& program);
 /// variables. Exposed for testing.
 std::vector<bool> BoundVariables(const Rule& rule);
 
+/// The existential components of `rule`'s body. The body splits into
+/// connected components by shared variables (two literals are connected
+/// when they share a variable, directly or through other literals); a
+/// component is existential when it has a variable and none of its
+/// variables occurs in the head. Such a component only needs some
+/// witness: `T(Z) :- P(X), !T(W).` has two, {P(X)} and {!T(W)}, so the
+/// rule fires for every Z as soon as some P(x) holds and some T(w) does
+/// not. The grounder replaces each one by an auxiliary atom, so it does
+/// not enumerate the cross product of the components. Each component
+/// lists its body indices ascending; components are ordered by their
+/// first literal.
+std::vector<std::vector<size_t>> ExistentialComponents(const Rule& rule);
+
 }  // namespace inflog
 
 #endif  // INFLOG_AST_ANALYSIS_H_

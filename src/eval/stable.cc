@@ -27,14 +27,9 @@ Result<StableResult> EnumerateStableModels(const Program& program,
   const CompletionEncoding& encoding = analyzer.encoding();
 
   // Enumerate supported models directly at the SAT level so we can apply
-  // the stability filter on atom vectors. Atom variables are frozen: the
-  // blocking clauses below reference them after the first Solve, and
-  // freezing keeps preprocessing an exact projection onto them.
-  sat::PortfolioSolver solver(options.solver);
-  solver.AddCnf(encoding.cnf);
-  for (const int32_t var : encoding.atom_vars) {
-    if (var >= 0) solver.FreezeVar(var);
-  }
+  // the stability filter on atom vectors; the blocking clauses below
+  // reference the program's atom variables, which MakeSolver freezes.
+  sat::PortfolioSolver solver = analyzer.MakeSolver();
 
   StableResult out;
   std::vector<std::vector<bool>> stable_atoms;
@@ -55,12 +50,7 @@ Result<StableResult> EnumerateStableModels(const Program& program,
       stable_atoms.push_back(atoms);
     }
     // Block this supported model and continue.
-    sat::Clause block;
-    for (size_t a = 0; a < encoding.atom_vars.size(); ++a) {
-      const int32_t var = encoding.atom_vars[a];
-      if (var < 0) continue;
-      block.push_back(atoms[a] ? sat::Neg(var) : sat::Pos(var));
-    }
+    const sat::Clause block = analyzer.BlockingClause(atoms);
     if (block.empty() || !solver.AddClause(block)) {
       enumeration_complete = true;
       break;

@@ -19,15 +19,16 @@ Result<FixpointAnalyzer> FixpointAnalyzer::Create(const Program* program,
   return analyzer;
 }
 
-Result<sat::PortfolioSolver> FixpointAnalyzer::MakeSolver() const {
+sat::PortfolioSolver FixpointAnalyzer::MakeSolver() const {
   sat::PortfolioSolver solver(options_.solver);
   solver.AddCnf(encoding_.cnf);
-  // Blocking clauses and activation assumptions reference the atom
-  // variables after the first Solve: freeze them so preprocessing cannot
-  // eliminate them (elimination is an exact existential projection, so the
-  // model set over the frozen variables is unchanged).
-  for (const int32_t var : encoding_.atom_vars) {
-    if (var >= 0) solver.FreezeVar(var);
+  // Blocking clauses and activation assumptions reference the program's
+  // atom variables after the first Solve: freeze them so preprocessing
+  // cannot eliminate them (elimination is an exact existential
+  // projection, so the model set over the frozen variables is unchanged).
+  for (size_t a = 0; a < encoding_.atom_vars.size(); ++a) {
+    const int32_t var = encoding_.atom_vars[a];
+    if (var >= 0 && !ground_.IsAuxiliary(a)) solver.FreezeVar(var);
   }
   return solver;
 }
@@ -49,14 +50,14 @@ sat::Clause FixpointAnalyzer::BlockingClause(
   sat::Clause clause;
   for (size_t a = 0; a < encoding_.atom_vars.size(); ++a) {
     const int32_t var = encoding_.atom_vars[a];
-    if (var < 0) continue;
+    if (var < 0 || ground_.IsAuxiliary(a)) continue;
     clause.push_back(atoms[a] ? sat::Neg(var) : sat::Pos(var));
   }
   return clause;
 }
 
 Result<bool> FixpointAnalyzer::HasFixpoint() const {
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::PortfolioSolver solver = MakeSolver();
   const sat::SolveResult res = solver.Solve();
   sat_stats_.Add(solver.stats());
   if (res == sat::SolveResult::kUnknown) {
@@ -66,7 +67,7 @@ Result<bool> FixpointAnalyzer::HasFixpoint() const {
 }
 
 Result<std::optional<IdbState>> FixpointAnalyzer::FindFixpoint() const {
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::PortfolioSolver solver = MakeSolver();
   const sat::SolveResult res = solver.Solve();
   sat_stats_.Add(solver.stats());
   if (res == sat::SolveResult::kUnknown) {
@@ -82,7 +83,7 @@ Result<std::optional<IdbState>> FixpointAnalyzer::FindFixpoint() const {
 
 Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
     size_t limit) const {
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::PortfolioSolver solver = MakeSolver();
   std::vector<std::vector<bool>> found;
   while (limit == 0 || found.size() < limit) {
     const sat::SolveResult res = solver.Solve();
@@ -110,7 +111,7 @@ Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
 }
 
 Result<uint64_t> FixpointAnalyzer::CountFixpoints(uint64_t limit) const {
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::PortfolioSolver solver = MakeSolver();
   uint64_t count = 0;
   while (true) {
     const sat::SolveResult res = solver.Solve();
@@ -138,7 +139,7 @@ Result<uint64_t> FixpointAnalyzer::CountFixpoints(uint64_t limit) const {
 }
 
 Result<UniqueStatus> FixpointAnalyzer::UniqueFixpoint() const {
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::PortfolioSolver solver = MakeSolver();
   sat::SolveResult res = solver.Solve();
   if (res == sat::SolveResult::kUnknown) {
     sat_stats_.Add(solver.stats());
@@ -165,7 +166,7 @@ Result<UniqueStatus> FixpointAnalyzer::UniqueFixpoint() const {
 
 Result<LeastFixpointOutcome> FixpointAnalyzer::LeastFixpoint() const {
   LeastFixpointOutcome out;
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::PortfolioSolver solver = MakeSolver();
   sat::SolveResult res = solver.Solve();
   ++out.sat_calls;
   if (res == sat::SolveResult::kUnknown) {
@@ -190,7 +191,9 @@ Result<LeastFixpointOutcome> FixpointAnalyzer::LeastFixpoint() const {
     const sat::Var activation = solver.NewVar();
     ask.push_back(sat::Neg(activation));
     for (size_t a = 0; a < candidate.size(); ++a) {
-      if (candidate[a]) ask.push_back(sat::Neg(encoding_.atom_vars[a]));
+      if (candidate[a] && !ground_.IsAuxiliary(a)) {
+        ask.push_back(sat::Neg(encoding_.atom_vars[a]));
+      }
     }
     if (ask.size() == 1) break;  // candidate already empty
     solver.AddClause(ask);

@@ -20,6 +20,12 @@
 // Every model returned by the solver is re-verified against the direct
 // Θ(S) = S check, so the SAT path never silently diverges from the
 // semantics.
+//
+// The grounding's auxiliary atoms (projected existential components, see
+// src/ground/grounder.h) are fixed by their completion once the program's
+// atoms are: blocking clauses, the least-fixpoint queries and variable
+// freezing all range over the program's atoms only, so each fixpoint is
+// found once and preprocessing is free to eliminate the auxiliaries.
 
 #ifndef INFLOG_FIXPOINT_ANALYSIS_H_
 #define INFLOG_FIXPOINT_ANALYSIS_H_
@@ -101,21 +107,21 @@ class FixpointAnalyzer {
   /// SAT statistics accumulated across every query on this analyzer.
   const sat::SolverStats& sat_stats() const { return sat_stats_; }
 
+  /// Fresh portfolio pre-loaded with the completion; the variable of
+  /// every program atom is frozen so blocking clauses and assumptions
+  /// stay sound under preprocessing.
+  sat::PortfolioSolver MakeSolver() const;
+
+  /// Clause blocking the given assignment of the program's atoms.
+  sat::Clause BlockingClause(const std::vector<bool>& atoms) const;
+
  private:
   FixpointAnalyzer(const Program* program, const Database* database,
                    AnalyzeOptions options)
       : program_(program), database_(database), options_(options) {}
 
-  /// Fresh portfolio pre-loaded with the completion; every completion atom
-  /// variable is frozen so blocking clauses and assumptions stay sound
-  /// under preprocessing.
-  Result<sat::PortfolioSolver> MakeSolver() const;
-
   /// Decodes an atom assignment and verifies it with Θ(S) = S.
   Result<IdbState> DecodeModel(const std::vector<bool>& atoms) const;
-
-  /// Clause blocking the given head-atom assignment.
-  sat::Clause BlockingClause(const std::vector<bool>& atoms) const;
 
   const Program* program_;
   const Database* database_;

@@ -10,9 +10,12 @@
 // variable; bodies referencing them positively are dropped, negated
 // references are removed as vacuously true. Multi-literal bodies get a
 // Tseitin definition variable, shared across heads when the same body
-// recurs (the toggle rule instantiates the same {¬Q(u),¬T(w)} body for
-// every head T(z), so sharing collapses |A|³ rule instances to |A|² body
-// definitions).
+// recurs. The grounding's auxiliary atoms (projected existential body
+// components, src/ground/grounder.h) are encoded like any other atom:
+// the toggle T(z) ← ¬Q(u), ¬T(w) arrives as a₁ ← ¬Q(u), a₂ ← ¬T(w) and
+// T(z) ← a₁, a₂, so its completion is linear in |A|, with one shared
+// {a₁, a₂} body for every head (unprojected, its |A|³ instances would
+// need |A|² body definitions).
 //
 // This is the bridge from the paper's Theorems 1–3 to the CDCL engine:
 // fixpoint existence ⇔ SAT of the completion.

@@ -48,7 +48,7 @@ IdbState GroundProgram::DecodeState(const Program& program,
   INFLOG_CHECK(true_atoms.size() == atoms.size());
   IdbState state = MakeEmptyIdbState(program);
   for (uint32_t id = 0; id < atoms.size(); ++id) {
-    if (!true_atoms[id]) continue;
+    if (!true_atoms[id] || IsAuxiliary(id)) continue;
     const GroundAtom& atom = atoms.atom(id);
     const int idb = program.predicate(atom.predicate).idb_index;
     INFLOG_CHECK(idb >= 0);
@@ -61,6 +61,7 @@ std::string GroundProgram::ToString(const Program& program) const {
   std::string out;
   auto format_atom = [&](uint32_t id) {
     const GroundAtom& a = atoms.atom(id);
+    if (IsAuxiliary(id)) return StrCat("#exists(", a.args[0], ",", a.args[1], ")");
     return StrCat(program.predicate(a.predicate).name,
                   FormatTuple(program.symbols(), a.args));
   };

@@ -7,11 +7,19 @@
 // completion / supported models), the well-founded semantics, and the
 // stable-model check all operate.
 //
-// Bodies are interned: rules whose variables do not all occur in the head
-// (the toggle rule T(z) ← ¬Q(u), ¬T(w) instantiates |A|³ rules over only
-// |A|² distinct bodies) share one GroundBody record, and a rule is just a
-// (head atom, body id) pair. This keeps the cubic rule lists cheap and
-// lets the completion encoder reuse one Tseitin definition per body.
+// Besides the program's own IDB atoms, a grounding holds auxiliary atoms:
+// one per existential body component the grounder projected (see
+// grounder.h), defined by that component's ground rules. They are
+// ordinary atoms to the completion, the alternating fixpoint and the
+// reduct; DecodeState drops them, and the analyzer never blocks on or
+// freezes them, because their definition fixes their value.
+//
+// Bodies are interned: rules whose variables do not all occur in the
+// head share one GroundBody record, and a rule is just a (head atom,
+// body id) pair, so the completion encoder writes one Tseitin definition
+// per body. Interning alone would leave the toggle T(z) ← ¬Q(u), ¬T(w)
+// at |A|³ rules over |A|² bodies; projection takes it to 3|A| rules
+// that share one {a₁, a₂} body across the |A| heads.
 
 #ifndef INFLOG_GROUND_GROUND_PROGRAM_H_
 #define INFLOG_GROUND_GROUND_PROGRAM_H_
@@ -25,6 +33,10 @@
 #include "src/relation/tuple.h"
 
 namespace inflog {
+
+/// The predicate id of auxiliary atoms. Their args are (rule index,
+/// component index), naming the projected component.
+inline constexpr uint32_t kAuxiliaryPredicate = kNoPredicate;
 
 /// A ground IDB atom: predicate id plus a constant tuple.
 struct GroundAtom {
@@ -113,15 +125,21 @@ struct GroundProgram {
     return bodies.body(rule.body);
   }
 
+  /// True iff atom `id` is an auxiliary atom (no program predicate).
+  bool IsAuxiliary(uint32_t id) const {
+    return atoms.atom(id).predicate == kAuxiliaryPredicate;
+  }
+
   /// Rebuilds rules_by_head from `rules`.
   void IndexHeads();
 
   /// Decodes a set of true atoms (by atom id) into an IdbState for
-  /// `program` (all other atoms false).
+  /// `program` (all other atoms false; auxiliary atoms are dropped).
   IdbState DecodeState(const Program& program,
                        const std::vector<bool>& true_atoms) const;
 
-  /// Debug rendering "Pred(a,b) :- Pred2(c), !Pred3(d)." per rule.
+  /// Debug rendering "Pred(a,b) :- Pred2(c), !Pred3(d)." per rule; the
+  /// auxiliary atom of rule r's component c renders as "#exists(r,c)".
   std::string ToString(const Program& program) const;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "src/ast/analysis.h"
 #include "src/base/strings.h"
 
 namespace inflog {
@@ -28,29 +29,64 @@ struct GroundOp {
   uint32_t enum_var = 0;               // kEnumerate
 };
 
+/// Grounds a subset of one rule's body literals: the whole body, one
+/// existential component (src/ast/analysis.h), or the rest of the body
+/// once the components are projected away.
 class RuleGrounder {
  public:
   RuleGrounder(const Program& program, const Rule& rule,
+               std::vector<size_t> literals,
                const std::vector<const Relation*>& edb_relations,
                const std::vector<Value>& universe,
                const GrounderOptions& options,
                std::unordered_set<uint64_t>* seen_rules, GroundProgram* out)
       : program_(program),
         rule_(rule),
+        literals_(std::move(literals)),
         edb_relations_(edb_relations),
         universe_(universe),
         options_(options),
         seen_rules_(seen_rules),
         out_(out) {}
 
-  Status Ground() {
+  /// Emits one ground rule per instantiation of the rule head over the
+  /// literals, each body extended by the positive atoms `extra_pos`.
+  Status Ground(std::vector<uint32_t> extra_pos) {
+    extra_pos_ = std::move(extra_pos);
+    return Run(Mode::kRules);
+  }
+
+  /// Collects the distinct ground bodies of the literals' instantiations
+  /// (an existential component's definition) into `bodies`, checking
+  /// the rule limit as if each body were already a rule. An EDB-only
+  /// component yields the empty body when it has a witness.
+  Status GroundBodies(std::vector<uint32_t>* bodies) {
+    bodies_ = bodies;
+    return Run(Mode::kBodies);
+  }
+
+ private:
+  enum class Mode { kRules, kBodies };
+
+  Status Run(Mode mode) {
+    mode_ = mode;
+    // A head or literal variable must be bound to instantiate; the head
+    // only counts when it is emitted.
+    needed_.assign(rule_.num_vars, false);
+    if (mode == Mode::kRules) MarkVars(rule_.head.args);
+    for (size_t i : literals_) MarkVars(rule_.body[i].args);
     bound_.assign(rule_.num_vars, false);
     if (!PlanOps()) return Status::OK();  // statically unsatisfiable body
     bindings_.assign(rule_.num_vars, kNoValue);
     return Step(0);
   }
 
- private:
+  void MarkVars(const std::vector<Term>& args) {
+    for (const Term& t : args) {
+      if (t.IsVariable()) needed_[t.id] = true;
+    }
+  }
+
   bool TermKnown(const Term& t) const {
     return t.IsConstant() || bound_[t.id];
   }
@@ -64,7 +100,7 @@ class RuleGrounder {
   bool PlanOps() {
     std::vector<size_t> edb_atoms;
     std::vector<size_t> filters;  // eq / neq / negated EDB atoms
-    for (size_t i = 0; i < rule_.body.size(); ++i) {
+    for (size_t i : literals_) {
       const Literal& lit = rule_.body[i];
       switch (lit.kind) {
         case Literal::Kind::kAtom:
@@ -85,8 +121,8 @@ class RuleGrounder {
       EmitMatch(rule_.body[best]);
       if (!FlushFilters(&filters)) return false;
     }
-    // Residual: every remaining rule variable must be bound to instantiate
-    // the head and the IDB literals.
+    // Residual: every remaining needed variable must be bound to
+    // instantiate the head and the IDB literals.
     while (true) {
       if (!FlushFilters(&filters)) return false;
       int var = -1;
@@ -101,7 +137,7 @@ class RuleGrounder {
       }
       if (var < 0) {
         for (uint32_t v = 0; v < rule_.num_vars; ++v) {
-          if (!bound_[v]) {
+          if (needed_[v] && !bound_[v]) {
             var = static_cast<int>(v);
             break;
           }
@@ -292,12 +328,16 @@ class RuleGrounder {
   }
 
   Status EmitGroundRule() {
-    scratch_.clear();
-    for (const Term& t : rule_.head.args) scratch_.push_back(TermValue(t));
-    const uint32_t head = out_->atoms.GetOrAdd(rule_.head.predicate,
-                                               scratch_);
+    uint32_t head = 0;
+    if (mode_ == Mode::kRules) {
+      scratch_.clear();
+      for (const Term& t : rule_.head.args) scratch_.push_back(TermValue(t));
+      head = out_->atoms.GetOrAdd(rule_.head.predicate, scratch_);
+    }
     GroundBody body;
-    for (const Literal& lit : rule_.body) {
+    body.pos = extra_pos_;
+    for (size_t i : literals_) {
+      const Literal& lit = rule_.body[i];
       if (lit.kind != Literal::Kind::kAtom &&
           lit.kind != Literal::Kind::kNegAtom) {
         continue;
@@ -325,11 +365,19 @@ class RuleGrounder {
       }
     }
     const uint32_t body_id = out_->bodies.GetOrAdd(std::move(body));
-    // Deduplicate (head, body) pairs cheaply.
-    const uint64_t key = (uint64_t{head} << 32) | body_id;
-    if (!seen_rules_->insert(key).second) return Status::OK();
-    out_->rules.push_back(GroundRule{head, body_id});
-    if (out_->rules.size() > options_.max_ground_rules) {
+    size_t count;
+    if (mode_ == Mode::kBodies) {
+      if (!seen_bodies_.insert(body_id).second) return Status::OK();
+      bodies_->push_back(body_id);
+      count = out_->rules.size() + bodies_->size();
+    } else {
+      // Deduplicate (head, body) pairs cheaply.
+      const uint64_t key = (uint64_t{head} << 32) | body_id;
+      if (!seen_rules_->insert(key).second) return Status::OK();
+      out_->rules.push_back(GroundRule{head, body_id});
+      count = out_->rules.size();
+    }
+    if (count > options_.max_ground_rules) {
       return Status::ResourceExhausted(
           StrCat("grounding exceeded ", options_.max_ground_rules,
                  " rules"));
@@ -339,13 +387,21 @@ class RuleGrounder {
 
   const Program& program_;
   const Rule& rule_;
+  /// Body indices of the literals this grounder instantiates.
+  const std::vector<size_t> literals_;
   const std::vector<const Relation*>& edb_relations_;
   const std::vector<Value>& universe_;
   const GrounderOptions& options_;
   std::unordered_set<uint64_t>* seen_rules_;
   GroundProgram* out_;
 
+  Mode mode_ = Mode::kRules;
+  std::vector<uint32_t> extra_pos_;            // kRules
+  std::vector<uint32_t>* bodies_ = nullptr;    // kBodies
+  std::unordered_set<uint32_t> seen_bodies_;   // kBodies
+
   std::vector<GroundOp> ops_;
+  std::vector<bool> needed_;
   std::vector<bool> bound_;
   std::vector<Value> bindings_;
   Tuple scratch_;
@@ -393,10 +449,51 @@ Result<GroundProgram> GroundProgramFor(const Program& program,
 
   GroundProgram out;
   std::unordered_set<uint64_t> seen_rules;
-  for (const Rule& rule : program.rules()) {
-    RuleGrounder grounder(program, rule, edb, universe, options,
-                          &seen_rules, &out);
-    INFLOG_RETURN_IF_ERROR(grounder.Ground());
+  for (uint32_t r = 0; r < program.rules().size(); ++r) {
+    const Rule& rule = program.rules()[r];
+    const auto grounder = [&](std::vector<size_t> literals) {
+      return RuleGrounder(program, rule, std::move(literals), edb, universe,
+                          options, &seen_rules, &out);
+    };
+    // Project the existential components: each is grounded on its own
+    // into its distinct bodies. A component with none has no witness, so
+    // no instance of the rule survives; one whose only body is empty (an
+    // EDB-only component with a witness) holds outright; any other
+    // becomes an auxiliary atom defined by one rule per body. The rest of
+    // the body is then instantiated once per binding of its own variables.
+    const std::vector<std::vector<size_t>> components =
+        ExistentialComponents(rule);
+    std::vector<std::vector<uint32_t>> bodies(components.size());
+    bool has_witness = true;
+    for (size_t c = 0; c < components.size() && has_witness; ++c) {
+      INFLOG_RETURN_IF_ERROR(grounder(components[c]).GroundBodies(&bodies[c]));
+      has_witness = !bodies[c].empty();
+    }
+    if (!has_witness) continue;
+    const size_t num_rules = out.rules.size();
+    std::vector<bool> projected(rule.body.size(), false);
+    std::vector<uint32_t> aux_atoms;
+    for (uint32_t c = 0; c < components.size(); ++c) {
+      for (size_t i : components[c]) projected[i] = true;
+      if (bodies[c].size() == 1 && out.bodies.body(bodies[c][0]).empty()) {
+        continue;
+      }
+      // Interned after the component's own atoms, so an auxiliary atom
+      // never precedes an atom it depends on.
+      const uint32_t aux =
+          out.atoms.GetOrAdd(kAuxiliaryPredicate, Tuple{r, c});
+      for (uint32_t body : bodies[c]) out.rules.push_back(GroundRule{aux, body});
+      aux_atoms.push_back(aux);
+    }
+    std::vector<size_t> rest;
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      if (!projected[i]) rest.push_back(i);
+    }
+    const size_t aux_end = out.rules.size();
+    INFLOG_RETURN_IF_ERROR(
+        grounder(std::move(rest)).Ground(std::move(aux_atoms)));
+    // No instance of the rest: nothing uses the auxiliary atoms.
+    if (out.rules.size() == aux_end) out.rules.resize(num_rules);
   }
   out.IndexHeads();
   return out;

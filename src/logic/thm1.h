@@ -6,6 +6,10 @@
 // Skolemization), one rule Q(x̄) ← θᵢ(x̄, ȳ) per disjunct of the Skolem
 // normal form, and the guarded toggle T(z) ← ¬Q(ū), ¬T(w). Then for every
 // database D:   D ∈ C  ⇔  (π_C, D) has a fixpoint.
+//
+// The toggle's components ¬Q(ū) and ¬T(w) are existential: the grounder
+// replaces each by an auxiliary atom (src/ground/grounder.h), so the
+// toggle costs |A|^|ū| + 2|A| ground rules instead of |A|^(|ū|+2).
 
 #ifndef INFLOG_LOGIC_THM1_H_
 #define INFLOG_LOGIC_THM1_H_

@@ -11,6 +11,11 @@
 // A fixpoint exists iff some choice of (R, B, G) leaves P empty — iff the
 // graph is 3-colorable. This program is the explicit half of Theorem 4;
 // src/reductions/succinct.h lifts it to circuit-presented graphs.
+//
+// The toggle's body components P(x) and ¬T(w) share no variable with the
+// head or each other. The grounder projects each to an auxiliary atom
+// (src/ground/grounder.h), so π_COL grounds in size linear in |A| plus
+// the edges.
 
 #ifndef INFLOG_REDUCTIONS_THREE_COLORING_H_
 #define INFLOG_REDUCTIONS_THREE_COLORING_H_

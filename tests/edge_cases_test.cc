@@ -230,7 +230,8 @@ TEST(EnumerationCountTest, SolverEnumerationMatchesBruteForceModelCount) {
 }
 
 TEST(GroundBodySharingTest, ToggleSharesBodiesAcrossHeads) {
-  // The |A|³ toggle instantiations intern only |A|² distinct bodies.
+  // The toggle's components {¬Q(U)} and {¬T(W)} are projected, so it
+  // grounds in linear size and its bodies are interned once.
   auto symbols = std::make_shared<SymbolTable>();
   Program p = MustProgram("T(Z) :- !Q(U), !T(W).\nQ(X) :- E(X,Y).",
                           symbols);
@@ -238,8 +239,9 @@ TEST(GroundBodySharingTest, ToggleSharesBodiesAcrossHeads) {
   auto analyzer = FixpointAnalyzer::Create(&p, &db);
   ASSERT_TRUE(analyzer.ok());
   const GroundProgram& ground = analyzer->ground();
-  // 125 toggle rules + 4 Q rules; bodies: 25 toggle + few Q bodies.
-  EXPECT_EQ(ground.rules.size(), 125u + 4u);
+  // 5 + 5 auxiliary rules and 5 toggle rules (not 125) + 4 Q rules;
+  // bodies: 10 auxiliary + 1 toggle + the Q facts' empty body.
+  EXPECT_EQ(ground.rules.size(), 15u + 4u);
   EXPECT_LE(ground.bodies.size(), 25u + 5u);
   // And the completion introduces at most one Tseitin var per body.
   EXPECT_LE(analyzer->encoding().num_body_vars, ground.bodies.size());

@@ -49,9 +49,11 @@ TEST(GrounderTest, ToggleRuleGroundsOverUniverseSquared) {
   Database db = DbFromGraph(PathGraph(3), symbols);
   auto g = GroundProgramFor(p, db);
   ASSERT_TRUE(g.ok());
-  // z, w over A²; bodies {¬T(w)} dedup by (head, body): 9 rules.
-  EXPECT_EQ(g->rules.size(), 9u);
-  EXPECT_EQ(g->atoms.size(), 3u);
+  // {¬T(W)} is an existential component: one auxiliary atom with a rule
+  // per w, and a rule T(z) ← aux per z — 2|A| = 6 rules, not |A|² = 9;
+  // the three T atoms plus the auxiliary one.
+  EXPECT_EQ(g->rules.size(), 6u);
+  EXPECT_EQ(g->atoms.size(), 4u);
 }
 
 TEST(GrounderTest, UnsatisfiableEdbPartDropsInstances) {

@@ -9,6 +9,7 @@
 #include "src/ast/analysis.h"
 #include "src/base/rng.h"
 #include "src/base/strings.h"
+#include "src/core/engine.h"
 #include "src/fixpoint/analysis.h"
 #include "src/reductions/circuit.h"
 #include "src/reductions/sat_db.h"
@@ -273,6 +274,52 @@ TEST(PiColTest, SelfLoopHasNoFixpoint) {
   ASSERT_TRUE(has.ok());
   EXPECT_FALSE(*has);
 }
+
+// π_COL at a size where its toggle T(Z) :- P(X), !T(W) only fits because
+// its existential components are projected: unprojected it grounds to
+// |A|³ = 8,000,000 rules, over the 5,000,000 default cap.
+class PiColAt200 : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PiColAt200, ProjectedToggleFitsTheDefaultLimits) {
+  const bool with_k4 = GetParam();
+  Digraph g = CycleGraph(200);  // even: 3-colourable (2 colours suffice)
+  if (with_k4) {
+    Digraph joined(204);
+    for (const auto& [u, v] : g.Edges()) joined.AddEdge(u, v);
+    for (size_t u = 200; u < 204; ++u) {
+      for (size_t v = u + 1; v < 204; ++v) joined.AddEdge(u, v);
+    }
+    g = joined;
+  }
+  std::string facts;
+  for (const auto& [u, v] : g.Edges()) facts += StrCat("E(", u, ",", v, ").\n");
+
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgramText(PiColText()).ok());
+  ASSERT_TRUE(engine.LoadDatabaseText(facts).ok());
+  auto analyzer = engine.MakeAnalyzer();
+  ASSERT_TRUE(analyzer.ok()) << analyzer.status().ToString();
+  auto has = analyzer->HasFixpoint();
+  ASSERT_TRUE(has.ok()) << has.status().ToString();
+  EXPECT_EQ(*has, !with_k4);
+  auto fixpoint = analyzer->FindFixpoint();
+  ASSERT_TRUE(fixpoint.ok()) << fixpoint.status().ToString();
+  ASSERT_EQ(fixpoint->has_value(), !with_k4);
+  if (fixpoint->has_value()) {
+    auto colors = DecodeColoring(**engine.program(), engine.database(),
+                                 g.num_vertices(), **fixpoint);
+    ASSERT_TRUE(colors.ok()) << colors.status().ToString();
+    EXPECT_TRUE(IsProperColoring(g, *colors));
+  }
+  auto wf = engine.Evaluate(SemanticsKind::kWellFounded);
+  ASSERT_TRUE(wf.ok()) << wf.status().ToString();
+
+}
+
+INSTANTIATE_TEST_SUITE_P(EvenCycle, PiColAt200, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "PlusK4" : "Alone";
+                         });
 
 // --- Circuits. ---
 
