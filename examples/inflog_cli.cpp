@@ -350,8 +350,7 @@ int main(int argc, char** argv) {
       if (result.used_oracle) {
         std::cout << " (oracle recompute)";
       } else {
-        std::cout << " (counting units " << s.incremental_counting_units
-                  << ", dred units " << s.incremental_dred_units << ")";
+        std::cout << " (dred units " << s.incremental_dred_units << ")";
       }
       std::cout << "\n";
     };

@@ -152,8 +152,8 @@ class Engine {
 
   /// Evaluates the loaded program once under `kind` and switches the
   /// engine into incremental mode: subsequent ApplyUpdate calls maintain
-  /// the materialized result in O(delta) (counting for non-recursive
-  /// predicates, DRed for recursive ones) instead of re-evaluating.
+  /// the materialized result in O(delta) (DRed, unit by unit) instead of
+  /// re-evaluating.
   /// Replaces any previous session; a failed call leaves the sessions
   /// as they were. The relational semantics maintain
   /// incrementally (inflationary requires a positive program); the

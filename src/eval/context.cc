@@ -1,7 +1,6 @@
 #include "src/eval/context.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/ast/analysis.h"
 #include "src/base/strings.h"
@@ -176,15 +175,8 @@ Status EvalContext::Bind(const EvalContextOptions& options) {
     binding.fixed = *rel;
   }
 
-  // Evaluation universe: active domain plus program constants, deduped,
-  // database order first (deterministic).
-  std::unordered_set<Value> seen;
-  for (Value v : database_->universe()) {
-    if (seen.insert(v).second) universe_.push_back(v);
-  }
-  for (Value v : program_->Constants()) {
-    if (seen.insert(v).second) universe_.push_back(v);
-  }
+  // Evaluation universe: active domain plus program constants.
+  universe_ = database_->UniverseWith(program_->Constants());
   return Status::OK();
 }
 

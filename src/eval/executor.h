@@ -72,9 +72,8 @@ enum class StatsGroup {
   X(incremental_idb_deleted, kIncremental, "Net IDB tuples removed.")          \
   X(incremental_del_candidates, kIncremental, "DRed over-deleted candidates.") \
   X(incremental_rederived, kIncremental, "Candidates DRed put back.")          \
-  X(incremental_recounted, kIncremental, "Tuples whose count was recomputed.") \
-  X(incremental_counting_units, kIncremental, "Units maintained by counting.") \
-  X(incremental_dred_units, kIncremental, "Recursive units kept by DRed.")     \
+  X(incremental_recounted, kIncremental, "Always 0; perfbench reads it.")      \
+  X(incremental_dred_units, kIncremental, "Units maintained by DRed.")         \
   X(sat_conflicts, kSat, "CDCL conflicts across all solves.")                  \
   X(sat_decisions, kSat, "Branching decisions.")                               \
   X(sat_propagations, kSat, "Unit propagations.")                              \

@@ -34,9 +34,9 @@ void ForEachRow(const Relation& rel, Fn&& fn) {
   }
 }
 
-/// Ascending body indices of the rule's positive atoms. Synthesized
-/// trigger / recount / seed rules place their small delta or candidate
-/// literal at body index 0, so this order scans it first. The greedy
+/// Ascending body indices of the rule's positive atoms. Synthesized seed
+/// rules place their small trigger literal (a delta or the pruned tuples)
+/// at body index 0, so this order scans it first. The greedy
 /// planner must not be trusted here: among atoms with no bound columns it
 /// prefers the one with the fewest unbound variables, which can demote a
 /// wide delta literal behind a full-relation scan and turn an O(delta)
@@ -124,55 +124,83 @@ class SynthBuilder {
   std::vector<const Relation*> overrides_;
 };
 
-/// Per-literal replacement choices when expanding a rule into trigger
-/// variants; nullopt drops the literal from that variant.
-struct LitAlternatives {
-  std::vector<std::optional<Literal>> choices;
-};
-
 /// Appends to `sb` one rule per combination of per-literal choices
-/// (cartesian product, odometer order — deterministic), head unchanged
-/// across variants. Rule indices are collected into `out_rules`.
+/// (`choices[j]` are the alternatives for body literal j; cartesian
+/// product, odometer order — deterministic), head unchanged across
+/// variants. Rule indices are collected into `out_rules`.
 Status AddVariants(SynthBuilder* sb, const HeadAtom& head, uint32_t num_vars,
-                   const std::vector<LitAlternatives>& lits,
+                   const std::vector<std::vector<Literal>>& choices,
                    std::vector<size_t>* out_rules) {
-  std::vector<size_t> pick(lits.size(), 0);
+  std::vector<size_t> pick(choices.size(), 0);
   while (true) {
     Rule rule;
     rule.head = head;
     rule.num_vars = num_vars;
-    for (size_t j = 0; j < lits.size(); ++j) {
-      const std::optional<Literal>& choice = lits[j].choices[pick[j]];
-      if (choice.has_value()) rule.body.push_back(*choice);
+    for (size_t j = 0; j < choices.size(); ++j) {
+      rule.body.push_back(choices[j][pick[j]]);
     }
     out_rules->push_back(sb->prog().rules().size());
     INFLOG_RETURN_IF_ERROR(sb->prog().AddRule(std::move(rule)));
     size_t j = 0;
-    for (; j < lits.size(); ++j) {
-      if (++pick[j] < lits[j].choices.size()) break;
+    for (; j < choices.size(); ++j) {
+      if (++pick[j] < choices[j].size()) break;
       pick[j] = 0;
     }
-    if (j == lits.size()) break;
+    if (j == choices.size()) break;
   }
   return Status::OK();
 }
 
-/// Merges per-IDB staging buffers into `state` shard-by-shard, recording
-/// the appended physical ranges — the DeltaRanges a seeded semi-naive run
-/// resumes from. Returns true iff anything was appended.
-bool MergeRecordingRanges(const std::vector<Relation>& buffers,
-                          IdbState* state, DeltaRanges* ranges) {
+/// One seeded phase of DRed: executes the `seeds` rules against `state`
+/// into per-IDB buffers, merges those into `state`, and closes them under
+/// the `closure` rules by a semi-naive run resumed from the merged rows.
+/// A seeded run fires only rules with a positive IDB body literal (the
+/// only ones RelationalConsequence builds delta plans for), so only those
+/// join it, and a unit without recursion runs no semi-naive loop.
+void RunSeededPhase(const EvalContext& ctx, const std::vector<size_t>& seeds,
+                    const std::vector<size_t>& closure,
+                    std::unique_ptr<ThreadPool>* pool, IdbState* state,
+                    EvalStats* st) {
+  const Program& prog = ctx.program();
+  // Every IDB predicate of a phase program is dynamic.
+  const std::vector<bool> dynamic(prog.idb_predicates().size(), true);
+  std::vector<Relation> buffers;
+  buffers.reserve(state->relations.size());
+  for (const Relation& rel : state->relations) {
+    buffers.emplace_back(rel.arity(), rel.num_shards());
+  }
+  for (const size_t r : seeds) {
+    const Rule& rule = prog.rules()[r];
+    const RulePlan plan =
+        PlanRuleWithOrder(prog, r, dynamic, -1, AscendingAtomOrder(rule));
+    ExecutePlan(ctx, plan, *state, nullptr,
+                &buffers[prog.predicate(rule.head.predicate).idb_index], st);
+  }
+  // Merge shard by shard, recording the appended physical ranges: the
+  // deltas the closure run resumes from.
+  DeltaRanges ranges;
   bool any = false;
   for (size_t i = 0; i < buffers.size(); ++i) {
     Relation& target = state->relations[i];
+    ranges.emplace_back(target.num_shards());
     for (size_t s = 0; s < target.num_shards(); ++s) {
       const size_t before = target.ShardSize(s);
       target.MergeShardFrom(buffers[i], s);
-      (*ranges)[i][s] = {before, target.ShardSize(s)};
+      ranges[i][s] = {before, target.ShardSize(s)};
       any |= target.ShardSize(s) != before;
     }
   }
-  return any;
+  SemiNaiveOptions sn;
+  for (const size_t r : closure) {
+    if (!DeltaCandidates(prog, prog.rules()[r], dynamic).empty()) {
+      sn.rule_subset.push_back(r);
+    }
+  }
+  // An empty subset would mean every rule.
+  if (!any || sn.rule_subset.empty()) return;
+  sn.pool_cache = pool;
+  sn.initial_deltas = &ranges;
+  st->Add(RunSemiNaive(ctx, sn, state).stats);
 }
 
 /// Compacts tombstone-heavy relations between updates (valid only while
@@ -288,7 +316,7 @@ Status IncrementalSession::Init() {
       break;
     case SemanticsKind::kInflationary:
       // The inflationary fixpoint of a positive program is the least
-      // fixpoint, which counting/DRed maintain exactly. Non-positive
+      // fixpoint, which DRed maintains exactly. Non-positive
       // inflationary results are stage-sensitive: a deletion can change
       // which stage a negated literal was consulted at, with non-local
       // effects no delta algorithm bounds — recompute instead.
@@ -321,7 +349,6 @@ void IncrementalSession::BuildUnits() {
   // (stratifiable / positive), so they only constrain the topological
   // order — which they must, deletions on a negated input propagate too.
   std::vector<std::vector<uint32_t>> adj(n);
-  std::vector<bool> self_loop(n, false);
   std::vector<std::vector<size_t>> rules_of(n);
   const std::vector<Rule>& rules = program_->rules();
   for (size_t r = 0; r < rules.size(); ++r) {
@@ -333,9 +360,7 @@ void IncrementalSession::BuildUnits() {
       if (!lit.IsPositiveAtom() && !lit.IsNegatedAtom()) continue;
       const PredicateInfo& info = program_->predicate(lit.predicate);
       if (!info.is_idb) continue;
-      const uint32_t b = static_cast<uint32_t>(info.idb_index);
-      adj[h].push_back(b);
-      if (b == h) self_loop[h] = true;
+      adj[h].push_back(static_cast<uint32_t>(info.idb_index));
     }
   }
 
@@ -383,7 +408,6 @@ void IncrementalSession::BuildUnits() {
           members.push_back(w);
         } while (w != v);
         std::sort(members.begin(), members.end());
-        unit.recursive = members.size() > 1 || self_loop[members[0]];
         for (const uint32_t m : members) {
           unit_of_idb_[m] = units_.size();
           unit.preds.push_back(idb_preds[m]);
@@ -556,14 +580,8 @@ Result<UpdateResult> IncrementalSession::ApplyUpdate(
     const Result<uint32_t> pred = program_->FindPredicate(name);
     if (!pred.ok()) continue;  // no rule can read it
     PredDelta delta(change.arity);
-    for (const Tuple& t : change.del) {
-      delta.del.Insert(t);
-      delta.chg.Insert(t);
-    }
-    for (const Tuple& t : change.ins) {
-      delta.ins.Insert(t);
-      delta.chg.Insert(t);
-    }
+    for (const Tuple& t : change.del) delta.del.Insert(t);
+    for (const Tuple& t : change.ins) delta.ins.Insert(t);
     changed.emplace(pred.value(), std::move(delta));
   }
 
@@ -581,13 +599,8 @@ Result<UpdateResult> IncrementalSession::ApplyUpdate(
         if (affected) break;
       }
       if (!affected) continue;
-      if (unit.recursive) {
-        st.incremental_dred_units++;
-        INFLOG_RETURN_IF_ERROR(MaintainDRed(unit, &changed, &st));
-      } else {
-        st.incremental_counting_units++;
-        INFLOG_RETURN_IF_ERROR(MaintainCounting(unit, &changed, &st));
-      }
+      st.incremental_dred_units++;
+      INFLOG_RETURN_IF_ERROR(MaintainDRed(unit, &changed, &st));
     }
   }
 
@@ -653,129 +666,6 @@ size_t IncrementalSession::CompactDeadRelations(double threshold,
   return compacted;
 }
 
-Status IncrementalSession::MaintainCounting(
-    const Unit& unit, std::map<uint32_t, PredDelta>* changed,
-    EvalStats* st) {
-  INFLOG_CHECK(unit.preds.size() == 1);
-  const uint32_t head_pred = unit.preds[0];
-  const PredicateInfo& head_info = program_->predicate(head_pred);
-  const size_t head_idb = head_info.idb_index;
-  Relation& target = state_.relations[head_idb];
-
-  SynthBuilder sb(*program_);
-  INFLOG_ASSIGN_OR_RETURN(const uint32_t synth_head, sb.Map(head_pred));
-  INFLOG_ASSIGN_OR_RETURN(const uint32_t cand_id,
-                          sb.Companion(head_pred, "~cand"));
-  std::vector<size_t> trigger_rules, recount_rules;
-
-  for (const size_t r : unit.rules) {
-    const Rule& orig = program_->rules()[r];
-    // One trigger family per changed body literal: the changed
-    // predicate's full delta (del ∪ ins) is scanned first, the remaining
-    // literals cover old ∪ new — positive changed literals split over
-    // {current, net-deleted}, negated changed literals are dropped (their
-    // old truth is not recoverable from the new state; the recount below
-    // is exact, so candidates only need to over-approximate).
-    for (size_t j = 0; j < orig.body.size(); ++j) {
-      const Literal& lj = orig.body[j];
-      if (!lj.IsPositiveAtom() && !lj.IsNegatedAtom()) continue;
-      const auto cit = changed->find(lj.predicate);
-      if (cit == changed->end() || !cit->second.any()) continue;
-      INFLOG_ASSIGN_OR_RETURN(const uint32_t trig,
-                              sb.Companion(lj.predicate, "~chg"));
-      sb.Bind(trig, &cit->second.chg);
-      std::vector<LitAlternatives> alts;
-      alts.push_back({{Literal::Pos(trig, lj.args)}});
-      for (size_t k = 0; k < orig.body.size(); ++k) {
-        if (k == j) continue;
-        const Literal& lk = orig.body[k];
-        LitAlternatives alt;
-        const bool is_atom = lk.IsPositiveAtom() || lk.IsNegatedAtom();
-        const auto kit = is_atom ? changed->find(lk.predicate)
-                                 : changed->end();
-        const bool k_changed = kit != changed->end() && kit->second.any();
-        if (lk.IsPositiveAtom() && k_changed) {
-          INFLOG_ASSIGN_OR_RETURN(const Literal cur, sb.MapLiteral(lk));
-          INFLOG_ASSIGN_OR_RETURN(const uint32_t dn,
-                                  sb.Companion(lk.predicate, "~dn"));
-          sb.Bind(dn, &kit->second.del);
-          alt.choices.push_back(cur);
-          alt.choices.push_back(Literal::Pos(dn, lk.args));
-        } else if (lk.IsNegatedAtom() && k_changed) {
-          alt.choices.push_back(std::nullopt);
-        } else {
-          INFLOG_ASSIGN_OR_RETURN(const Literal cur, sb.MapLiteral(lk));
-          alt.choices.push_back(cur);
-        }
-        alts.push_back(std::move(alt));
-      }
-      INFLOG_RETURN_IF_ERROR(AddVariants(&sb,
-                                         HeadAtom{synth_head, orig.head.args},
-                                         orig.num_vars, alts,
-                                         &trigger_rules));
-    }
-    // Exact recount: H :- H~cand(head args), <original body> — candidates
-    // first, re-derived over the *new* state only.
-    Rule recount;
-    recount.head = HeadAtom{synth_head, orig.head.args};
-    recount.num_vars = orig.num_vars;
-    recount.body.push_back(Literal::Pos(cand_id, orig.head.args));
-    for (const Literal& lk : orig.body) {
-      INFLOG_ASSIGN_OR_RETURN(Literal mapped, sb.MapLiteral(lk));
-      recount.body.push_back(std::move(mapped));
-    }
-    recount_rules.push_back(sb.prog().rules().size());
-    INFLOG_RETURN_IF_ERROR(sb.prog().AddRule(std::move(recount)));
-  }
-  if (trigger_rules.empty()) return Status::OK();
-
-  Relation cand(head_info.arity, 1);
-  sb.Bind(cand_id, &cand);
-  sb.BindMappedIdb(&state_, {head_pred});
-
-  INFLOG_ASSIGN_OR_RETURN(
-      const EvalContext ctx,
-      EvalContext::CreateWithOverrides(sb.prog(), *database_, sb.overrides(),
-                                       PhaseOptions()));
-  const IdbState dummy = MakeEmptyIdbState(sb.prog(), num_shards_);
-  const std::vector<bool> dyn(sb.prog().idb_predicates().size(), false);
-
-  for (const size_t tr : trigger_rules) {
-    const RulePlan plan = PlanRuleWithOrder(
-        sb.prog(), tr, dyn, -1, AscendingAtomOrder(sb.prog().rules()[tr]));
-    ExecutePlan(ctx, plan, dummy, nullptr, &cand, st);
-  }
-  if (cand.empty()) return Status::OK();
-
-  Relation rederived(head_info.arity, 1);
-  for (const size_t rr : recount_rules) {
-    const RulePlan plan = PlanRuleWithOrder(
-        sb.prog(), rr, dyn, -1, AscendingAtomOrder(sb.prog().rules()[rr]));
-    ExecutePlan(ctx, plan, dummy, nullptr, &rederived, st);
-  }
-
-  // Commit: a candidate belongs to the relation iff the recount
-  // re-derived it (its derivation count is > 0); candidates whose
-  // membership did not change fall through both branches untouched.
-  PredDelta out(head_info.arity);
-  ForEachRow(cand, [&](TupleView row) {
-    st->incremental_recounted++;
-    if (!rederived.Contains(row)) {
-      if (target.Erase(row)) {
-        out.del.Insert(row);
-        out.chg.Insert(row);
-      }
-    } else if (target.Insert(row)) {
-      out.ins.Insert(row);
-      out.chg.Insert(row);
-    }
-  });
-  st->incremental_idb_inserted += out.ins.size();
-  st->incremental_idb_deleted += out.del.size();
-  if (out.any()) changed->emplace(head_pred, std::move(out));
-  return Status::OK();
-}
-
 Status IncrementalSession::MaintainDRed(const Unit& unit,
                                         std::map<uint32_t, PredDelta>* changed,
                                         EvalStats* st) {
@@ -789,7 +679,7 @@ Status IncrementalSession::MaintainDRed(const Unit& unit,
     return it != changed->end() && it->second.any() ? &it->second : nullptr;
   };
 
-  // ---- Phase 1: overcount — close the deleted set over the unit's rules
+  // ---- Phase 1: overdelete — close the deleted set over the unit's rules
   // against the frozen old unit state. Input literals are rewritten to
   // over-approximate their old value from the new one: old B ⊆ B ∪ B~dn
   // for positive literals, old ¬B ⊆ ¬B ∪ B~in for negated ones. The
@@ -798,31 +688,25 @@ Status IncrementalSession::MaintainDRed(const Unit& unit,
   SynthBuilder del_sb(*program_);
   std::vector<size_t> del_seed_rules, del_prop_rules;
   std::map<uint32_t, uint32_t> del_head;  // real pred → P~del synth id
-  const auto old_view = [&](const Literal& lk) -> Result<LitAlternatives> {
-    LitAlternatives alt;
+  const auto old_view = [&](const Literal& lk) -> Result<std::vector<Literal>> {
+    INFLOG_ASSIGN_OR_RETURN(const Literal cur, del_sb.MapLiteral(lk));
     const PredDelta* delta = input_delta(lk);
     if (delta != nullptr && lk.IsPositiveAtom()) {
-      INFLOG_ASSIGN_OR_RETURN(const Literal cur, del_sb.MapLiteral(lk));
       INFLOG_ASSIGN_OR_RETURN(const uint32_t dn,
                               del_sb.Companion(lk.predicate, "~dn"));
       del_sb.Bind(dn, &delta->del);
-      alt.choices.push_back(cur);
-      alt.choices.push_back(Literal::Pos(dn, lk.args));
-    } else if (delta != nullptr && lk.IsNegatedAtom()) {
-      INFLOG_ASSIGN_OR_RETURN(const Literal cur, del_sb.MapLiteral(lk));
+      return std::vector<Literal>{cur, Literal::Pos(dn, lk.args)};
+    }
+    if (delta != nullptr && lk.IsNegatedAtom()) {
       INFLOG_ASSIGN_OR_RETURN(const uint32_t in,
                               del_sb.Companion(lk.predicate, "~in"));
       del_sb.Bind(in, &delta->ins);
-      alt.choices.push_back(cur);
-      alt.choices.push_back(Literal::Pos(in, lk.args));
-    } else {
-      // In-unit literals read the frozen old unit state (the session
-      // relations, pruned only in phase 2); unchanged inputs and
-      // (in)equalities are identical in both states.
-      INFLOG_ASSIGN_OR_RETURN(const Literal cur, del_sb.MapLiteral(lk));
-      alt.choices.push_back(cur);
+      return std::vector<Literal>{cur, Literal::Pos(in, lk.args)};
     }
-    return alt;
+    // In-unit literals read the frozen old unit state (the session
+    // relations, pruned only in phase 2); unchanged inputs and
+    // (in)equalities are identical in both states.
+    return std::vector<Literal>{cur};
   };
   for (const size_t r : unit.rules) {
     const Rule& orig = rules[r];
@@ -852,11 +736,11 @@ Status IncrementalSession::MaintainDRed(const Unit& unit,
       } else {
         continue;
       }
-      std::vector<LitAlternatives> alts;
-      alts.push_back({{*trigger}});
+      std::vector<std::vector<Literal>> alts = {{*trigger}};
       for (size_t k = 0; k < orig.body.size(); ++k) {
         if (k == j) continue;
-        INFLOG_ASSIGN_OR_RETURN(LitAlternatives alt, old_view(orig.body[k]));
+        INFLOG_ASSIGN_OR_RETURN(std::vector<Literal> alt,
+                                old_view(orig.body[k]));
         alts.push_back(std::move(alt));
       }
       INFLOG_RETURN_IF_ERROR(AddVariants(&del_sb,
@@ -878,54 +762,18 @@ Status IncrementalSession::MaintainDRed(const Unit& unit,
         const EvalContext del_ctx,
         EvalContext::CreateWithOverrides(del_sb.prog(), *database_,
                                          del_sb.overrides(), PhaseOptions()));
-    const size_t num_del_idb = del_sb.prog().idb_predicates().size();
     IdbState del_state = MakeEmptyIdbState(del_sb.prog(), num_shards_);
-    const std::vector<bool> dyn(num_del_idb, false);
-    std::vector<Relation> buffers;
-    buffers.reserve(num_del_idb);
-    for (const uint32_t sp : del_sb.prog().idb_predicates()) {
-      buffers.emplace_back(del_sb.prog().predicate(sp).arity, num_shards_);
-    }
-    for (const size_t sr : del_seed_rules) {
-      const Rule& rule = del_sb.prog().rules()[sr];
-      const RulePlan plan = PlanRuleWithOrder(del_sb.prog(), sr, dyn, -1,
-                                              AscendingAtomOrder(rule));
-      const size_t idb =
-          del_sb.prog().predicate(rule.head.predicate).idb_index;
-      ExecutePlan(del_ctx, plan, del_state, nullptr, &buffers[idb], st);
-    }
-    DeltaRanges seeds(num_del_idb,
-                      std::vector<ShardRange>(num_shards_, {0, 0}));
-    if (MergeRecordingRanges(buffers, &del_state, &seeds)) {
-      if (!del_prop_rules.empty()) {
-        SemiNaiveOptions sn;
-        sn.rule_subset = del_prop_rules;
-        sn.pool_cache = &pool_;
-        sn.initial_deltas = &seeds;
-        const SemiNaiveOutcome outcome =
-            RunSemiNaive(del_ctx, sn, &del_state);
-        st->Add(outcome.stats);
-      }
-      // ---- Phase 2: prune the candidates that are actually present. ----
-      for (size_t i = 0; i < num_del_idb; ++i) {
-        const uint32_t sp = del_sb.prog().idb_predicates()[i];
-        // Invert the companion mapping deterministically.
-        uint32_t real = kNoPredicate;
-        for (const auto& [rp, dh] : del_head) {
-          if (dh == sp) {
-            real = rp;
-            break;
-          }
-        }
-        INFLOG_CHECK(real != kNoPredicate);
-        Relation& target =
-            state_.relations[program_->predicate(real).idb_index];
-        Relation& rm = removed.at(real);
-        ForEachRow(del_state.relations[i], [&](TupleView row) {
-          st->incremental_del_candidates++;
-          if (target.Erase(row)) rm.Insert(row);
-        });
-      }
+    RunSeededPhase(del_ctx, del_seed_rules, del_prop_rules, &pool_,
+                   &del_state, st);
+    // ---- Phase 2: prune the candidates that are actually present. ----
+    for (const auto& [real, dhead] : del_head) {
+      Relation& target = state_.relations[program_->predicate(real).idb_index];
+      Relation& rm = removed.at(real);
+      const size_t del_idb = del_sb.prog().predicate(dhead).idb_index;
+      ForEachRow(del_state.relations[del_idb], [&](TupleView row) {
+        st->incremental_del_candidates++;
+        if (target.Erase(row)) rm.Insert(row);
+      });
     }
   }
 
@@ -1001,63 +849,35 @@ Status IncrementalSession::MaintainDRed(const Unit& unit,
       const EvalContext ins_ctx,
       EvalContext::CreateWithOverrides(ins_sb.prog(), *database_,
                                        ins_sb.overrides(), PhaseOptions()));
+  // Move the unit relations into the phase state, recording their
+  // physical shard sizes: every row appended past these during phases
+  // 3–4 is a net addition candidate (Erase tombstones in place, so the
+  // pruning above did not move anything).
   const size_t num_unit_idb = ins_sb.prog().idb_predicates().size();
   std::vector<size_t> real_idb_of(num_unit_idb);
+  std::vector<const Relation*> removed_of(num_unit_idb);
+  std::vector<std::vector<size_t>> base(num_unit_idb);
+  IdbState phase = MakeEmptyIdbState(ins_sb.prog(), num_shards_);
   for (size_t si = 0; si < num_unit_idb; ++si) {
     const uint32_t sp = ins_sb.prog().idb_predicates()[si];
     INFLOG_ASSIGN_OR_RETURN(
         const uint32_t real,
         program_->FindPredicate(ins_sb.prog().predicate(sp).name));
     real_idb_of[si] = program_->predicate(real).idb_index;
-  }
-
-  // Baseline physical sizes: every row appended past these during phases
-  // 3–4 is a net addition candidate (Erase tombstones in place, so the
-  // pruning above did not move anything).
-  std::vector<std::vector<size_t>> base(num_unit_idb,
-                                        std::vector<size_t>(num_shards_));
-  IdbState phase = MakeEmptyIdbState(ins_sb.prog(), num_shards_);
-  for (size_t si = 0; si < num_unit_idb; ++si) {
+    removed_of[si] = &removed.at(real);
     phase.relations[si] = std::move(state_.relations[real_idb_of[si]]);
     for (size_t s = 0; s < num_shards_; ++s) {
-      base[si][s] = phase.relations[si].ShardSize(s);
+      base[si].push_back(phase.relations[si].ShardSize(s));
     }
   }
-  const std::vector<bool> dyn(num_unit_idb, false);
 
   // ---- Phase 3: rederive. ----
   bool any_removed = false;
   for (const auto& [p, rm] : removed) any_removed |= !rm.empty();
   if (any_removed) {
-    std::vector<Relation> buffers;
-    buffers.reserve(num_unit_idb);
+    RunSeededPhase(ins_ctx, reder_rules, reder_rules, &pool_, &phase, st);
     for (size_t si = 0; si < num_unit_idb; ++si) {
-      buffers.emplace_back(phase.relations[si].arity(), num_shards_);
-    }
-    for (const size_t rr : reder_rules) {
-      const Rule& rule = ins_sb.prog().rules()[rr];
-      const RulePlan plan = PlanRuleWithOrder(ins_sb.prog(), rr, dyn, -1,
-                                              AscendingAtomOrder(rule));
-      const size_t idb =
-          ins_sb.prog().predicate(rule.head.predicate).idb_index;
-      ExecutePlan(ins_ctx, plan, phase, nullptr, &buffers[idb], st);
-    }
-    DeltaRanges seeds(num_unit_idb,
-                      std::vector<ShardRange>(num_shards_, {0, 0}));
-    if (MergeRecordingRanges(buffers, &phase, &seeds)) {
-      SemiNaiveOptions sn;
-      sn.rule_subset = reder_rules;
-      sn.pool_cache = &pool_;
-      sn.initial_deltas = &seeds;
-      const SemiNaiveOutcome outcome = RunSemiNaive(ins_ctx, sn, &phase);
-      st->Add(outcome.stats);
-    }
-    for (size_t si = 0; si < num_unit_idb; ++si) {
-      const uint32_t sp = ins_sb.prog().idb_predicates()[si];
-      INFLOG_ASSIGN_OR_RETURN(
-          const uint32_t real,
-          program_->FindPredicate(ins_sb.prog().predicate(sp).name));
-      ForEachRow(removed.at(real), [&](TupleView row) {
+      ForEachRow(*removed_of[si], [&](TupleView row) {
         if (phase.relations[si].Contains(row)) st->incremental_rederived++;
       });
     }
@@ -1065,65 +885,35 @@ Status IncrementalSession::MaintainDRed(const Unit& unit,
 
   // ---- Phase 4: insert. ----
   if (!ins_seed_rules.empty()) {
-    std::vector<Relation> buffers;
-    buffers.reserve(num_unit_idb);
-    for (size_t si = 0; si < num_unit_idb; ++si) {
-      buffers.emplace_back(phase.relations[si].arity(), num_shards_);
-    }
-    for (const size_t sr : ins_seed_rules) {
-      const Rule& rule = ins_sb.prog().rules()[sr];
-      const RulePlan plan = PlanRuleWithOrder(ins_sb.prog(), sr, dyn, -1,
-                                              AscendingAtomOrder(rule));
-      const size_t idb =
-          ins_sb.prog().predicate(rule.head.predicate).idb_index;
-      ExecutePlan(ins_ctx, plan, phase, nullptr, &buffers[idb], st);
-    }
-    DeltaRanges seeds(num_unit_idb,
-                      std::vector<ShardRange>(num_shards_, {0, 0}));
-    if (MergeRecordingRanges(buffers, &phase, &seeds)) {
-      SemiNaiveOptions sn;
-      sn.rule_subset = closure_rules;
-      sn.pool_cache = &pool_;
-      sn.initial_deltas = &seeds;
-      const SemiNaiveOutcome outcome = RunSemiNaive(ins_ctx, sn, &phase);
-      st->Add(outcome.stats);
-    }
+    RunSeededPhase(ins_ctx, ins_seed_rules, closure_rules, &pool_, &phase,
+                   st);
   }
 
   // Move the unit relations home and net out the update's effect:
   // removed-and-not-back is a deletion, appended-and-not-removed is an
   // insertion (a tuple both removed and re-appended cancels).
   for (size_t si = 0; si < num_unit_idb; ++si) {
-    state_.relations[real_idb_of[si]] = std::move(phase.relations[si]);
-  }
-  for (size_t si = 0; si < num_unit_idb; ++si) {
-    const uint32_t sp = ins_sb.prog().idb_predicates()[si];
-    INFLOG_ASSIGN_OR_RETURN(
-        const uint32_t real,
-        program_->FindPredicate(ins_sb.prog().predicate(sp).name));
     Relation& target = state_.relations[real_idb_of[si]];
-    const Relation& rm = removed.at(real);
+    target = std::move(phase.relations[si]);
+    const Relation& rm = *removed_of[si];
     PredDelta out(target.arity());
     ForEachRow(rm, [&](TupleView row) {
-      if (!target.Contains(row)) {
-        out.del.Insert(row);
-        out.chg.Insert(row);
-      }
+      if (!target.Contains(row)) out.del.Insert(row);
     });
     for (size_t s = 0; s < num_shards_; ++s) {
       const Relation::ShardView view = target.shard(s);
       for (size_t row = base[si][s]; row < view.size(); ++row) {
-        if (!view.IsLive(row)) continue;
-        const TupleView t = view.Row(row);
-        if (!rm.Contains(t)) {
-          out.ins.Insert(t);
-          out.chg.Insert(t);
+        if (view.IsLive(row) && !rm.Contains(view.Row(row))) {
+          out.ins.Insert(view.Row(row));
         }
       }
     }
     st->incremental_idb_inserted += out.ins.size();
     st->incremental_idb_deleted += out.del.size();
-    if (out.any()) changed->emplace(real, std::move(out));
+    if (out.any()) {
+      changed->emplace(program_->idb_predicates()[real_idb_of[si]],
+                       std::move(out));
+    }
   }
   return Status::OK();
 }

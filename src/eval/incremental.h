@@ -1,5 +1,5 @@
-// Incremental view maintenance: counting + DRed, so an update costs
-// O(delta) instead of O(database).
+// Incremental view maintenance by DRed, so an update costs O(delta)
+// instead of O(database).
 //
 // An IncrementalSession pins one (program, database, semantics) triple,
 // evaluates it once from scratch, and then maintains the materialized IDB
@@ -7,34 +7,26 @@
 // program's IDB predicates are decomposed into *units* — strongly
 // connected components of the predicate dependency graph, processed in
 // topological (dependency-first) order, which refines the stratification —
-// and each unit is maintained by the algorithm its shape admits:
+// and every affected unit is maintained by DRed (delete-and-rederive;
+// Gupta, Mumick & Subrahmanian, SIGMOD 1993): (1) overdelete — propagate
+// deletions through the unit's rules over the frozen old unit state, as a
+// seeded semi-naive fixpoint over synthesized "P~del" companion
+// predicates; (2) prune the candidates from the state (Relation::Erase
+// tombstones); (3) rederive — re-prove pruned tuples from the surviving
+// state, again a seeded fixpoint; (4) insert — seed the unit's own rules
+// with the inserted-input triggers and close under the original rules.
+// Phases 1, 3 and 4 run one routine: the seed rules' plans, trigger
+// literal first, then RunSemiNaive resumed from what they derived
+// (SemiNaiveOptions::initial_deltas), on the parallel stage dispatch of
+// RelationalConsequence, so phase cost is O(delta), not O(state). A
+// non-recursive unit is the degenerate case: its overdelete has no
+// propagation rules, nothing closes, and its phases are the seed passes
+// alone.
 //
-//   * Non-recursive units (singleton SCCs without self-loops) are
-//     maintained by counting, without storing the counts: a tuple is in
-//     the relation iff its derivation count is > 0. An update derives a
-//     superset of the tuples whose support may have changed (trigger
-//     passes scanning the small delta relations first), re-derives
-//     exactly those candidates against the new state, and inserts the
-//     re-derived candidates / erases the rest. No mixed old/new-state
-//     joins: candidate generation over-approximates (the recount is
-//     exact), so old-state views reduce to splitting changed body
-//     literals over {current relation, net-deleted delta}.
-//
-//   * Recursive units run DRed (delete-and-rederive): (1) overcount —
-//     propagate deletions through the unit's rules over the frozen old
-//     unit state, as a seeded semi-naive fixpoint over synthesized "P~del"
-//     companion predicates; (2) prune the candidates from the state
-//     (Relation::Erase tombstones); (3) rederive — re-prove pruned tuples
-//     from the surviving state, again a seeded fixpoint; (4) insert — seed
-//     the unit's own rules with the inserted-input triggers and close
-//     under the original rules. Every phase reuses the parallel stage
-//     dispatch of RelationalConsequence via SemiNaiveOptions::
-//     initial_deltas, so phase cost is O(delta), not O(state).
-//
-// Companion predicates ("P~del", "P~rm", "P~cand", net-delta views) exist
-// only in per-phase synthesized programs; they are bound to small
-// temporary relations through EvalContext::CreateWithOverrides — the
-// database never owns a copy, and the session state's relations are
+// Companion predicates ("P~del", "P~rm", and the net-delta views "P~dn",
+// "P~in") exist only in per-phase synthesized programs; they are bound to
+// small temporary relations through EvalContext::CreateWithOverrides —
+// the database never owns a copy, and the session state's relations are
 // std::move()d between the real program's idb_index space and a phase
 // program's without copying rows.
 //
@@ -173,19 +165,15 @@ class IncrementalSession {
   struct Unit {
     std::vector<uint32_t> preds;  ///< Predicate ids (real program).
     std::vector<size_t> rules;    ///< Indices into program.rules().
-    bool recursive = false;       ///< SCC size > 1 or a self-loop.
   };
 
   /// Net EDB/IDB delta of one predicate within one update: the tuples
-  /// that left (`del`), the tuples that arrived (`ins`), and their union
-  /// (`chg`), each a small unsharded relation the phase programs bind as
-  /// companion predicates.
+  /// that left (`del`) and the tuples that arrived (`ins`), each a small
+  /// unsharded relation the phase programs bind as companion predicates.
   struct PredDelta {
-    explicit PredDelta(size_t arity)
-        : del(arity), ins(arity), chg(arity) {}
+    explicit PredDelta(size_t arity) : del(arity), ins(arity) {}
     Relation del;
     Relation ins;
-    Relation chg;
     bool any() const { return del.size() + ins.size() > 0; }
   };
 
@@ -198,9 +186,6 @@ class IncrementalSession {
   Status FullRecompute(EvalStats* stats);
   EvalContextOptions PhaseOptions() const;
 
-  Status MaintainCounting(const Unit& unit,
-                          std::map<uint32_t, PredDelta>* changed,
-                          EvalStats* stats);
   Status MaintainDRed(const Unit& unit,
                       std::map<uint32_t, PredDelta>* changed,
                       EvalStats* stats);

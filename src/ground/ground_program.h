@@ -78,9 +78,10 @@ class AtomTable {
 };
 
 /// One ground rule body: positive and negated IDB atoms (sorted,
-/// deduplicated atom ids). The EDB part has already been checked true;
-/// bodies containing some atom both positively and negatively were
-/// dropped as unsatisfiable before interning.
+/// deduplicated atom ids). The EDB part has already been checked true.
+/// A body may hold an atom both positively and negatively: it is false in
+/// every total interpretation, but undefined in the well-founded model
+/// when the atom is, so it is kept.
 struct GroundBody {
   std::vector<uint32_t> pos;
   std::vector<uint32_t> neg;

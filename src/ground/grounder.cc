@@ -358,12 +358,6 @@ class RuleGrounder {
     };
     canonicalize(&body.pos);
     canonicalize(&body.neg);
-    // A body with a ∧ ¬a is unsatisfiable; drop the instantiation.
-    for (uint32_t a : body.pos) {
-      if (std::binary_search(body.neg.begin(), body.neg.end(), a)) {
-        return Status::OK();
-      }
-    }
     const uint32_t body_id = out_->bodies.GetOrAdd(std::move(body));
     size_t count;
     if (mode_ == Mode::kBodies) {
@@ -439,13 +433,8 @@ Result<GroundProgram> GroundProgramFor(const Program& program,
   }
 
   // Evaluation universe: active domain plus program constants.
-  std::vector<Value> universe = database.universe();
-  {
-    std::unordered_set<Value> seen(universe.begin(), universe.end());
-    for (Value v : program.Constants()) {
-      if (seen.insert(v).second) universe.push_back(v);
-    }
-  }
+  const std::vector<Value> universe =
+      database.UniverseWith(program.Constants());
 
   GroundProgram out;
   std::unordered_set<uint64_t> seen_rules;

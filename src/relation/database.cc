@@ -24,6 +24,15 @@ void Database::AddUniverseValue(Value value) {
   }
 }
 
+std::vector<Value> Database::UniverseWith(
+    const std::vector<Value>& constants) const {
+  std::vector<Value> out = universe_;
+  for (const Value v : constants) {
+    if (!InUniverse(v)) out.push_back(v);
+  }
+  return out;
+}
+
 Value Database::AddUniverseSymbol(std::string_view name) {
   const Value v = symbols_->Intern(name);
   AddUniverseValue(v);

@@ -105,6 +105,11 @@ class Database {
     return universe_set_.find(value) != universe_set_.end();
   }
 
+  /// The universe followed by each of `constants` that is not in it, in
+  /// the given order: the evaluation universe a program's variables range
+  /// over. `constants` must be duplicate-free, as Program::Constants() is.
+  std::vector<Value> UniverseWith(const std::vector<Value>& constants) const;
+
   /// Renders every relation plus the universe, for debugging and goldens.
   std::string ToString() const;
 

@@ -5,7 +5,8 @@
 // fact sets additively (ParseDatabaseInto / AddFact on a live database,
 // and Database::MergeFrom for whole-database unions). These paths were
 // previously exercised only indirectly through the semantics tests; this
-// file pins them down directly with relations of arity 0 through 3.
+// file pins them down directly with relations of arity 0 through 3, and
+// pins the order of the evaluation universe (Database::UniverseWith).
 
 #include <gtest/gtest.h>
 
@@ -134,6 +135,24 @@ TEST(DatabaseMergeTest, SnapshotThenDivergeThenMergeBack) {
   EXPECT_TRUE(base.HasRelation("W"));
   EXPECT_EQ((*base.GetRelation("T"))->size(), 1u);
   EXPECT_TRUE(base.InUniverse(base.symbols().Find("d")));
+}
+
+TEST(DatabaseUniverseTest, UniverseWithAppendsOutsideConstantsInOrder) {
+  // The evaluation universe: the database's universe in insertion order,
+  // then each constant outside it in the order given; constants already
+  // in the universe keep their place.
+  Database db;
+  ASSERT_TRUE(db.AddFactNamed("E", {"b", "a"}).ok());
+  db.AddUniverseSymbol("c");
+  const Value a = db.symbols().Find("a");
+  const Value b = db.symbols().Find("b");
+  const Value c = db.symbols().Find("c");
+  const Value y = db.symbols().Intern("y");
+  const Value z = db.symbols().Intern("z");
+  EXPECT_EQ(db.UniverseWith({z, a, y, c}),
+            (std::vector<Value>{b, a, c, z, y}));
+  EXPECT_EQ(db.UniverseWith({}), db.universe());
+  EXPECT_FALSE(db.InUniverse(z));  // the database itself is untouched
 }
 
 }  // namespace

@@ -116,8 +116,7 @@ TEST(GrounderProjectionTest, RulesWithoutAnInstanceLeaveNoAuxiliaryRules) {
 
 /// Every rule instantiated over every assignment of its variables; EDB
 /// literals and (in)equalities evaluated, IDB literals kept. Unlike the
-/// library's grounder it projects nothing and drops no instantiation
-/// whose body holds an atom and its negation.
+/// library's grounder it projects nothing.
 GroundProgram NaiveGround(const Program& program, const Database& db) {
   std::vector<Value> universe = db.universe();
   for (Value v : program.Constants()) {
@@ -203,10 +202,7 @@ std::pair<IdbState, IdbState> ReferenceWellFounded(const Program& program,
 /// A random program over E/2 with IDB predicates T/1, S/1 and Q/0 (nine
 /// atoms over four elements, so brute force stays cheap). Rule bodies mix
 /// head-connected literals with existential ones over the fresh variables
-/// F1, F2, positive or negated, IDB or EDB. No predicate occurs with both
-/// signs among a rule's other literals: the grounder drops an
-/// instantiation holding an atom and its negation, which two-valued
-/// semantics never notice but the well-founded model can.
+/// F1, F2, positive or negated, IDB or EDB.
 std::string RandomProjectableProgram(Rng* rng) {
   const char* vars[] = {"X", "Y", "Z"};
   const auto var = [&] { return vars[rng->Uniform(3)]; };
@@ -214,15 +210,6 @@ std::string RandomProjectableProgram(Rng* rng) {
   for (const char* head : {"T", "S", "Q", "T", "S"}) {
     if (rng->Bernoulli(0.3)) continue;
     std::vector<std::string> body;
-    std::vector<std::string> signs;  // "+T", "-S", ...
-    const auto add = [&](std::string pred, bool positive, std::string lit) {
-      const std::string opposite = (positive ? "-" : "+") + pred;
-      if (std::find(signs.begin(), signs.end(), opposite) != signs.end()) {
-        return;
-      }
-      signs.push_back((positive ? "+" : "-") + pred);
-      body.push_back(std::move(lit));
-    };
     const int num_lits = static_cast<int>(rng->Uniform(3));
     for (int l = 0; l < num_lits; ++l) {
       switch (rng->Uniform(6)) {
@@ -233,14 +220,12 @@ std::string RandomProjectableProgram(Rng* rng) {
         case 2: {
           const bool positive = rng->Bernoulli(0.5);
           const char* pred = rng->Bernoulli(0.5) ? "T" : "S";
-          add(pred, positive, StrCat(positive ? "" : "!", pred, "(", var(), ")"));
+          body.push_back(StrCat(positive ? "" : "!", pred, "(", var(), ")"));
           break;
         }
-        case 3: {
-          const bool positive = rng->Bernoulli(0.5);
-          add("Q", positive, positive ? "Q" : "!Q");
+        case 3:
+          body.push_back(rng->Bernoulli(0.5) ? "Q" : "!Q");
           break;
-        }
         default:
           body.push_back(StrCat(var(), rng->Bernoulli(0.5) ? " = " : " != ",
                                 var()));

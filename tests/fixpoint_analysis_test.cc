@@ -7,6 +7,7 @@
 
 #include "src/base/rng.h"
 #include "src/base/strings.h"
+#include "src/eval/wellfounded.h"
 #include "src/fixpoint/analysis.h"
 #include "src/fixpoint/brute_force.h"
 #include "src/ground/grounder.h"
@@ -65,15 +66,25 @@ TEST(GrounderTest, UnsatisfiableEdbPartDropsInstances) {
   EXPECT_TRUE(g->rules.empty());
 }
 
-TEST(GrounderTest, PosNegClashDropsRule) {
+TEST(GrounderTest, PosNegClashIsUndefinedUnderWellFounded) {
+  // H's body holds A(x) and !A(x). No total interpretation satisfies it,
+  // but A is undefined in the well-founded model, so H is undefined too
+  // (Van Gelder's alternation over the full grounding): the grounder must
+  // keep such an instantiation.
   auto symbols = std::make_shared<SymbolTable>();
-  Program p = MustProgram("T(X) :- S(X), !S(X).\nS(X) :- E(X,Y).", symbols);
-  Database db = DbFromGraph(PathGraph(2), symbols);
-  auto g = GroundProgramFor(p, db);
-  ASSERT_TRUE(g.ok());
-  for (const GroundRule& r : g->rules) {
-    EXPECT_NE(p.predicate(g->atoms.atom(r.head).predicate).name, "T");
-  }
+  Program p = MustProgram(
+      "A(X) :- S(X), !A(X).\nH(X) :- S(X), A(X), !A(X).", symbols);
+  Database db(symbols);
+  ASSERT_TRUE(db.AddFactNamed("S", {"1"}).ok());
+  ASSERT_TRUE(db.AddFactNamed("S", {"2"}).ok());
+  auto wf = EvalWellFounded(p, db);
+  ASSERT_TRUE(wf.ok()) << wf.status().ToString();
+  EXPECT_FALSE(wf->total);
+  EXPECT_EQ(IdbRelation(p, wf->true_state, "H").size(), 0u);
+  EXPECT_EQ(UnarySet(*symbols, IdbRelation(p, wf->undefined_state, "A")),
+            (std::set<std::string>{"1", "2"}));
+  EXPECT_EQ(UnarySet(*symbols, IdbRelation(p, wf->undefined_state, "H")),
+            (std::set<std::string>{"1", "2"}));
 }
 
 TEST(GrounderTest, InequalityFiltersInstances) {

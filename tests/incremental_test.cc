@@ -1,7 +1,7 @@
-// Tests for incremental view maintenance (src/eval/incremental.h):
-// counting on non-recursive units (duplicate derivations, multi-rule
-// support, negation across strata), DRed on recursive units (alternate-
-// path rederivation, cycle-disconnecting deletes), the oracle fallbacks
+// Tests for incremental view maintenance (src/eval/incremental.h): DRed
+// on non-recursive units (duplicate derivations, multi-rule support,
+// negation across strata) and on recursive ones (alternate-path
+// rederivation, cycle-disconnecting deletes), the oracle fallbacks
 // (grounded semantics, non-positive inflationary programs, universe
 // growth under active-domain negation), batch netting, error paths, and
 // the ParseUpdateLine format. Every maintained state is cross-checked
@@ -70,7 +70,7 @@ class IncrementalTest : public ::testing::Test {
   std::unique_ptr<Engine> engine_;
 };
 
-// --- Counting (non-recursive units). ---
+// --- Non-recursive units. ---
 
 TEST_F(IncrementalTest, CountingInsertAndDelete) {
   Load("P(X,Z) :- A(X,Y), B(Y,Z).", "A(1,2). B(2,3).");
@@ -81,7 +81,7 @@ TEST_F(IncrementalTest, CountingInsertAndDelete) {
   auto r = engine_->ApplyUpdate({Fact("A", {"5", "2"})}, {});
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->used_oracle);
-  EXPECT_EQ(r->stats.incremental_counting_units, 1u);
+  EXPECT_EQ(r->stats.incremental_dred_units, 1u);
   EXPECT_EQ(r->stats.incremental_idb_inserted, 1u);
   ExpectMatchesScratch(SemanticsKind::kStratified);
 
@@ -94,14 +94,19 @@ TEST_F(IncrementalTest, CountingInsertAndDelete) {
 
 TEST_F(IncrementalTest, CountingKeepsTuplesWithSurvivingDerivations) {
   // P(1) has two derivations (through Y=2 and Y=3): deleting one support
-  // must not delete the tuple — its count stays above zero.
-  Load("P(X) :- A(X,Y).", "A(1,2). A(1,3).");
+  // must not delete the tuple. DRed prunes it and re-derives it through
+  // the other, so it nets out: neither P nor the downstream Q changed,
+  // and Q's unit is not maintained at all.
+  Load("P(X) :- A(X,Y).\nQ(X) :- P(X).", "A(1,2). A(1,3).");
   ASSERT_TRUE(engine_->BeginIncremental(SemanticsKind::kStratified).ok());
 
   auto r = engine_->ApplyUpdate({}, {Fact("A", {"1", "2"})});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(Maintained("P"), (std::vector<std::vector<std::string>>{{"1"}}));
   EXPECT_EQ(r->stats.incremental_idb_deleted, 0u);
+  EXPECT_EQ(r->stats.incremental_rederived, 1u);
+  EXPECT_EQ(r->stats.incremental_dred_units, 1u);
+  EXPECT_EQ(r->changed_relations, (std::vector<std::string>{"A"}));
 
   r = engine_->ApplyUpdate({}, {Fact("A", {"1", "3"})});
   ASSERT_TRUE(r.ok());
@@ -147,7 +152,7 @@ TEST_F(IncrementalTest, CountingAcrossNegation) {
   ExpectMatchesScratch(SemanticsKind::kStratified);
 }
 
-// --- DRed (recursive units). ---
+// --- Recursive units. ---
 
 constexpr char kTc[] = "T(X,Y) :- E(X,Y).\nT(X,Z) :- T(X,Y), E(Y,Z).";
 
@@ -190,8 +195,8 @@ TEST_F(IncrementalTest, DRedCycleDisconnectingDelete) {
 }
 
 TEST_F(IncrementalTest, MixedBatchOnRecursiveAndNonRecursiveUnits) {
-  // One update batch touching a counting unit (D) and a DRed unit (T)
-  // at once, with both an insert and a delete.
+  // One update batch touching a non-recursive unit (D) and a recursive
+  // one (T) at once, with both an insert and a delete.
   Load("T(X,Y) :- E(X,Y).\nT(X,Z) :- T(X,Y), E(Y,Z).\nD(X) :- T(X,X).",
        "E(1,2). E(2,1). E(2,3).");
   ASSERT_TRUE(engine_->BeginIncremental(SemanticsKind::kStratified).ok());
@@ -202,8 +207,7 @@ TEST_F(IncrementalTest, MixedBatchOnRecursiveAndNonRecursiveUnits) {
                                 {Fact("E", {"2", "1"})});
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->used_oracle);
-  EXPECT_EQ(r->stats.incremental_dred_units, 1u);
-  EXPECT_EQ(r->stats.incremental_counting_units, 1u);
+  EXPECT_EQ(r->stats.incremental_dred_units, 2u);
   // The cycle now runs 1→2→3→1: everyone still reaches themselves.
   EXPECT_EQ(Maintained("D"),
             (std::vector<std::vector<std::string>>{{"1"}, {"2"}, {"3"}}));
@@ -224,7 +228,6 @@ TEST_F(IncrementalTest, EmptyDeltaIsANoOp) {
   EXPECT_FALSE(r->used_oracle);
   EXPECT_EQ(r->stats.incremental_edb_inserted, 0u);
   EXPECT_EQ(r->stats.incremental_edb_deleted, 0u);
-  EXPECT_EQ(r->stats.incremental_counting_units, 0u);
   EXPECT_EQ(r->stats.incremental_dred_units, 0u);
   ExpectMatchesScratch(SemanticsKind::kStratified);
 
@@ -267,7 +270,7 @@ TEST_F(IncrementalTest, InflationaryPositiveMaintainsIncrementally) {
 }
 
 TEST_F(IncrementalTest, InflationaryWithNegationFallsBackToOracle) {
-  // Θ^∞ of a non-positive program is not maintainable by counting/DRed
+  // Θ^∞ of a non-positive program is not maintainable by DRed
   // (the inflationary union is order-sensitive); every update must run
   // the recompute oracle and still land on the right state.
   Load("T(X) :- E(Y,X), !T(Y).", "E(1,2). E(2,3).");

@@ -833,8 +833,8 @@ TEST_P(ParallelDeterminism, IncrementalMaintenanceMatchesScratchAcrossSweep) {
   // count the maintained state is row-identical across every (threads,
   // scheduler) configuration, and every configuration's state equals a
   // from-scratch evaluation of the post-update database as a set. Run the
-  // sweep on a recursive-plus-negation stratified program (counting and
-  // DRed units both maintained) and a positive inflationary one.
+  // sweep on a recursive-plus-negation stratified program (recursive and
+  // non-recursive units both maintained) and a positive inflationary one.
   const UpdateStream stream = RandomUpdateStream(8800 + GetParam());
   struct Case {
     SemanticsKind kind;
