@@ -19,7 +19,6 @@
 #include "src/fixpoint/analysis.h"
 #include "src/logic/thm1.h"
 #include "src/reductions/sat_db.h"
-#include "src/sat/portfolio.h"
 #include "src/sat/solver.h"
 
 namespace inflog {
@@ -136,27 +135,19 @@ void BM_Thm1CompiledSat(benchmark::State& state) {
 BENCHMARK(BM_Thm1CompiledSat)->Arg(8)->Arg(12)
     ->Unit(benchmark::kMillisecond);
 
-// --- CDCL core ablation: the modern-solver features, toggled one at a
-// time over the same instances. Config 0 reproduces the seed solver
-// (no preprocessing, no learnt deletion, single instance); config 4 is
-// the full modern core. Every iteration cross-checks its verdict against
-// the seed configuration's, so a speedup can never come from a changed
-// answer. Wall-clock (UseRealTime) so portfolio racing is measured
-// honestly rather than as the calling thread's CPU share. ---
+// --- CDCL preprocessing ablation: the same instances solved raw and
+// with the preprocessing front-end. Every iteration cross-checks its
+// verdict against the raw configuration's, so a speedup can never come
+// from a changed answer. ---
 
 struct SatConfig {
   const char* name;
   bool preprocess;
-  bool reduce_db;
-  size_t portfolio;
 };
 
 constexpr SatConfig kSatConfigs[] = {
-    {"seed", false, false, 1},
-    {"deletion", false, true, 1},
-    {"preprocess", true, false, 1},
-    {"modern", true, true, 1},
-    {"modern_portfolio4", true, true, 4},
+    {"raw", false},
+    {"preprocess", true},
 };
 
 /// A random 3-CNF core extended with definitional variables: each original
@@ -188,12 +179,10 @@ void BM_CdclAblation(benchmark::State& state) {
   Rng rng(num_vars * 2027 + 11);
   const sat::Cnf cnf =
       DefinitionalExtension(bench::Random3Sat(num_vars, 4.3, &rng));
-  // The reference verdict, from the seed configuration.
+  // The reference verdict, from the raw configuration.
   sat::SolveResult expected;
   {
-    sat::SolverOptions opts;
-    opts.reduce_db = false;
-    sat::Solver s(opts);
+    sat::Solver s;
     s.AddCnf(cnf);
     expected = s.Solve();
   }
@@ -201,9 +190,7 @@ void BM_CdclAblation(benchmark::State& state) {
   for (auto _ : state) {
     sat::SolverOptions opts;
     opts.preprocess = cfg.preprocess;
-    opts.reduce_db = cfg.reduce_db;
-    opts.portfolio_threads = cfg.portfolio;
-    sat::PortfolioSolver solver(opts);
+    sat::Solver solver(opts);
     solver.AddCnf(cnf);
     const sat::SolveResult got = solver.Solve();
     INFLOG_CHECK(got == expected) << cfg.name;  // ablation cross-check
@@ -213,8 +200,6 @@ void BM_CdclAblation(benchmark::State& state) {
   state.counters["vars"] = num_vars;
   state.counters["clauses"] = static_cast<double>(cnf.clauses.size());
   state.counters["preprocess"] = cfg.preprocess ? 1 : 0;
-  state.counters["deletion"] = cfg.reduce_db ? 1 : 0;
-  state.counters["portfolio"] = static_cast<double>(cfg.portfolio);
   state.counters["conflicts"] = static_cast<double>(stats.conflicts);
   state.counters["learned"] = static_cast<double>(stats.learned_clauses);
   state.counters["deleted"] = static_cast<double>(stats.deleted_clauses);
@@ -224,8 +209,7 @@ void BM_CdclAblation(benchmark::State& state) {
       expected == sat::SolveResult::kSat ? 1 : 0;
 }
 BENCHMARK(BM_CdclAblation)
-    ->ArgsProduct({{60, 90, 120}, {0, 1, 2, 3, 4}})
-    ->UseRealTime()
+    ->ArgsProduct({{60, 90, 120}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -198,10 +198,6 @@ std::vector<Flag> Flags(Settings* s) {
       {"--stats", "", "print the run's counters", Switch(&s->print_stats)},
       {"--sat-preprocess", "0|1", "CDCL preprocessing (default 0)",
        Count(1, [&e](size_t n) { e.sat.preprocess = n != 0; })},
-      {"--sat-deletion", "0|1", "learnt-clause deletion (default 1)",
-       Count(1, [&e](size_t n) { e.sat.reduce_db = n != 0; })},
-      {"--sat-portfolio", "K", "race K diversified solvers (default 1)",
-       Count(64, [&e](size_t n) { e.sat.portfolio_threads = n ? n : 1; })},
       {"--sat-reduce-interval", "N", "conflicts between reductions (0 = 2000)",
        Count(1 << 20, [&e](size_t n) { e.sat.reduce_base = n; })},
       {"--dump-cnf", "FILE", "write the completion CNF as DIMACS first",

@@ -24,39 +24,23 @@ Result<StableResult> EnumerateStableModels(const Program& program,
       FixpointAnalyzer analyzer,
       FixpointAnalyzer::Create(&program, &database, options));
   const GroundProgram& ground = analyzer.ground();
-  const CompletionEncoding& encoding = analyzer.encoding();
 
-  // Enumerate supported models directly at the SAT level so we can apply
-  // the stability filter on atom vectors; the blocking clauses below
-  // reference the program's atom variables, which MakeSolver freezes.
-  sat::PortfolioSolver solver = analyzer.MakeSolver();
-
+  // Enumerate supported models at the SAT level so the stability filter
+  // runs on atom vectors.
   StableResult out;
   std::vector<std::vector<bool>> stable_atoms;
-  bool enumeration_complete = false;
-  while (out.supported_examined < kMaxSupportedModels) {
-    const sat::SolveResult res = solver.Solve();
-    if (res == sat::SolveResult::kUnknown) {
-      return Status::ResourceExhausted("SAT conflict budget exhausted");
-    }
-    if (res == sat::SolveResult::kUnsat) {
-      enumeration_complete = true;
-      break;
-    }
-    ++out.supported_examined;
-    const std::vector<bool> atoms = encoding.DecodeAtoms(solver.Model());
-    // Gelfond–Lifschitz check: S is stable iff S = LM(P^S).
-    if (LeastModelOfReduct(ground, atoms) == atoms) {
-      stable_atoms.push_back(atoms);
-    }
-    // Block this supported model and continue.
-    const sat::Clause block = analyzer.BlockingClause(atoms);
-    if (block.empty() || !solver.AddClause(block)) {
-      enumeration_complete = true;
-      break;
-    }
-  }
-  if (!enumeration_complete) {
+  INFLOG_ASSIGN_OR_RETURN(
+      const bool ran_out,
+      analyzer.ForEachModel(
+          kMaxSupportedModels, /*block_last=*/true,
+          [&](const std::vector<bool>& atoms) {
+            ++out.supported_examined;
+            // Gelfond–Lifschitz check: S is stable iff S = LM(P^S).
+            if (LeastModelOfReduct(ground, atoms) == atoms) {
+              stable_atoms.push_back(atoms);
+            }
+          }));
+  if (!ran_out) {
     return Status::ResourceExhausted("supported-model budget exhausted");
   }
   // Canonical order: the model list is then identical whatever order the
@@ -66,7 +50,7 @@ Result<StableResult> EnumerateStableModels(const Program& program,
   for (const std::vector<bool>& atoms : stable_atoms) {
     out.models.push_back(ground.DecodeState(program, atoms));
   }
-  FillSatStats(solver.stats(), &out.stats);
+  FillSatStats(analyzer.sat_stats(), &out.stats);
   return out;
 }
 

@@ -31,8 +31,8 @@ inline constexpr size_t kMaxSupportedModels = 100'000;
 /// Result of stable-model enumeration.
 struct StableResult {
   /// The stable models, sorted canonically (by ground-atom assignment) so
-  /// the result is bit-identical whatever order the solver configuration
-  /// (preprocessing, deletion, portfolio width) finds them in.
+  /// the result is bit-identical whatever order the solver settings
+  /// (preprocessing, reduction interval) find them in.
   std::vector<IdbState> models;
   /// Supported models (fixpoints) examined — ≥ models.size(); the gap is
   /// the supported-but-not-stable count (e.g. self-supported loops).
@@ -42,8 +42,7 @@ struct StableResult {
   EvalStats stats;
 };
 
-/// Copies a solver's (or portfolio's aggregated) CDCL counters into the
-/// sat_* block of `stats`.
+/// Copies a solver's CDCL counters into the sat_* block of `stats`.
 void FillSatStats(const sat::SolverStats& s, EvalStats* stats);
 
 /// Enumerates the stable models of (π, D).

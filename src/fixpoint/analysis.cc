@@ -19,8 +19,8 @@ Result<FixpointAnalyzer> FixpointAnalyzer::Create(const Program* program,
   return analyzer;
 }
 
-sat::PortfolioSolver FixpointAnalyzer::MakeSolver() const {
-  sat::PortfolioSolver solver(options_.solver);
+sat::Solver FixpointAnalyzer::MakeSolver() const {
+  sat::Solver solver(options_.solver);
   solver.AddCnf(encoding_.cnf);
   // Blocking clauses and activation assumptions reference the program's
   // atom variables after the first Solve: freeze them so preprocessing
@@ -56,48 +56,66 @@ sat::Clause FixpointAnalyzer::BlockingClause(
   return clause;
 }
 
-Result<bool> FixpointAnalyzer::HasFixpoint() const {
-  sat::PortfolioSolver solver = MakeSolver();
-  const sat::SolveResult res = solver.Solve();
+Result<bool> FixpointAnalyzer::ForEachModel(
+    uint64_t limit, bool block_last,
+    const std::function<void(const std::vector<bool>&)>& visit) const {
+  sat::Solver solver = MakeSolver();
+  uint64_t models = 0;
+  bool ran_out = false;
+  sat::SolveResult res = sat::SolveResult::kSat;
+  while (limit == 0 || models < limit) {
+    res = solver.Solve();
+    if (res != sat::SolveResult::kSat) {
+      ran_out = res == sat::SolveResult::kUnsat;
+      break;
+    }
+    const std::vector<bool> atoms = encoding_.DecodeAtoms(solver.Model());
+    if (visit) visit(atoms);
+    if (++models == limit && !block_last) break;
+    // A block that leaves no clause to add (no atoms) or closes the
+    // formula at the root ends the enumeration: every model was seen.
+    const sat::Clause block = BlockingClause(atoms);
+    if (block.empty() || !solver.AddClause(block)) {
+      ran_out = true;
+      break;
+    }
+  }
   sat_stats_.Add(solver.stats());
   if (res == sat::SolveResult::kUnknown) {
     return Status::ResourceExhausted("SAT conflict budget exhausted");
   }
-  return res == sat::SolveResult::kSat;
+  return ran_out;
+}
+
+Result<bool> FixpointAnalyzer::HasFixpoint() const {
+  // One solve: the models ran out before the first iff there is none.
+  INFLOG_ASSIGN_OR_RETURN(const bool none,
+                          ForEachModel(/*limit=*/1, /*block_last=*/false));
+  return !none;
 }
 
 Result<std::optional<IdbState>> FixpointAnalyzer::FindFixpoint() const {
-  sat::PortfolioSolver solver = MakeSolver();
-  const sat::SolveResult res = solver.Solve();
-  sat_stats_.Add(solver.stats());
-  if (res == sat::SolveResult::kUnknown) {
-    return Status::ResourceExhausted("SAT conflict budget exhausted");
-  }
-  if (res == sat::SolveResult::kUnsat) {
-    return std::optional<IdbState>();
-  }
-  INFLOG_ASSIGN_OR_RETURN(IdbState state,
-                          DecodeModel(encoding_.DecodeAtoms(solver.Model())));
+  std::vector<bool> first;
+  INFLOG_ASSIGN_OR_RETURN(
+      const bool none,
+      ForEachModel(/*limit=*/1, /*block_last=*/false,
+                   [&first](const std::vector<bool>& atoms) {
+                     first = atoms;
+                   }));
+  if (none) return std::optional<IdbState>();
+  INFLOG_ASSIGN_OR_RETURN(IdbState state, DecodeModel(first));
   return std::optional<IdbState>(std::move(state));
 }
 
 Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
     size_t limit) const {
-  sat::PortfolioSolver solver = MakeSolver();
   std::vector<std::vector<bool>> found;
-  while (limit == 0 || found.size() < limit) {
-    const sat::SolveResult res = solver.Solve();
-    if (res == sat::SolveResult::kUnknown) {
-      sat_stats_.Add(solver.stats());
-      return Status::ResourceExhausted("SAT conflict budget exhausted");
-    }
-    if (res == sat::SolveResult::kUnsat) break;
-    std::vector<bool> atoms = encoding_.DecodeAtoms(solver.Model());
-    const sat::Clause block = BlockingClause(atoms);
-    found.push_back(std::move(atoms));
-    if (block.empty() || !solver.AddClause(block)) break;
-  }
-  sat_stats_.Add(solver.stats());
+  INFLOG_RETURN_IF_ERROR(
+      ForEachModel(limit, /*block_last=*/true,
+                   [&found](const std::vector<bool>& atoms) {
+                     found.push_back(atoms);
+                   })
+          .status());
   // Canonical order: a full enumeration is then identical whatever the
   // solver configuration found the models in.
   std::sort(found.begin(), found.end());
@@ -111,62 +129,33 @@ Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
 }
 
 Result<uint64_t> FixpointAnalyzer::CountFixpoints(uint64_t limit) const {
-  sat::PortfolioSolver solver = MakeSolver();
+  // One model past the limit, left unblocked, is the overflow witness; a
+  // limit of UINT64_MAX wraps to 0, no limit, which it is.
   uint64_t count = 0;
-  while (true) {
-    const sat::SolveResult res = solver.Solve();
-    if (res == sat::SolveResult::kUnknown) {
-      sat_stats_.Add(solver.stats());
-      return Status::ResourceExhausted("SAT conflict budget exhausted");
-    }
-    if (res == sat::SolveResult::kUnsat) {
-      sat_stats_.Add(solver.stats());
-      return count;
-    }
-    ++count;
-    if (count > limit) {
-      sat_stats_.Add(solver.stats());
-      return Status::ResourceExhausted(
-          StrCat("more than ", limit, " fixpoints"));
-    }
-    const sat::Clause block =
-        BlockingClause(encoding_.DecodeAtoms(solver.Model()));
-    if (block.empty() || !solver.AddClause(block)) {
-      sat_stats_.Add(solver.stats());
-      return count;
-    }
+  INFLOG_RETURN_IF_ERROR(
+      ForEachModel(limit + 1, /*block_last=*/false,
+                   [&count](const std::vector<bool>&) { ++count; })
+          .status());
+  if (count > limit) {
+    return Status::ResourceExhausted(StrCat("more than ", limit, " fixpoints"));
   }
+  return count;
 }
 
 Result<UniqueStatus> FixpointAnalyzer::UniqueFixpoint() const {
-  sat::PortfolioSolver solver = MakeSolver();
-  sat::SolveResult res = solver.Solve();
-  if (res == sat::SolveResult::kUnknown) {
-    sat_stats_.Add(solver.stats());
-    return Status::ResourceExhausted("SAT conflict budget exhausted");
-  }
-  if (res == sat::SolveResult::kUnsat) {
-    sat_stats_.Add(solver.stats());
-    return UniqueStatus::kNoFixpoint;
-  }
-  const sat::Clause block =
-      BlockingClause(encoding_.DecodeAtoms(solver.Model()));
-  if (block.empty() || !solver.AddClause(block)) {
-    sat_stats_.Add(solver.stats());
-    return UniqueStatus::kUnique;  // no atoms at all: the empty state only
-  }
-  res = solver.Solve();
-  sat_stats_.Add(solver.stats());
-  if (res == sat::SolveResult::kUnknown) {
-    return Status::ResourceExhausted("SAT conflict budget exhausted");
-  }
-  return res == sat::SolveResult::kSat ? UniqueStatus::kMultiple
-                                       : UniqueStatus::kUnique;
+  // Two SAT calls at most: solve, block, solve.
+  uint64_t count = 0;
+  INFLOG_RETURN_IF_ERROR(
+      ForEachModel(/*limit=*/2, /*block_last=*/false,
+                   [&count](const std::vector<bool>&) { ++count; })
+          .status());
+  if (count == 0) return UniqueStatus::kNoFixpoint;
+  return count == 1 ? UniqueStatus::kUnique : UniqueStatus::kMultiple;
 }
 
 Result<LeastFixpointOutcome> FixpointAnalyzer::LeastFixpoint() const {
   LeastFixpointOutcome out;
-  sat::PortfolioSolver solver = MakeSolver();
+  sat::Solver solver = MakeSolver();
   sat::SolveResult res = solver.Solve();
   ++out.sat_calls;
   if (res == sat::SolveResult::kUnknown) {

@@ -30,6 +30,8 @@
 #ifndef INFLOG_FIXPOINT_ANALYSIS_H_
 #define INFLOG_FIXPOINT_ANALYSIS_H_
 
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -39,7 +41,6 @@
 #include "src/fixpoint/completion.h"
 #include "src/ground/grounder.h"
 #include "src/relation/database.h"
-#include "src/sat/portfolio.h"
 #include "src/sat/solver.h"
 
 namespace inflog {
@@ -65,6 +66,8 @@ struct LeastFixpointOutcome {
   size_t sat_calls = 0;
 };
 
+struct StableResult;
+
 /// Per-(π, D) analyzer. Holds the grounding and its completion; each query
 /// runs a fresh CDCL solver over the encoding.
 class FixpointAnalyzer {
@@ -83,9 +86,9 @@ class FixpointAnalyzer {
 
   /// Up to `limit` fixpoints (0 = all). The returned set is sorted
   /// canonically (by ground-atom assignment), so a full enumeration is
-  /// identical across solver configurations (preprocessing, deletion,
-  /// portfolio width); with a nonzero `limit`, *which* fixpoints are found
-  /// first remains solver-dependent.
+  /// identical across solver settings (preprocessing, reduction
+  /// interval); with a nonzero `limit`, *which* fixpoints are found first
+  /// remains solver-dependent.
   Result<std::vector<IdbState>> EnumerateFixpoints(size_t limit = 0) const;
 
   /// Number of fixpoints, counted by enumeration up to `limit`
@@ -107,18 +110,37 @@ class FixpointAnalyzer {
   /// SAT statistics accumulated across every query on this analyzer.
   const sat::SolverStats& sat_stats() const { return sat_stats_; }
 
-  /// Fresh portfolio pre-loaded with the completion; the variable of
-  /// every program atom is frozen so blocking clauses and assumptions
-  /// stay sound under preprocessing.
-  sat::PortfolioSolver MakeSolver() const;
+ private:
+  // The stable pipeline filters the supported models ForEachModel finds.
+  friend Result<StableResult> EnumerateStableModels(const Program&,
+                                                    const Database&,
+                                                    const AnalyzeOptions&);
+
+  FixpointAnalyzer(const Program* program, const Database* database,
+                   AnalyzeOptions options)
+      : program_(program), database_(database), options_(options) {}
+
+  /// Fresh solver pre-loaded with the completion; the variable of every
+  /// program atom is frozen so blocking clauses and assumptions stay
+  /// sound under preprocessing.
+  sat::Solver MakeSolver() const;
 
   /// Clause blocking the given assignment of the program's atoms.
   sat::Clause BlockingClause(const std::vector<bool>& atoms) const;
 
- private:
-  FixpointAnalyzer(const Program* program, const Database* database,
-                   AnalyzeOptions options)
-      : program_(program), database_(database), options_(options) {}
+  /// The solve → decode → block loop behind every query but
+  /// LeastFixpoint. A fresh solver solves until the models run out or
+  /// `limit` models were found (0 = no limit); each model's atom
+  /// assignment goes to `visit` (when given) and is then blocked, except
+  /// the `limit`-th when `block_last` is false. Returns whether the
+  /// models ran out: a solve was UNSAT or a block closed the formula, so
+  /// no model is left unvisited. The solver's counters are added to
+  /// sat_stats_ on every exit; ResourceExhausted when a solve hits the
+  /// conflict budget or the stop flag.
+  Result<bool> ForEachModel(
+      uint64_t limit, bool block_last,
+      const std::function<void(const std::vector<bool>&)>& visit =
+          nullptr) const;
 
   /// Decodes an atom assignment and verifies it with Θ(S) = S.
   Result<IdbState> DecodeModel(const std::vector<bool>& atoms) const;

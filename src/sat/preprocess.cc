@@ -20,11 +20,17 @@ struct ClauseHash {
   }
 };
 
+// Simplification rounds (each runs BCP, pure, BVE once); the loop also
+// stops as soon as a round changes nothing.
+constexpr uint32_t kMaxRounds = 12;
+// BVE skips variables with more occurrences than this on either polarity,
+// so quadratic resolvent generation stays bounded.
+constexpr uint32_t kBveOccurrenceCap = 24;
+
 }  // namespace
 
-Preprocessor::Preprocessor(int32_t num_vars, PreprocessOptions options)
-    : options_(options),
-      num_vars_(num_vars),
+Preprocessor::Preprocessor(int32_t num_vars)
+    : num_vars_(num_vars),
       frozen_(num_vars, 0),
       eliminated_(num_vars, 0),
       forced_(num_vars, -1),
@@ -154,8 +160,7 @@ bool Preprocessor::EliminateByResolution(bool* unsat) {
     const uint32_t pos_count = occur_count_[Pos(v).code];
     const uint32_t neg_count = occur_count_[Neg(v).code];
     if (pos_count == 0 || neg_count == 0) continue;  // pure pass's job
-    if (pos_count > options_.bve_occurrence_cap ||
-        neg_count > options_.bve_occurrence_cap) {
+    if (pos_count > kBveOccurrenceCap || neg_count > kBveOccurrenceCap) {
       continue;
     }
     // Collect the live clauses of each polarity.
@@ -264,24 +269,17 @@ bool Preprocessor::Run(std::vector<Clause> clauses) {
   }
 
   // Simplification rounds to fixpoint.
-  for (uint32_t round = 0; round < options_.max_rounds; ++round) {
+  for (uint32_t round = 0; round < kMaxRounds; ++round) {
     ++stats_.rounds;
-    bool changed = false;
-    if (options_.bcp) {
-      if (!PropagateUnits()) return false;
-    }
-    if (options_.pure) changed |= EliminatePure();
-    if (options_.bve) {
-      changed |= EliminateByResolution(&unsat);
-      if (unsat) return false;
-    }
-    if (options_.bcp && !unit_queue_.empty()) {
-      changed = true;
-      continue;  // resolvent units pending: next round propagates them
-    }
+    if (!PropagateUnits()) return false;
+    bool changed = EliminatePure();
+    changed |= EliminateByResolution(&unsat);
+    if (unsat) return false;
+    // Resolvent units pending: the next round propagates them.
+    if (!unit_queue_.empty()) continue;
     if (!changed) break;
   }
-  if (options_.bcp && !PropagateUnits()) return false;
+  if (!PropagateUnits()) return false;
 
   // Export the surviving clauses (re-simplified against late units).
   for (uint32_t idx = 0; idx < db_.size(); ++idx) {

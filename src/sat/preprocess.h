@@ -33,19 +33,6 @@
 namespace inflog {
 namespace sat {
 
-/// Preprocessing knobs.
-struct PreprocessOptions {
-  bool bcp = true;   ///< Root unit propagation to fixpoint.
-  bool pure = true;  ///< Pure-literal elimination (non-frozen vars).
-  bool bve = true;   ///< NiVER bounded variable elimination.
-  /// Simplification rounds (each runs BCP, pure, BVE once); the loop also
-  /// stops as soon as a round changes nothing.
-  uint32_t max_rounds = 12;
-  /// BVE skips variables with more occurrences than this on either
-  /// polarity (quadratic resolvent generation stays bounded).
-  uint32_t bve_occurrence_cap = 24;
-};
-
 /// Counters of one Run.
 struct PreprocessStats {
   uint64_t units_propagated = 0;   ///< Root literals fixed by BCP.
@@ -63,7 +50,7 @@ struct PreprocessStats {
 /// occurring in the output clauses).
 class Preprocessor {
  public:
-  Preprocessor(int32_t num_vars, PreprocessOptions options = {});
+  explicit Preprocessor(int32_t num_vars);
 
   /// Marks `v` as not eliminable (still fixable by BCP).
   void FreezeVar(Var v);
@@ -113,7 +100,6 @@ class Preprocessor {
   bool AddDerivedClause(Clause clause, bool* unsat);
   void DetachVar(Var v, std::vector<Clause>* saved);
 
-  PreprocessOptions options_;
   PreprocessStats stats_;
   int32_t num_vars_;
   std::vector<int8_t> frozen_;

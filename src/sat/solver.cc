@@ -5,9 +5,18 @@
 namespace inflog {
 namespace sat {
 
-Solver::Solver(SolverOptions options) : options_(options) {
-  rng_ = Rng(options_.seed);
-}
+namespace {
+
+// Luby restart unit, in conflicts.
+constexpr uint64_t kRestartBase = 100;
+// Conflicts before the first learnt-DB reduction when reduce_base is 0,
+// and the extra conflicts added to the gap after each reduction.
+constexpr uint64_t kDefaultReduceBase = 2000;
+constexpr uint64_t kReduceInc = 300;
+
+}  // namespace
+
+Solver::Solver(SolverOptions options) : options_(options) {}
 
 Var Solver::NewVar() {
   const Var v = static_cast<Var>(assigns_.size());
@@ -15,7 +24,7 @@ Var Solver::NewVar() {
   levels_.push_back(0);
   reasons_.push_back(kNullClauseRef);
   activity_.push_back(0.0);
-  phase_.push_back(options_.init_phase_true ? 1 : 0);
+  phase_.push_back(0);
   seen_.push_back(0);
   frozen_.push_back(0);
   eliminated_.push_back(0);
@@ -271,14 +280,6 @@ void Solver::BumpClause(ClauseRef cref) {
 }
 
 Lit Solver::PickBranchLit() {
-  // Diversified portfolio members sprinkle random decisions.
-  if (options_.seed != 0 && options_.random_decision_freq > 0.0 &&
-      !heap_.empty() && rng_.Bernoulli(options_.random_decision_freq)) {
-    const Var v = heap_[rng_.Uniform(heap_.size())];
-    if (assigns_[v] == kUndef && !eliminated_[v]) {
-      return Lit(v, phase_[v] != 1);
-    }
-  }
   while (!heap_.empty()) {
     const Var v = HeapPopMax();
     if (assigns_[v] == kUndef && !eliminated_[v]) {
@@ -357,8 +358,7 @@ uint64_t Solver::Luby(uint64_t i) {
 void Solver::RunPreprocess() {
   preprocessed_ = true;
   INFLOG_DCHECK(DecisionLevel() == 0);
-  preprocessor_ = std::make_unique<Preprocessor>(num_vars(),
-                                                 options_.preprocess_options);
+  preprocessor_ = std::make_unique<Preprocessor>(num_vars());
   for (Var v = 0; v < num_vars(); ++v) {
     if (frozen_[v]) preprocessor_->FreezeVar(v);
   }
@@ -521,13 +521,10 @@ SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
   }
 
   uint64_t restart_count = 0;
-  uint64_t conflicts_until_restart =
-      options_.restart_base == 0
-          ? UINT64_MAX
-          : options_.restart_base * Luby(restart_count);
+  uint64_t conflicts_until_restart = kRestartBase * Luby(restart_count);
   uint64_t conflicts_this_restart = 0;
   const uint64_t reduce_base =
-      options_.reduce_base == 0 ? 2000 : options_.reduce_base;
+      options_.reduce_base == 0 ? kDefaultReduceBase : options_.reduce_base;
 
   while (true) {
     const ClauseRef conflict = Propagate();
@@ -577,14 +574,12 @@ SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
       ++stats_.restarts;
       ++restart_count;
       conflicts_this_restart = 0;
-      conflicts_until_restart =
-          options_.restart_base * Luby(restart_count);
+      conflicts_until_restart = kRestartBase * Luby(restart_count);
       CancelUntil(0);
       // Learnt-database reduction piggybacks on restarts: the trail is at
       // the root, so no learnt clause is locked as a reason.
-      if (options_.reduce_db &&
-          stats_.conflicts >= reduce_conflicts_ + reduce_base +
-                                  stats_.db_reductions * options_.reduce_inc) {
+      if (stats_.conflicts >= reduce_conflicts_ + reduce_base +
+                                  stats_.db_reductions * kReduceInc) {
         ReduceDB();
         reduce_conflicts_ = stats_.conflicts;
       }

@@ -29,7 +29,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/base/rng.h"
 #include "src/sat/arena.h"
 #include "src/sat/cnf.h"
 #include "src/sat/preprocess.h"
@@ -44,41 +43,24 @@ enum class SolveResult {
   kUnknown,  ///< Conflict budget exhausted or stop flag raised.
 };
 
-/// Tuning knobs and budgets.
+/// Budgets and the two search settings a caller picks. Everything else
+/// (Luby restarts every 100 conflicts, VSIDS decay 0.95, learnt-DB
+/// reduction growing by 300 conflicts per pass, the preprocessor's round
+/// and occurrence caps) is fixed in solver.cc and preprocess.cc.
 struct SolverOptions {
   /// Abort with kUnknown after this many conflicts (0 = unlimited).
   uint64_t max_conflicts = 0;
-  /// Luby restart unit (conflicts); 0 disables restarts.
-  uint64_t restart_base = 100;
-  /// VSIDS decay factor.
-  double activity_decay = 0.95;
 
   /// Run the preprocessing front-end once, at the first Solve. Callers
   /// that add clauses or assumptions over existing variables after that
   /// must FreezeVar them first.
   bool preprocess = false;
-  PreprocessOptions preprocess_options;
 
-  /// LBD-scored learnt-clause database reduction (checked at restarts;
-  /// glue <= 2 clauses and the better half by (LBD, activity) survive,
-  /// the arena is garbage-collected after each reduction).
-  bool reduce_db = true;
-  /// Conflicts before the first reduction; 0 = the default (2000).
+  /// Conflicts before the first LBD-scored learnt-clause database
+  /// reduction; 0 = the default (2000). Reductions are checked at
+  /// restarts; glue <= 2 clauses and the better half by (LBD, activity)
+  /// survive, and the arena is garbage-collected after each one.
   uint64_t reduce_base = 0;
-  /// Extra conflicts added to the gap after each reduction (default 300).
-  uint64_t reduce_inc = 300;
-
-  /// Portfolio width used by PortfolioSolver (a plain Solver ignores it);
-  /// 1 = a single undiversified instance, deterministic by construction.
-  size_t portfolio_threads = 1;
-
-  /// Diversification (used by portfolio instances): 0 keeps the
-  /// deterministic base behavior; nonzero seeds random decisions.
-  uint64_t seed = 0;
-  /// Probability of a random branch decision (needs seed != 0).
-  double random_decision_freq = 0.0;
-  /// Initial saved phase for every variable (false = MiniSat default).
-  bool init_phase_true = false;
 
   /// Cooperative cancellation: when set and the pointee becomes true, the
   /// search returns kUnknown at the next conflict or decision.
@@ -162,6 +144,7 @@ class Solver {
 
  private:
   static constexpr int8_t kUndef = -1;
+  static constexpr double kVarDecay = 0.95;  // VSIDS activity decay
 
   struct Watch {
     ClauseRef clause;
@@ -191,7 +174,7 @@ class Solver {
   void BumpVar(Var v);
   void BumpClause(ClauseRef cref);
   void DecayActivities() {
-    var_inc_ /= options_.activity_decay;
+    var_inc_ /= kVarDecay;
     cla_inc_ *= 1.001f;
   }
   Lit PickBranchLit();
@@ -243,7 +226,6 @@ class Solver {
   bool preprocessed_ = false;
   std::unique_ptr<Preprocessor> preprocessor_;  // kept for Extend
   uint64_t reduce_conflicts_ = 0;  // conflicts at the last reduction
-  Rng rng_{0};
 
   std::vector<Var> heap_;
   std::vector<int32_t> heap_pos_;  // by var; -1 = not in heap

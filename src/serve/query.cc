@@ -214,10 +214,13 @@ class QueryJoiner {
 
   /// Matches one candidate row against atom `ai`, binding its open
   /// variables; recurses on success and always restores the bindings.
+  /// Variable ids follow first appearance and atoms join in written
+  /// order, so the variables one row binds are the consecutive ids
+  /// [first, first + num_bound).
   bool TryRow(size_t ai, TupleView row) {
     const ServeAtom& atom = query_.atoms[ai];
-    uint32_t bound_here[16];
-    size_t num_bound = 0;
+    uint32_t first = 0;
+    uint32_t num_bound = 0;
     bool match = true;
     for (size_t col = 0; col < atom.terms.size() && match; ++col) {
       const ServeTerm& t = atom.terms[col];
@@ -227,14 +230,11 @@ class QueryJoiner {
         match = row[col] == binding_[t.var];
       } else {
         binding_[t.var] = row[col];
-        INFLOG_CHECK(num_bound < 16) << "query atom arity over 16";
-        bound_here[num_bound++] = t.var;
+        if (num_bound++ == 0) first = t.var;
       }
     }
     const bool any = match && Join(ai + 1);
-    for (size_t k = 0; k < num_bound; ++k) {
-      binding_[bound_here[k]] = kNoValue;
-    }
+    std::fill_n(binding_.begin() + first, num_bound, kNoValue);
     return any;
   }
 

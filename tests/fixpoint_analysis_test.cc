@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <utility>
+
 #include "src/base/rng.h"
 #include "src/base/strings.h"
+#include "src/core/engine.h"
+#include "src/eval/stable.h"
 #include "src/eval/wellfounded.h"
 #include "src/fixpoint/analysis.h"
 #include "src/fixpoint/brute_force.h"
@@ -255,14 +261,19 @@ TEST(AnalyzerTest, PositiveProgramCanHaveManyFixpointsButALeast) {
   EXPECT_EQ(least->intersection.TotalTuples(), 0u);
 }
 
+// S(X) :- S(X) over four constants has 2^4 = 16 fixpoints: the limits
+// below straddle that count.
 TEST(AnalyzerTest, EnumerationRespectsLimit) {
   auto symbols = std::make_shared<SymbolTable>();
   Program p = MustProgram("S(X) :- S(X).", symbols);
   Database db = DbFromGraph(PathGraph(4), symbols);
   FixpointAnalyzer analyzer = MustAnalyzer(p, db);
-  auto fps = analyzer.EnumerateFixpoints(5);
-  ASSERT_TRUE(fps.ok());
-  EXPECT_EQ(fps->size(), 5u);
+  for (const auto& [limit, expected] :
+       {std::pair<size_t, size_t>{5, 5}, {16, 16}, {17, 16}}) {
+    auto fps = analyzer.EnumerateFixpoints(limit);
+    ASSERT_TRUE(fps.ok()) << fps.status().ToString();
+    EXPECT_EQ(fps->size(), expected) << "limit=" << limit;
+  }
 }
 
 TEST(AnalyzerTest, CountLimitExceededIsError) {
@@ -270,9 +281,61 @@ TEST(AnalyzerTest, CountLimitExceededIsError) {
   Program p = MustProgram("S(X) :- S(X).", symbols);
   Database db = DbFromGraph(PathGraph(4), symbols);
   FixpointAnalyzer analyzer = MustAnalyzer(p, db);
-  auto count = analyzer.CountFixpoints(/*limit=*/7);
-  EXPECT_FALSE(count.ok());
-  EXPECT_EQ(count.status().code(), StatusCode::kResourceExhausted);
+  for (uint64_t limit : {7u, 15u}) {
+    auto count = analyzer.CountFixpoints(limit);
+    EXPECT_EQ(count.status().code(), StatusCode::kResourceExhausted)
+        << "limit=" << limit;
+  }
+  auto at_limit = analyzer.CountFixpoints(/*limit=*/16);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(*at_limit, 16u);
+}
+
+TEST(AnalyzerTest, GroundingWithNoAtomsHasOneFixpoint) {
+  // No instantiation survives E(X,Y), !E(X,Y): the empty state is the one
+  // fixpoint, and there is no atom to block it with.
+  auto symbols = std::make_shared<SymbolTable>();
+  Program p = MustProgram("P(X) :- E(X,Y), !E(X,Y).", symbols);
+  Database db = DbFromGraph(PathGraph(3), symbols);
+  FixpointAnalyzer analyzer = MustAnalyzer(p, db);
+  ASSERT_EQ(analyzer.ground().atoms.size(), 0u);
+  auto has = analyzer.HasFixpoint();
+  ASSERT_TRUE(has.ok()) << has.status().ToString();
+  EXPECT_TRUE(*has);
+  auto unique = analyzer.UniqueFixpoint();
+  ASSERT_TRUE(unique.ok()) << unique.status().ToString();
+  EXPECT_EQ(*unique, UniqueStatus::kUnique);
+}
+
+TEST(AnalyzerTest, RaisedStopFlagExhaustsAndAFreshAnalyzerAnswers) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgramText(kPi1).ok());
+  ASSERT_TRUE(engine.LoadDatabaseText("E(1,2). E(2,3). E(3,4).").ok());
+  std::atomic<bool> stop{true};
+  AnalyzeOptions stopped;
+  stopped.solver.stop = &stop;
+
+  auto analyzer = engine.MakeAnalyzer(stopped);
+  ASSERT_TRUE(analyzer.ok()) << analyzer.status().ToString();
+  EXPECT_EQ(analyzer->HasFixpoint().status().code(),
+            StatusCode::kResourceExhausted);
+  auto program = engine.program();
+  ASSERT_TRUE(program.ok());
+  EXPECT_EQ(EnumerateStableModels(**program, engine.database(), stopped)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+
+  // The flag belongs to the stopped options only: a fresh analyzer on the
+  // same engine answers.
+  auto fresh = engine.MakeAnalyzer();
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto has = fresh->HasFixpoint();
+  ASSERT_TRUE(has.ok()) << has.status().ToString();
+  EXPECT_TRUE(*has);
+  auto stable = EnumerateStableModels(**program, engine.database());
+  ASSERT_TRUE(stable.ok()) << stable.status().ToString();
+  EXPECT_EQ(stable->models.size(), 1u);
 }
 
 // --- Brute force cross-checks. ---

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <limits>
+
 #include "src/base/rng.h"
 #include "src/sat/dimacs.h"
-#include "src/sat/portfolio.h"
 #include "src/sat/solver.h"
 
 namespace inflog {
@@ -241,6 +244,19 @@ TEST(SolverTest, ConflictBudgetReturnsUnknown) {
   EXPECT_EQ(s.Solve(), SolveResult::kUnknown);
 }
 
+TEST(SolverTest, RaisedStopFlagReturnsUnknown) {
+  std::atomic<bool> stop{true};
+  SolverOptions opts;
+  opts.stop = &stop;
+  Solver s(opts);
+  s.AddCnf(Pigeonhole(4));
+  EXPECT_EQ(s.Solve(), SolveResult::kUnknown);
+  EXPECT_EQ(s.stats().decisions, 0u);
+  // The flag is read, not latched: lowered, the same solver answers.
+  stop = false;
+  EXPECT_EQ(s.Solve(), SolveResult::kUnsat);
+}
+
 TEST(SolverTest, StatsAccumulate) {
   Solver s;
   s.AddCnf(Pigeonhole(4));
@@ -352,40 +368,35 @@ TEST(PreprocessDifferentialTest, AgreesWithRawSolverAcross500Instances) {
     if (expected == SolveResult::kSat) {
       EXPECT_TRUE(cnf.IsSatisfiedBy(pre.Model())) << "seed=" << seed;
     }
-
-    // Every tenth instance also races a preprocessed portfolio, keeping
-    // the thread churn bounded.
-    if (seed % 10 == 0) {
-      SolverOptions port_opts;
-      port_opts.preprocess = true;
-      port_opts.portfolio_threads = 3;
-      PortfolioSolver port(port_opts);
-      port.AddCnf(cnf);
-      ASSERT_EQ(port.Solve(), expected) << "seed=" << seed;
-      if (expected == SolveResult::kSat) {
-        EXPECT_TRUE(cnf.IsSatisfiedBy(port.Model())) << "seed=" << seed;
-      }
-    }
   }
 }
 
 // --- Learnt-clause deletion and arena garbage collection. ---
 
-TEST(ReduceDbTest, DeletesLearntsAndKeepsVerdict) {
+// A reduction interval no solve here reaches: the baseline that keeps
+// every learnt clause.
+SolverOptions KeepEveryLearnt() {
   SolverOptions keep;
-  keep.reduce_db = false;
-  Solver baseline(keep);
+  keep.reduce_base = std::numeric_limits<uint64_t>::max();
+  return keep;
+}
+
+SolverOptions ReduceEvery100() {
+  SolverOptions del;
+  del.reduce_base = 100;
+  return del;
+}
+
+TEST(ReduceDbTest, DeletesLearntsAndKeepsVerdict) {
+  Solver baseline(KeepEveryLearnt());
   baseline.AddCnf(Pigeonhole(6));
 
-  SolverOptions del;
-  del.reduce_db = true;
-  del.reduce_base = 100;
-  del.reduce_inc = 50;
-  Solver reducing(del);
+  Solver reducing(ReduceEvery100());
   reducing.AddCnf(Pigeonhole(6));
 
   ASSERT_EQ(baseline.Solve(), SolveResult::kUnsat);
   ASSERT_EQ(reducing.Solve(), SolveResult::kUnsat);
+  EXPECT_EQ(baseline.stats().db_reductions, 0u);
   EXPECT_GT(reducing.stats().db_reductions, 0u);
   EXPECT_GT(reducing.stats().deleted_clauses, 0u);
   // Live learnts never exceed learned minus deleted (root-satisfied
@@ -396,33 +407,25 @@ TEST(ReduceDbTest, DeletesLearntsAndKeepsVerdict) {
 }
 
 TEST(ReduceDbTest, GarbageCollectionCompactsArena) {
-  // Same instance, deletion on vs off: the reducing solver's arena must
-  // end strictly smaller — each reduction copies only live clauses into a
-  // fresh arena. Both runs are deterministic, so this is stable.
-  SolverOptions keep;
-  keep.reduce_db = false;
-  Solver baseline(keep);
+  // Same instance, reducing vs keeping every learnt: the reducing
+  // solver's arena must end strictly smaller — each reduction copies only
+  // live clauses into a fresh arena. Both runs are deterministic, so this
+  // is stable.
+  Solver baseline(KeepEveryLearnt());
   baseline.AddCnf(Pigeonhole(6));
   ASSERT_EQ(baseline.Solve(), SolveResult::kUnsat);
 
-  SolverOptions del;
-  del.reduce_db = true;
-  del.reduce_base = 100;
-  del.reduce_inc = 50;
-  Solver reducing(del);
+  Solver reducing(ReduceEvery100());
   reducing.AddCnf(Pigeonhole(6));
   ASSERT_EQ(reducing.Solve(), SolveResult::kUnsat);
 
+  ASSERT_EQ(baseline.stats().db_reductions, 0u);
   ASSERT_GT(reducing.stats().db_reductions, 0u);
   EXPECT_LT(reducing.arena_words(), baseline.arena_words());
 }
 
 TEST(ReduceDbTest, SolverStaysUsableAfterReduction) {
-  SolverOptions del;
-  del.reduce_db = true;
-  del.reduce_base = 100;
-  del.reduce_inc = 50;
-  Solver s(del);
+  Solver s(ReduceEvery100());
   Cnf cnf = Pigeonhole(4);
   cnf.clauses.erase(cnf.clauses.begin());  // satisfiable variant
   s.AddCnf(cnf);
@@ -440,74 +443,6 @@ TEST(ReduceDbTest, SolverStaysUsableAfterReduction) {
   }
   EXPECT_GT(models, 0);
   EXPECT_LT(models, 2000);  // enumeration terminated
-}
-
-// --- Portfolio. ---
-
-TEST(PortfolioTest, WidthOneReproducesPlainSolver) {
-  Solver plain;
-  plain.AddCnf(Pigeonhole(5));
-  SolverOptions popts;
-  popts.portfolio_threads = 1;
-  PortfolioSolver port(popts);
-  port.AddCnf(Pigeonhole(5));
-  ASSERT_EQ(plain.Solve(), SolveResult::kUnsat);
-  ASSERT_EQ(port.Solve(), SolveResult::kUnsat);
-  // Bit-identical search, not just the same verdict.
-  EXPECT_EQ(port.stats().conflicts, plain.stats().conflicts);
-  EXPECT_EQ(port.stats().decisions, plain.stats().decisions);
-  EXPECT_EQ(port.stats().propagations, plain.stats().propagations);
-}
-
-TEST(PortfolioTest, RacedMembersAgreeOnVerdict) {
-  for (int seed = 0; seed < 20; ++seed) {
-    Rng rng(seed * 31337 + 5);
-    Cnf cnf = Random3Sat(10, 10 * (3 + seed % 3), &rng);
-    Solver single;
-    single.AddCnf(cnf);
-    const SolveResult expected = single.Solve();
-    SolverOptions popts;
-    popts.portfolio_threads = 4;
-    PortfolioSolver port(popts);
-    port.AddCnf(cnf);
-    ASSERT_EQ(port.Solve(), expected) << "seed=" << seed;
-    if (expected == SolveResult::kSat) {
-      EXPECT_TRUE(cnf.IsSatisfiedBy(port.Model())) << "seed=" << seed;
-    }
-  }
-}
-
-TEST(PortfolioTest, SupportsAssumptionsAndIncrementalClauses) {
-  SolverOptions popts;
-  popts.portfolio_threads = 2;
-  PortfolioSolver s(popts);
-  const Var x = s.NewVar(), y = s.NewVar();
-  ASSERT_TRUE(s.AddClause({Pos(x), Pos(y)}));
-  ASSERT_EQ(s.Solve({Neg(x)}), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(y));
-  ASSERT_EQ(s.Solve({Neg(x), Neg(y)}), SolveResult::kUnsat);
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  ASSERT_TRUE(s.AddClause({Neg(x)}));
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(y));
-}
-
-TEST(PortfolioTest, ModelEnumerationWithBlockingClauses) {
-  SolverOptions popts;
-  popts.portfolio_threads = 2;
-  PortfolioSolver s(popts);
-  const Var x = s.NewVar(), y = s.NewVar(), z = s.NewVar();
-  s.AddClause({Pos(x), Pos(y)});
-  int models = 0;
-  while (s.Solve() == SolveResult::kSat && models < 100) {
-    ++models;
-    Clause block;
-    for (Var v : {x, y, z}) {
-      block.push_back(s.ModelValue(v) ? Neg(v) : Pos(v));
-    }
-    if (!s.AddClause(block)) break;
-  }
-  EXPECT_EQ(models, 6);
 }
 
 // --- DIMACS. ---

@@ -170,6 +170,36 @@ TEST_F(ServingTest, ServingQueryMatchesBatchRendering) {
   }
 }
 
+TEST_F(ServingTest, WideQueryWithRepeatedVariableMatchesBatch) {
+  // An 18-ary R whose last column repeats the first: the query binds 17
+  // distinct variables in one atom and must answer what W, the batch
+  // evaluator's copy of the same selection, holds.
+  constexpr size_t kWidth = 17;
+  std::string vars;
+  for (size_t i = 0; i < kWidth; ++i) {
+    vars += StrCat(i == 0 ? "" : ",", "X", i);
+  }
+  std::string facts;
+  for (size_t row = 0; row < 6; ++row) {
+    std::string args;
+    for (size_t i = 0; i < kWidth; ++i) {
+      args += StrCat(i == 0 ? "" : ",", row + i);
+    }
+    // Even rows close the repetition, odd rows break it.
+    facts += StrCat("R(", args, ",", row % 2 == 0 ? row : 99, ").\n");
+  }
+  Load(StrCat("W(", vars, ") :- R(", vars, ",X0)."), facts);
+  Begin();
+  auto outcome = engine_->Evaluate(SemanticsKind::kStratified);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  auto w = engine_->RelationOf(outcome->state(), "W");
+  ASSERT_TRUE(w.ok());
+  ASSERT_EQ((*w)->size(), 3u);
+  const std::string batch = (*w)->ToString(*engine_->symbols());
+  EXPECT_EQ(Answer(StrCat("?R(", vars, ",X0)")), batch);
+  EXPECT_EQ(Answer(StrCat("?W(", vars, ")")), batch);
+}
+
 TEST_F(ServingTest, ServingQueryErrors) {
   Load(kTwoIslandProgram, kTwoIslandFacts);
   Begin();
