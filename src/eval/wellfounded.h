@@ -28,8 +28,6 @@ namespace inflog {
 
 /// The three-valued well-founded model.
 struct WellFoundedResult {
-  /// Truth per ground atom id: 1 true, 0 false, -1 undefined.
-  std::vector<int8_t> truth;
   /// Atoms true in the well-founded model.
   IdbState true_state;
   /// Atoms undefined in the well-founded model.
@@ -38,8 +36,6 @@ struct WellFoundedResult {
   size_t rounds = 0;
   /// True iff no atom is undefined (the model is total / two-valued).
   bool total = false;
-  /// The grounding the model was computed on.
-  GroundProgram ground;
 };
 
 /// Computes the well-founded model of (π, D).

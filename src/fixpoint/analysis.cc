@@ -1,11 +1,25 @@
 #include "src/fixpoint/analysis.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/base/strings.h"
 #include "src/eval/theta.h"
 
 namespace inflog {
+namespace {
+
+/// The error for a search that ended kUnknown: the stop flag when it was
+/// raised, the conflict budget otherwise.
+Status UnknownAnswer(const sat::SolverOptions& options) {
+  if (options.stop != nullptr &&
+      options.stop->load(std::memory_order_relaxed)) {
+    return Status::ResourceExhausted("SAT search stopped");
+  }
+  return Status::ResourceExhausted("SAT conflict budget exhausted");
+}
+
+}  // namespace
 
 Result<FixpointAnalyzer> FixpointAnalyzer::Create(const Program* program,
                                                   const Database* database,
@@ -81,9 +95,7 @@ Result<bool> FixpointAnalyzer::ForEachModel(
     }
   }
   sat_stats_.Add(solver.stats());
-  if (res == sat::SolveResult::kUnknown) {
-    return Status::ResourceExhausted("SAT conflict budget exhausted");
-  }
+  if (res == sat::SolveResult::kUnknown) return UnknownAnswer(options_.solver);
   return ran_out;
 }
 
@@ -160,7 +172,7 @@ Result<LeastFixpointOutcome> FixpointAnalyzer::LeastFixpoint() const {
   ++out.sat_calls;
   if (res == sat::SolveResult::kUnknown) {
     sat_stats_.Add(solver.stats());
-    return Status::ResourceExhausted("SAT conflict budget exhausted");
+    return UnknownAnswer(options_.solver);
   }
   if (res == sat::SolveResult::kUnsat) {
     sat_stats_.Add(solver.stats());
@@ -190,7 +202,7 @@ Result<LeastFixpointOutcome> FixpointAnalyzer::LeastFixpoint() const {
     ++out.sat_calls;
     if (res == sat::SolveResult::kUnknown) {
       sat_stats_.Add(solver.stats());
-      return Status::ResourceExhausted("SAT conflict budget exhausted");
+      return UnknownAnswer(options_.solver);
     }
     // Deactivate the query clause for subsequent rounds.
     const bool found = res == sat::SolveResult::kSat;

@@ -4,35 +4,48 @@
 
 namespace inflog {
 
+namespace {
+
+size_t HashAtom(uint32_t predicate, TupleView args) {
+  return HashTuple(args) * 1000003u + predicate;
+}
+
+}  // namespace
+
+int64_t AtomTable::Lookup(size_t hash, uint32_t predicate,
+                          TupleView args) const {
+  for (auto [it, end] = ids_.equal_range(hash); it != end; ++it) {
+    const GroundAtom& atom = atoms_[it->second];
+    if (atom.predicate == predicate && TupleEq()(atom.args, args)) {
+      return it->second;
+    }
+  }
+  return -1;
+}
+
 uint32_t AtomTable::GetOrAdd(uint32_t predicate, TupleView args) {
-  Key key{predicate, Tuple(args.begin(), args.end())};
-  auto it = ids_.find(key);
-  if (it != ids_.end()) return it->second;
+  const size_t hash = HashAtom(predicate, args);
+  const int64_t found = Lookup(hash, predicate, args);
+  if (found >= 0) return static_cast<uint32_t>(found);
   const uint32_t id = static_cast<uint32_t>(atoms_.size());
-  atoms_.push_back(GroundAtom{predicate, key.args});
-  ids_.emplace(std::move(key), id);
+  atoms_.push_back(GroundAtom{predicate, Tuple(args.begin(), args.end())});
+  ids_.emplace(hash, id);
   return id;
 }
 
 int64_t AtomTable::Find(uint32_t predicate, TupleView args) const {
-  Key key{predicate, Tuple(args.begin(), args.end())};
-  auto it = ids_.find(key);
-  if (it == ids_.end()) return -1;
-  return static_cast<int64_t>(it->second);
+  return Lookup(HashAtom(predicate, args), predicate, args);
 }
 
-uint32_t BodyTable::GetOrAdd(GroundBody body) {
-  // Flat key: [pos size, pos atoms..., neg atoms...].
-  std::vector<uint32_t> key;
-  key.reserve(body.pos.size() + body.neg.size() + 1);
-  key.push_back(static_cast<uint32_t>(body.pos.size()));
-  key.insert(key.end(), body.pos.begin(), body.pos.end());
-  key.insert(key.end(), body.neg.begin(), body.neg.end());
-  auto it = ids_.find(key);
-  if (it != ids_.end()) return it->second;
+uint32_t BodyTable::GetOrAdd(const GroundBody& body) {
+  const size_t hash = HashTuple(body.pos) * 1000003u + HashTuple(body.neg);
+  for (auto [it, end] = ids_.equal_range(hash); it != end; ++it) {
+    const GroundBody& known = bodies_[it->second];
+    if (known.pos == body.pos && known.neg == body.neg) return it->second;
+  }
   const uint32_t id = static_cast<uint32_t>(bodies_.size());
-  bodies_.push_back(std::move(body));
-  ids_.emplace(std::move(key), id);
+  bodies_.push_back(body);
+  ids_.emplace(hash, id);
   return id;
 }
 

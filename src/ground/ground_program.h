@@ -1,11 +1,18 @@
 // Ground programs: the propositional residue of (π, D).
 //
 // The grounder instantiates every rule over the evaluation universe,
-// evaluates away the EDB and (in)equality literals, and keeps the IDB
-// literals as ground atoms. What remains — ground rules with positive and
-// negated IDB body atoms — is the object on which fixpoint analysis (Clark
-// completion / supported models), the well-founded semantics, and the
-// stable-model check all operate.
+// evaluates away the EDB and (in)equality literals through the relational
+// planner and executor (grounder.h), and keeps the IDB literals as ground
+// atoms. What remains — ground rules with positive and negated IDB body
+// atoms — is the object on which fixpoint analysis (Clark completion /
+// supported models), the well-founded semantics, and the stable-model
+// check all operate.
+//
+// Atoms are numbered in the order the grounder first meets them: per
+// rule, per binding in the order the join first finds it, the head and
+// then the IDB literals in body order. The numbering orders the CNF's
+// variables and every model vector, so a grounder change that moves it
+// can move the SAT search and the order of enumerated models.
 //
 // Besides the program's own IDB atoms, a grounding holds auxiliary atoms:
 // one per existential body component the grounder projected (see
@@ -60,21 +67,13 @@ class AtomTable {
   }
 
  private:
-  struct Key {
-    uint32_t predicate;
-    Tuple args;
-    bool operator==(const Key& o) const {
-      return predicate == o.predicate && args == o.args;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return HashTuple(k.args) * 1000003u + k.predicate;
-    }
-  };
+  /// The id of (pred, args) among the atoms with this hash, or -1.
+  int64_t Lookup(size_t hash, uint32_t predicate, TupleView args) const;
 
   std::vector<GroundAtom> atoms_;
-  std::unordered_map<Key, uint32_t, KeyHash> ids_;
+  /// Atom ids by hash of (pred, args): the args are stored once, in
+  /// atoms_, and a lookup allocates nothing.
+  std::unordered_multimap<size_t, uint32_t> ids_;
 };
 
 /// One ground rule body: positive and negated IDB atoms (sorted,
@@ -93,7 +92,7 @@ struct GroundBody {
 class BodyTable {
  public:
   /// Interns a canonical (sorted/deduplicated) body.
-  uint32_t GetOrAdd(GroundBody body);
+  uint32_t GetOrAdd(const GroundBody& body);
 
   size_t size() const { return bodies_.size(); }
   const GroundBody& body(uint32_t id) const {
@@ -103,7 +102,9 @@ class BodyTable {
 
  private:
   std::vector<GroundBody> bodies_;
-  std::unordered_map<std::vector<uint32_t>, uint32_t, TupleHash> ids_;
+  /// Body ids by hash: each body is stored once, in bodies_, and a lookup
+  /// allocates nothing.
+  std::unordered_multimap<size_t, uint32_t> ids_;
 };
 
 /// One ground rule: head ← bodies.body(body).

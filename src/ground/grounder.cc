@@ -1,403 +1,240 @@
 #include "src/ground/grounder.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 
 #include "src/ast/analysis.h"
 #include "src/base/strings.h"
+#include "src/eval/executor.h"
+#include "src/eval/plan.h"
 
 namespace inflog {
 namespace {
 
-/// Grounding op codes, mirroring the evaluation planner but with IDB
-/// literals treated as opaque (they are instantiated, never joined).
-struct GroundOp {
-  enum class Kind {
-    kMatchEdb,      // join with a positive EDB atom (scan + pattern match)
-    kBindEq,        // bind a variable from an equality
-    kFilterEq,      // both sides bound
-    kFilterNeq,     // both sides bound
-    kFilterNegEdb,  // fully bound negated EDB atom: fail if present
-    kEnumerate,     // bind a variable to each universe element
-  };
-  Kind kind;
-  const Relation* relation = nullptr;  // kMatchEdb / kFilterNegEdb
-  std::vector<Term> args;              // kMatchEdb / kFilterNegEdb
-  uint32_t target_var = 0;             // kBindEq
-  Term source = Term::Const(0);        // kBindEq
-  Term lhs = Term::Const(0), rhs = Term::Const(0);  // filters
-  uint32_t enum_var = 0;               // kEnumerate
-};
-
-/// Grounds a subset of one rule's body literals: the whole body, one
+/// One part of a rule the grounder instantiates: the whole body, one
 /// existential component (src/ast/analysis.h), or the rest of the body
 /// once the components are projected away.
-class RuleGrounder {
- public:
-  RuleGrounder(const Program& program, const Rule& rule,
-               std::vector<size_t> literals,
-               const std::vector<const Relation*>& edb_relations,
-               const std::vector<Value>& universe,
-               const GrounderOptions& options,
-               std::unordered_set<uint64_t>* seen_rules, GroundProgram* out)
-      : program_(program),
-        rule_(rule),
-        literals_(std::move(literals)),
-        edb_relations_(edb_relations),
-        universe_(universe),
-        options_(options),
-        seen_rules_(seen_rules),
-        out_(out) {}
+struct Part {
+  /// Body indices of the part's IDB literals, which its instances keep.
+  std::vector<size_t> idb_literals;
+  /// The variables an instance needs (the head's, unless the part is a
+  /// component, and its IDB literals') that the part's EDB literals and
+  /// (in)equalities bind, by id: the columns of its binding rule.
+  std::vector<uint32_t> bound;
+  /// The other variables an instance needs, by id: each binding is
+  /// extended by every assignment of them over the universe.
+  std::vector<uint32_t> free;
+  /// The part's binding rule in the instantiation program, or -1 when the
+  /// part has no EDB literal or (in)equality: its one binding is empty.
+  int binding_rule = -1;
+};
 
-  /// Emits one ground rule per instantiation of the rule head over the
-  /// literals, each body extended by the positive atoms `extra_pos`.
-  Status Ground(std::vector<uint32_t> extra_pos) {
-    extra_pos_ = std::move(extra_pos);
-    return Run(Mode::kRules);
+bool IsIdbLiteral(const Program& program, const Literal& lit) {
+  return (lit.IsPositiveAtom() || lit.IsNegatedAtom()) &&
+         program.predicate(lit.predicate).is_idb;
+}
+
+/// Splits the body literals `literals` of `rule` into a Part. A part with
+/// EDB literals or (in)equalities gets its binding rule
+/// #g<k>(bound) :- <those literals>, appended to `instantiation`.
+Part MakePart(const Program& program, const Rule& rule,
+              const std::vector<size_t>& literals, bool with_head,
+              Program* instantiation) {
+  // Per variable: kNeeded when an instance needs it, kBound when the
+  // binding rule binds it.
+  constexpr uint8_t kNeeded = 1, kBound = 2;
+  std::vector<uint8_t> role(rule.num_vars, 0);
+  const auto mark = [&role](const std::vector<Term>& args, uint8_t as) {
+    for (const Term& t : args) {
+      if (t.IsVariable()) role[t.id] |= as;
+    }
+  };
+  if (with_head) mark(rule.head.args, kNeeded);
+  Part part;
+  Rule binding;
+  for (size_t i : literals) {
+    const Literal& lit = rule.body[i];
+    if (IsIdbLiteral(program, lit)) {
+      part.idb_literals.push_back(i);
+      mark(lit.args, kNeeded);
+    } else {
+      binding.body.push_back(lit);
+      mark(lit.args, kBound);
+    }
   }
+  for (uint32_t v = 0; v < rule.num_vars; ++v) {
+    if (role[v] & kNeeded) {
+      ((role[v] & kBound) ? part.bound : part.free).push_back(v);
+    }
+  }
+  if (binding.body.empty()) return part;
+  part.binding_rule = static_cast<int>(instantiation->rules().size());
+  binding.head.predicate = *instantiation->GetOrAddPredicate(
+      "#g" + std::to_string(part.binding_rule), part.bound.size());
+  for (uint32_t v : part.bound) binding.head.args.push_back(Term::Var(v));
+  binding.num_vars = rule.num_vars;
+  binding.var_names = rule.var_names;
+  INFLOG_CHECK(instantiation->AddRule(std::move(binding)).ok());
+  return part;
+}
 
-  /// Collects the distinct ground bodies of the literals' instantiations
-  /// (an existential component's definition) into `bodies`, checking
-  /// the rule limit as if each body were already a rule. An EDB-only
-  /// component yields the empty body when it has a witness.
-  Status GroundBodies(std::vector<uint32_t>* bodies) {
-    bodies_ = bodies;
-    return Run(Mode::kBodies);
+/// A set of 64-bit keys (no key may be ~0): open addressing with linear
+/// probing, kept at most half full. Checks each emitted (head, body) pair
+/// without a node allocation per rule.
+class KeySet {
+ public:
+  /// Inserts `key`; false when it was already present.
+  bool Insert(uint64_t key) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      std::vector<uint64_t> old(std::max<size_t>(64, 2 * slots_.size()),
+                                kEmpty);
+      old.swap(slots_);
+      for (uint64_t k : old) {
+        if (k != kEmpty) Place(k);
+      }
+    }
+    if (!Place(key)) return false;
+    ++size_;
+    return true;
   }
 
  private:
-  enum class Mode { kRules, kBodies };
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
 
-  Status Run(Mode mode) {
-    mode_ = mode;
-    // A head or literal variable must be bound to instantiate; the head
-    // only counts when it is emitted.
-    needed_.assign(rule_.num_vars, false);
-    if (mode == Mode::kRules) MarkVars(rule_.head.args);
-    for (size_t i : literals_) MarkVars(rule_.body[i].args);
-    bound_.assign(rule_.num_vars, false);
-    if (!PlanOps()) return Status::OK();  // statically unsatisfiable body
-    bindings_.assign(rule_.num_vars, kNoValue);
-    return Step(0);
+  bool Place(uint64_t key) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = (key * 0x9e3779b97f4a7c15ULL) >> 32 & mask;;
+         i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == kEmpty) {
+        slots_[i] = key;
+        return true;
+      }
+    }
   }
 
-  void MarkVars(const std::vector<Term>& args) {
+  std::vector<uint64_t> slots_;
+  size_t size_ = 0;
+};
+
+/// Instantiates rule parts into a GroundProgram: each binding of a part's
+/// EDB literals, extended by every assignment of its free variables.
+class Instantiator {
+ public:
+  Instantiator(const EvalContext& ctx, const GrounderOptions& options,
+               GroundProgram* out)
+      : ctx_(ctx), options_(options), out_(out) {}
+
+  /// Emits one ground rule per instance of the rest `part` of `rule`, its
+  /// body extended by the positive atoms `extra_pos`.
+  Status GroundRules(const Rule& rule, const Part& part,
+                     std::vector<uint32_t> extra_pos) {
+    extra_pos_ = std::move(extra_pos);
+    bodies_ = nullptr;
+    return Run(rule, part);
+  }
+
+  /// Collects the distinct ground bodies of the instances of component
+  /// `part` into `bodies`, checking the rule limit as if each body were
+  /// already a rule. An EDB-only component yields the empty body when it
+  /// has a witness.
+  Status GroundBodies(const Rule& rule, const Part& part,
+                      std::vector<uint32_t>* bodies) {
+    extra_pos_.clear();
+    bodies_ = bodies;
+    seen_bodies_.clear();
+    return Run(rule, part);
+  }
+
+ private:
+  Status Run(const Rule& rule, const Part& part) {
+    rule_ = &rule;
+    part_ = &part;
+    bindings_.assign(rule.num_vars, kNoValue);
+    if (part.binding_rule < 0) return Enumerate(0);
+    // The relational plan joins the EDB part through the column indexes;
+    // its rows are the distinct bindings in the order the join first
+    // found them. Grounding reports no executor counters.
+    Relation rows(part.bound.size());
+    EvalStats unreported;
+    ExecutePlan(ctx_, PlanRule(ctx_.program(), part.binding_rule, {}, -1),
+                IdbState(), nullptr, &rows, &unreported);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const TupleView row = rows.Row(r);
+      for (size_t i = 0; i < row.size(); ++i) {
+        bindings_[part.bound[i]] = row[i];
+      }
+      INFLOG_RETURN_IF_ERROR(Enumerate(0));
+    }
+    return Status::OK();
+  }
+
+  Status Enumerate(size_t i) {
+    if (i == part_->free.size()) return Emit();
+    for (Value v : ctx_.universe()) {
+      bindings_[part_->free[i]] = v;
+      INFLOG_RETURN_IF_ERROR(Enumerate(i + 1));
+    }
+    return Status::OK();
+  }
+
+  uint32_t Intern(uint32_t predicate, const std::vector<Term>& args) {
+    scratch_.clear();
     for (const Term& t : args) {
-      if (t.IsVariable()) needed_[t.id] = true;
+      scratch_.push_back(t.IsConstant() ? t.id : bindings_[t.id]);
     }
+    return out_->atoms.GetOrAdd(predicate, scratch_);
   }
 
-  bool TermKnown(const Term& t) const {
-    return t.IsConstant() || bound_[t.id];
-  }
-
-  bool IsEdb(uint32_t pred) const {
-    return !program_.predicate(pred).is_idb;
-  }
-
-  /// Builds the op order. Returns false when the body is statically
-  /// unsatisfiable (constant (in)equalities).
-  bool PlanOps() {
-    std::vector<size_t> edb_atoms;
-    std::vector<size_t> filters;  // eq / neq / negated EDB atoms
-    for (size_t i : literals_) {
-      const Literal& lit = rule_.body[i];
-      switch (lit.kind) {
-        case Literal::Kind::kAtom:
-          if (IsEdb(lit.predicate)) edb_atoms.push_back(i);
-          break;
-        case Literal::Kind::kNegAtom:
-          if (IsEdb(lit.predicate)) filters.push_back(i);
-          break;
-        case Literal::Kind::kEq:
-        case Literal::Kind::kNeq:
-          filters.push_back(i);
-          break;
-      }
+  Status Emit() {
+    const uint32_t head =
+        bodies_ == nullptr ? Intern(rule_->head.predicate, rule_->head.args)
+                           : 0;
+    body_.pos = extra_pos_;
+    body_.neg.clear();
+    for (size_t i : part_->idb_literals) {
+      const Literal& lit = rule_->body[i];
+      (lit.IsPositiveAtom() ? body_.pos : body_.neg)
+          .push_back(Intern(lit.predicate, lit.args));
     }
-    if (!FlushFilters(&filters)) return false;
-    while (!edb_atoms.empty()) {
-      const size_t best = PopBestAtom(&edb_atoms);
-      EmitMatch(rule_.body[best]);
-      if (!FlushFilters(&filters)) return false;
-    }
-    // Residual: every remaining needed variable must be bound to
-    // instantiate the head and the IDB literals.
-    while (true) {
-      if (!FlushFilters(&filters)) return false;
-      int var = -1;
-      for (size_t f : filters) {
-        for (const Term& t : rule_.body[f].args) {
-          if (t.IsVariable() && !bound_[t.id]) {
-            var = static_cast<int>(t.id);
-            break;
-          }
-        }
-        if (var >= 0) break;
-      }
-      if (var < 0) {
-        for (uint32_t v = 0; v < rule_.num_vars; ++v) {
-          if (needed_[v] && !bound_[v]) {
-            var = static_cast<int>(v);
-            break;
-          }
-        }
-      }
-      if (var < 0) break;
-      GroundOp op;
-      op.kind = GroundOp::Kind::kEnumerate;
-      op.enum_var = static_cast<uint32_t>(var);
-      ops_.push_back(op);
-      bound_[var] = true;
-    }
-    INFLOG_CHECK(filters.empty());
-    return true;
-  }
-
-  void EmitMatch(const Literal& lit) {
-    GroundOp op;
-    op.kind = GroundOp::Kind::kMatchEdb;
-    op.relation = edb_relations_[lit.predicate];
-    op.args = lit.args;
-    ops_.push_back(op);
-    for (const Term& t : lit.args) {
-      if (t.IsVariable()) bound_[t.id] = true;
-    }
-  }
-
-  bool FlushFilters(std::vector<size_t>* filters) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (auto it = filters->begin(); it != filters->end();) {
-        const Literal& lit = rule_.body[*it];
-        bool placed = false;
-        if (lit.kind == Literal::Kind::kEq) {
-          const Term &a = lit.args[0], &b = lit.args[1];
-          if (a.IsConstant() && b.IsConstant()) {
-            if (a.id != b.id) return false;
-            placed = true;
-          } else if (TermKnown(a) && TermKnown(b)) {
-            ops_.push_back(
-                GroundOp{GroundOp::Kind::kFilterEq, nullptr, {}, 0,
-                         Term::Const(0), a, b, 0});
-            placed = true;
-          } else if (TermKnown(a) && b.IsVariable()) {
-            EmitBind(b.id, a);
-            placed = true;
-          } else if (TermKnown(b) && a.IsVariable()) {
-            EmitBind(a.id, b);
-            placed = true;
-          }
-        } else if (lit.kind == Literal::Kind::kNeq) {
-          const Term &a = lit.args[0], &b = lit.args[1];
-          if (a.IsConstant() && b.IsConstant()) {
-            if (a.id == b.id) return false;
-            placed = true;
-          } else if (TermKnown(a) && TermKnown(b)) {
-            ops_.push_back(
-                GroundOp{GroundOp::Kind::kFilterNeq, nullptr, {}, 0,
-                         Term::Const(0), a, b, 0});
-            placed = true;
-          }
-        } else {  // negated EDB atom
-          bool all_known = true;
-          for (const Term& t : lit.args) all_known &= TermKnown(t);
-          if (all_known) {
-            GroundOp op;
-            op.kind = GroundOp::Kind::kFilterNegEdb;
-            op.relation = edb_relations_[lit.predicate];
-            op.args = lit.args;
-            ops_.push_back(std::move(op));
-            placed = true;
-          }
-        }
-        if (placed) {
-          it = filters->erase(it);
-          changed = true;
-        } else {
-          ++it;
-        }
-      }
-    }
-    return true;
-  }
-
-  void EmitBind(uint32_t var, const Term& source) {
-    GroundOp op;
-    op.kind = GroundOp::Kind::kBindEq;
-    op.target_var = var;
-    op.source = source;
-    ops_.push_back(std::move(op));
-    bound_[var] = true;
-  }
-
-  size_t PopBestAtom(std::vector<size_t>* atoms) {
-    size_t best_pos = 0;
-    int best_known = -1;
-    for (size_t pos = 0; pos < atoms->size(); ++pos) {
-      const Literal& lit = rule_.body[(*atoms)[pos]];
-      int known = 0;
-      for (const Term& t : lit.args) known += TermKnown(t) ? 1 : 0;
-      if (known > best_known) {
-        best_known = known;
-        best_pos = pos;
-      }
-    }
-    const size_t body_index = (*atoms)[best_pos];
-    atoms->erase(atoms->begin() + best_pos);
-    return body_index;
-  }
-
-  Value TermValue(const Term& t) const {
-    if (t.IsConstant()) return t.id;
-    INFLOG_DCHECK(bindings_[t.id] != kNoValue);
-    return bindings_[t.id];
-  }
-
-  Status Step(size_t op_index) {
-    if (op_index == ops_.size()) return EmitGroundRule();
-    const GroundOp& op = ops_[op_index];
-    switch (op.kind) {
-      case GroundOp::Kind::kMatchEdb: {
-        const Relation& rel = *op.relation;
-        std::vector<uint32_t> trail;
-        for (size_t s = 0; s < rel.num_shards(); ++s) {
-          const Relation::ShardView view = rel.shard(s);
-          for (size_t r = 0; r < view.size(); ++r) {
-            if (!view.IsLive(r)) continue;  // EDB facts erased by updates
-            if (MatchRow(op.args, view.Row(r), &trail)) {
-              INFLOG_RETURN_IF_ERROR(Step(op_index + 1));
-              for (uint32_t v : trail) bindings_[v] = kNoValue;
-              trail.clear();
-            }
-          }
-        }
-        return Status::OK();
-      }
-      case GroundOp::Kind::kBindEq: {
-        bindings_[op.target_var] = TermValue(op.source);
-        INFLOG_RETURN_IF_ERROR(Step(op_index + 1));
-        bindings_[op.target_var] = kNoValue;
-        return Status::OK();
-      }
-      case GroundOp::Kind::kFilterEq:
-        if (TermValue(op.lhs) == TermValue(op.rhs)) return Step(op_index + 1);
-        return Status::OK();
-      case GroundOp::Kind::kFilterNeq:
-        if (TermValue(op.lhs) != TermValue(op.rhs)) return Step(op_index + 1);
-        return Status::OK();
-      case GroundOp::Kind::kFilterNegEdb: {
-        scratch_.clear();
-        for (const Term& t : op.args) scratch_.push_back(TermValue(t));
-        if (!op.relation->Contains(scratch_)) return Step(op_index + 1);
-        return Status::OK();
-      }
-      case GroundOp::Kind::kEnumerate: {
-        for (Value v : universe_) {
-          bindings_[op.enum_var] = v;
-          INFLOG_RETURN_IF_ERROR(Step(op_index + 1));
-        }
-        bindings_[op.enum_var] = kNoValue;
-        return Status::OK();
-      }
-    }
-    return Status::Internal("unreachable ground op");
-  }
-
-  bool MatchRow(const std::vector<Term>& args, TupleView row,
-                std::vector<uint32_t>* trail) {
-    for (size_t i = 0; i < args.size(); ++i) {
-      const Term& t = args[i];
-      if (t.IsConstant()) {
-        if (row[i] != t.id) return Undo(trail);
-      } else if (bindings_[t.id] != kNoValue) {
-        if (row[i] != bindings_[t.id]) return Undo(trail);
-      } else {
-        bindings_[t.id] = row[i];
-        trail->push_back(t.id);
-      }
-    }
-    return true;
-  }
-
-  bool Undo(std::vector<uint32_t>* trail) {
-    for (uint32_t v : *trail) bindings_[v] = kNoValue;
-    trail->clear();
-    return false;
-  }
-
-  Status EmitGroundRule() {
-    uint32_t head = 0;
-    if (mode_ == Mode::kRules) {
-      scratch_.clear();
-      for (const Term& t : rule_.head.args) scratch_.push_back(TermValue(t));
-      head = out_->atoms.GetOrAdd(rule_.head.predicate, scratch_);
-    }
-    GroundBody body;
-    body.pos = extra_pos_;
-    for (size_t i : literals_) {
-      const Literal& lit = rule_.body[i];
-      if (lit.kind != Literal::Kind::kAtom &&
-          lit.kind != Literal::Kind::kNegAtom) {
-        continue;
-      }
-      if (IsEdb(lit.predicate)) continue;  // already evaluated away
-      scratch_.clear();
-      for (const Term& t : lit.args) scratch_.push_back(TermValue(t));
-      const uint32_t atom = out_->atoms.GetOrAdd(lit.predicate, scratch_);
-      if (lit.kind == Literal::Kind::kAtom) {
-        body.pos.push_back(atom);
-      } else {
-        body.neg.push_back(atom);
-      }
-    }
-    auto canonicalize = [](std::vector<uint32_t>* v) {
+    for (std::vector<uint32_t>* v : {&body_.pos, &body_.neg}) {
       std::sort(v->begin(), v->end());
       v->erase(std::unique(v->begin(), v->end()), v->end());
-    };
-    canonicalize(&body.pos);
-    canonicalize(&body.neg);
-    const uint32_t body_id = out_->bodies.GetOrAdd(std::move(body));
+    }
+    const uint32_t body_id = out_->bodies.GetOrAdd(body_);
     size_t count;
-    if (mode_ == Mode::kBodies) {
+    if (bodies_ != nullptr) {
       if (!seen_bodies_.insert(body_id).second) return Status::OK();
       bodies_->push_back(body_id);
       count = out_->rules.size() + bodies_->size();
     } else {
-      // Deduplicate (head, body) pairs cheaply.
-      const uint64_t key = (uint64_t{head} << 32) | body_id;
-      if (!seen_rules_->insert(key).second) return Status::OK();
+      if (!seen_rules_.Insert(uint64_t{head} << 32 | body_id)) {
+        return Status::OK();
+      }
       out_->rules.push_back(GroundRule{head, body_id});
       count = out_->rules.size();
     }
     if (count > options_.max_ground_rules) {
       return Status::ResourceExhausted(
-          StrCat("grounding exceeded ", options_.max_ground_rules,
-                 " rules"));
+          StrCat("grounding exceeded ", options_.max_ground_rules, " rules"));
     }
     return Status::OK();
   }
 
-  const Program& program_;
-  const Rule& rule_;
-  /// Body indices of the literals this grounder instantiates.
-  const std::vector<size_t> literals_;
-  const std::vector<const Relation*>& edb_relations_;
-  const std::vector<Value>& universe_;
+  const EvalContext& ctx_;
   const GrounderOptions& options_;
-  std::unordered_set<uint64_t>* seen_rules_;
   GroundProgram* out_;
+  /// The (head, body) pairs emitted so far.
+  KeySet seen_rules_;
 
-  Mode mode_ = Mode::kRules;
-  std::vector<uint32_t> extra_pos_;            // kRules
-  std::vector<uint32_t>* bodies_ = nullptr;    // kBodies
-  std::unordered_set<uint32_t> seen_bodies_;   // kBodies
-
-  std::vector<GroundOp> ops_;
-  std::vector<bool> needed_;
-  std::vector<bool> bound_;
+  const Rule* rule_ = nullptr;
+  const Part* part_ = nullptr;
+  std::vector<uint32_t> extra_pos_;
+  std::vector<uint32_t>* bodies_ = nullptr;  // null: emit rules
+  std::unordered_set<uint32_t> seen_bodies_;
   std::vector<Value> bindings_;
+  GroundBody body_;
   Tuple scratch_;
 };
 
@@ -406,64 +243,54 @@ class RuleGrounder {
 Result<GroundProgram> GroundProgramFor(const Program& program,
                                        const Database& database,
                                        const GrounderOptions& options) {
-  // Resolve EDB relations (by predicate id).
-  static const Relation kEmpty0(0);
-  std::vector<std::unique_ptr<Relation>> empties;
-  std::vector<const Relation*> edb(program.num_predicates(), nullptr);
-  for (uint32_t pred = 0; pred < program.num_predicates(); ++pred) {
-    const PredicateInfo& info = program.predicate(pred);
-    if (info.is_idb) continue;
-    auto rel = database.GetRelation(info.name);
-    if (!rel.ok()) {
-      if (!options.allow_missing_edb) {
-        return Status::NotFound(
-            StrCat("EDB relation ", info.name,
-                   " is not present in the database"));
-      }
-      empties.push_back(std::make_unique<Relation>(info.arity));
-      edb[pred] = empties.back().get();
-      continue;
+  // Each rule's parts: its existential components, then the rest of its
+  // body. Their binding rules extend the program into the instantiation
+  // program, whose context binds the EDB and the universe.
+  Program instantiation = program;
+  std::vector<std::vector<Part>> parts(program.rules().size());
+  for (size_t r = 0; r < program.rules().size(); ++r) {
+    const Rule& rule = program.rules()[r];
+    std::vector<bool> projected(rule.body.size(), false);
+    for (const std::vector<size_t>& component : ExistentialComponents(rule)) {
+      for (size_t i : component) projected[i] = true;
+      parts[r].push_back(MakePart(program, rule, component,
+                                  /*with_head=*/false, &instantiation));
     }
-    if ((*rel)->arity() != info.arity) {
-      return Status::InvalidArgument(
-          StrCat("EDB relation ", info.name, " has arity ", (*rel)->arity(),
-                 " in the database but ", info.arity, " in the program"));
+    std::vector<size_t> rest;
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      if (!projected[i]) rest.push_back(i);
     }
-    edb[pred] = *rel;
+    parts[r].push_back(
+        MakePart(program, rule, rest, /*with_head=*/true, &instantiation));
   }
-
-  // Evaluation universe: active domain plus program constants.
-  const std::vector<Value> universe =
-      database.UniverseWith(program.Constants());
+  EvalContextOptions context_options;
+  context_options.allow_missing_edb = options.allow_missing_edb;
+  INFLOG_ASSIGN_OR_RETURN(
+      const EvalContext ctx,
+      EvalContext::Create(instantiation, database, context_options));
 
   GroundProgram out;
-  std::unordered_set<uint64_t> seen_rules;
+  Instantiator instantiator(ctx, options, &out);
   for (uint32_t r = 0; r < program.rules().size(); ++r) {
     const Rule& rule = program.rules()[r];
-    const auto grounder = [&](std::vector<size_t> literals) {
-      return RuleGrounder(program, rule, std::move(literals), edb, universe,
-                          options, &seen_rules, &out);
-    };
     // Project the existential components: each is grounded on its own
     // into its distinct bodies. A component with none has no witness, so
     // no instance of the rule survives; one whose only body is empty (an
     // EDB-only component with a witness) holds outright; any other
     // becomes an auxiliary atom defined by one rule per body. The rest of
     // the body is then instantiated once per binding of its own variables.
-    const std::vector<std::vector<size_t>> components =
-        ExistentialComponents(rule);
-    std::vector<std::vector<uint32_t>> bodies(components.size());
+    const uint32_t num_components = parts[r].size() - 1;
+    std::vector<std::vector<uint32_t>> bodies(num_components);
     bool has_witness = true;
-    for (size_t c = 0; c < components.size() && has_witness; ++c) {
-      INFLOG_RETURN_IF_ERROR(grounder(components[c]).GroundBodies(&bodies[c]));
+    for (uint32_t c = 0; c < num_components && has_witness; ++c) {
+      INFLOG_RETURN_IF_ERROR(
+          instantiator.GroundBodies(rule, parts[r][c], &bodies[c]));
       has_witness = !bodies[c].empty();
     }
     if (!has_witness) continue;
     const size_t num_rules = out.rules.size();
-    std::vector<bool> projected(rule.body.size(), false);
     std::vector<uint32_t> aux_atoms;
-    for (uint32_t c = 0; c < components.size(); ++c) {
-      for (size_t i : components[c]) projected[i] = true;
+    for (uint32_t c = 0; c < num_components; ++c) {
       if (bodies[c].size() == 1 && out.bodies.body(bodies[c][0]).empty()) {
         continue;
       }
@@ -471,16 +298,14 @@ Result<GroundProgram> GroundProgramFor(const Program& program,
       // never precedes an atom it depends on.
       const uint32_t aux =
           out.atoms.GetOrAdd(kAuxiliaryPredicate, Tuple{r, c});
-      for (uint32_t body : bodies[c]) out.rules.push_back(GroundRule{aux, body});
+      for (uint32_t body : bodies[c]) {
+        out.rules.push_back(GroundRule{aux, body});
+      }
       aux_atoms.push_back(aux);
-    }
-    std::vector<size_t> rest;
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      if (!projected[i]) rest.push_back(i);
     }
     const size_t aux_end = out.rules.size();
     INFLOG_RETURN_IF_ERROR(
-        grounder(std::move(rest)).Ground(std::move(aux_atoms)));
+        instantiator.GroundRules(rule, parts[r].back(), std::move(aux_atoms)));
     // No instance of the rest: nothing uses the auxiliary atoms.
     if (out.rules.size() == aux_end) out.rules.resize(num_rules);
   }

@@ -272,6 +272,7 @@ TEST(SolverBudgetTest, BudgetSurfacesAsResourceExhausted) {
   auto fps = analyzer->EnumerateFixpoints();
   EXPECT_FALSE(fps.ok());
   EXPECT_EQ(fps.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(fps.status().message(), "SAT conflict budget exhausted");
 }
 
 }  // namespace

@@ -202,14 +202,23 @@ std::pair<IdbState, IdbState> ReferenceWellFounded(const Program& program,
 /// A random program over E/2 with IDB predicates T/1, S/1 and Q/0 (nine
 /// atoms over four elements, so brute force stays cheap). Rule bodies mix
 /// head-connected literals with existential ones over the fresh variables
-/// F1, F2, positive or negated, IDB or EDB.
+/// F1, F2, positive or negated, IDB or EDB. Up to three E atoms join the
+/// shared variables, some through a vertex constant, so the grounder's
+/// plans probe both columns of E and intersect their posting lists.
 std::string RandomProjectableProgram(Rng* rng) {
   const char* vars[] = {"X", "Y", "Z"};
   const auto var = [&] { return vars[rng->Uniform(3)]; };
+  const auto term = [&]() -> std::string {
+    return rng->Bernoulli(0.2) ? StrCat(rng->Uniform(4)) : var();
+  };
   std::string text;
   for (const char* head : {"T", "S", "Q", "T", "S"}) {
     if (rng->Bernoulli(0.3)) continue;
     std::vector<std::string> body;
+    const int num_edges = static_cast<int>(rng->Uniform(4));
+    for (int e = 0; e < num_edges; ++e) {
+      body.push_back(StrCat("E(", term(), ",", term(), ")"));
+    }
     const int num_lits = static_cast<int>(rng->Uniform(3));
     for (int l = 0; l < num_lits; ++l) {
       switch (rng->Uniform(6)) {

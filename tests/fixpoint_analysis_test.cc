@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/base/rng.h"
@@ -124,6 +126,275 @@ TEST(GrounderTest, MissingEdbPolicies) {
   auto g = GroundProgramFor(p, db, opts);
   ASSERT_TRUE(g.ok());
   EXPECT_TRUE(g->rules.empty());
+}
+
+// --- Pinned groundings: the atom numbering and the rule order. ---
+//
+// The atom ids number the CNF's variables and order every model vector,
+// so a grounder rewrite must reproduce them, not just the rule set. No
+// input below has two positive EDB atoms tied on bound columns, the one
+// place where the join order is a planner's free choice.
+
+/// (π, D)'s grounding as text: its atoms in id order, eight to a line,
+/// then GroundProgram::ToString.
+std::string PinnedGrounding(std::string_view program, std::string_view facts) {
+  Engine engine;
+  INFLOG_CHECK(engine.LoadProgramText(program).ok());
+  INFLOG_CHECK(engine.LoadDatabaseText(facts).ok());
+  const Program& p = **engine.program();
+  auto g = GroundProgramFor(p, engine.database());
+  INFLOG_CHECK(g.ok()) << g.status().ToString();
+  std::string out;
+  for (uint32_t a = 0; a < g->atoms.size(); ++a) {
+    const GroundAtom& atom = g->atoms.atom(a);
+    out += g->IsAuxiliary(a)
+               ? StrCat("#exists(", atom.args[0], ",", atom.args[1], ")")
+               : StrCat(p.predicate(atom.predicate).name,
+                        FormatTuple(p.symbols(), atom.args));
+    out += (a % 8 == 7 || a + 1 == g->atoms.size()) ? "\n" : " ";
+  }
+  return out + g->ToString(p);
+}
+
+TEST(GroundingPinTest, PiColOnTriangleStrip) {
+  EXPECT_EQ(PinnedGrounding(
+                "R(X) :- R(X).\nB(X) :- B(X).\nG(X) :- G(X).\n"
+                "P(X) :- E(X,Y), R(X), R(Y).\nP(X) :- E(X,Y), B(X), B(Y).\n"
+                "P(X) :- E(X,Y), G(X), G(Y).\nP(X) :- G(X), B(X).\n"
+                "P(X) :- B(X), R(X).\nP(X) :- R(X), G(X).\n"
+                "P(X) :- !R(X), !B(X), !G(X).\nT(Z) :- P(X), !T(W).\n",
+                "E(0,1). E(0,2). E(1,2). E(1,3). E(2,3). E(2,4). E(3,4)."),
+            R"pin(R(0) R(1) R(2) R(3) R(4) B(0) B(1) B(2)
+B(3) B(4) G(0) G(1) G(2) G(3) G(4) P(0)
+P(1) P(2) P(3) P(4) T(0) T(1) T(2) T(3)
+T(4) #exists(10,0) #exists(10,1)
+R(0) :- R(0).
+R(1) :- R(1).
+R(2) :- R(2).
+R(3) :- R(3).
+R(4) :- R(4).
+B(0) :- B(0).
+B(1) :- B(1).
+B(2) :- B(2).
+B(3) :- B(3).
+B(4) :- B(4).
+G(0) :- G(0).
+G(1) :- G(1).
+G(2) :- G(2).
+G(3) :- G(3).
+G(4) :- G(4).
+P(0) :- R(0), R(1).
+P(0) :- R(0), R(2).
+P(1) :- R(1), R(2).
+P(1) :- R(1), R(3).
+P(2) :- R(2), R(3).
+P(2) :- R(2), R(4).
+P(3) :- R(3), R(4).
+P(0) :- B(0), B(1).
+P(0) :- B(0), B(2).
+P(1) :- B(1), B(2).
+P(1) :- B(1), B(3).
+P(2) :- B(2), B(3).
+P(2) :- B(2), B(4).
+P(3) :- B(3), B(4).
+P(0) :- G(0), G(1).
+P(0) :- G(0), G(2).
+P(1) :- G(1), G(2).
+P(1) :- G(1), G(3).
+P(2) :- G(2), G(3).
+P(2) :- G(2), G(4).
+P(3) :- G(3), G(4).
+P(0) :- B(0), G(0).
+P(1) :- B(1), G(1).
+P(2) :- B(2), G(2).
+P(3) :- B(3), G(3).
+P(4) :- B(4), G(4).
+P(0) :- R(0), B(0).
+P(1) :- R(1), B(1).
+P(2) :- R(2), B(2).
+P(3) :- R(3), B(3).
+P(4) :- R(4), B(4).
+P(0) :- R(0), G(0).
+P(1) :- R(1), G(1).
+P(2) :- R(2), G(2).
+P(3) :- R(3), G(3).
+P(4) :- R(4), G(4).
+P(0) :- !R(0), !B(0), !G(0).
+P(1) :- !R(1), !B(1), !G(1).
+P(2) :- !R(2), !B(2), !G(2).
+P(3) :- !R(3), !B(3), !G(3).
+P(4) :- !R(4), !B(4), !G(4).
+#exists(10,0) :- P(0).
+#exists(10,0) :- P(1).
+#exists(10,0) :- P(2).
+#exists(10,0) :- P(3).
+#exists(10,0) :- P(4).
+#exists(10,1) :- !T(0).
+#exists(10,1) :- !T(1).
+#exists(10,1) :- !T(2).
+#exists(10,1) :- !T(3).
+#exists(10,1) :- !T(4).
+T(0) :- #exists(10,0), #exists(10,1).
+T(1) :- #exists(10,0), #exists(10,1).
+T(2) :- #exists(10,0), #exists(10,1).
+T(3) :- #exists(10,0), #exists(10,1).
+T(4) :- #exists(10,0), #exists(10,1).
+)pin");
+}
+
+TEST(GroundingPinTest, StratifiableOnRingWithChord) {
+  EXPECT_EQ(PinnedGrounding(
+                "T(X,Y) :- E(X,Y).\nT(X,Z) :- T(X,Y), E(Y,Z).\n"
+                "N(X) :- S(X), !T(X,X).\n",
+                "E(0,1). E(1,2). E(2,3). E(3,4). E(4,5). E(5,0). E(1,4). "
+                "S(0). S(3)."),
+            R"pin(T(0,1) T(1,2) T(2,3) T(3,4) T(4,5) T(5,0) T(1,4) T(0,0)
+T(1,1) T(1,0) T(2,1) T(2,0) T(3,1) T(3,0) T(4,1) T(4,0)
+T(5,1) T(0,2) T(2,2) T(3,2) T(4,2) T(5,2) T(0,3) T(1,3)
+T(3,3) T(4,3) T(5,3) T(0,4) T(2,4) T(4,4) T(5,4) T(0,5)
+T(1,5) T(2,5) T(3,5) T(5,5) N(0) N(3)
+T(0,1).
+T(1,2).
+T(2,3).
+T(3,4).
+T(4,5).
+T(5,0).
+T(1,4).
+T(0,1) :- T(0,0).
+T(1,1) :- T(1,0).
+T(2,1) :- T(2,0).
+T(3,1) :- T(3,0).
+T(4,1) :- T(4,0).
+T(5,1) :- T(5,0).
+T(0,2) :- T(0,1).
+T(1,2) :- T(1,1).
+T(2,2) :- T(2,1).
+T(3,2) :- T(3,1).
+T(4,2) :- T(4,1).
+T(5,2) :- T(5,1).
+T(0,3) :- T(0,2).
+T(1,3) :- T(1,2).
+T(2,3) :- T(2,2).
+T(3,3) :- T(3,2).
+T(4,3) :- T(4,2).
+T(5,3) :- T(5,2).
+T(0,4) :- T(0,3).
+T(1,4) :- T(1,3).
+T(2,4) :- T(2,3).
+T(3,4) :- T(3,3).
+T(4,4) :- T(4,3).
+T(5,4) :- T(5,3).
+T(0,5) :- T(0,4).
+T(1,5) :- T(1,4).
+T(2,5) :- T(2,4).
+T(3,5) :- T(3,4).
+T(4,5) :- T(4,4).
+T(5,5) :- T(5,4).
+T(0,0) :- T(0,5).
+T(1,0) :- T(1,5).
+T(2,0) :- T(2,5).
+T(3,0) :- T(3,5).
+T(4,0) :- T(4,5).
+T(5,0) :- T(5,5).
+T(0,4) :- T(0,1).
+T(1,4) :- T(1,1).
+T(2,4) :- T(2,1).
+T(3,4) :- T(3,1).
+T(4,4) :- T(4,1).
+T(5,4) :- T(5,1).
+N(0) :- !T(0,0).
+N(3) :- !T(3,3).
+)pin");
+}
+
+TEST(GroundingPinTest, WinGame) {
+  EXPECT_EQ(PinnedGrounding(
+                "W(X) :- M(X,Y), !W(Y).\n",
+                "M(0,1). M(1,2). M(2,0). M(2,3). M(3,4)."),
+            R"pin(W(0) W(1) W(2) W(3) W(4)
+W(0) :- !W(1).
+W(1) :- !W(2).
+W(2) :- !W(0).
+W(2) :- !W(3).
+W(3) :- !W(4).
+)pin");
+}
+
+TEST(GroundingPinTest, ConstantOnlyInAHead) {
+  EXPECT_EQ(PinnedGrounding(
+                "C(X,9) :- E(X,Y), !C(Y,9).\nK(X) :- !C(X,9).\n",
+                "E(1,2). E(2,3)."),
+            R"pin(C(1,9) C(2,9) C(3,9) K(1) K(2) K(3) K(9) C(9,9)
+C(1,9) :- !C(2,9).
+C(2,9) :- !C(3,9).
+K(1) :- !C(1,9).
+K(2) :- !C(2,9).
+K(3) :- !C(3,9).
+K(9) :- !C(9,9).
+)pin");
+}
+
+TEST(GroundingPinTest, UnsafeNegatedEdb) {
+  EXPECT_EQ(PinnedGrounding(
+                "U(X) :- !E(X,X), !U(X).\n"
+                "V(X,Y) :- E(X,Z), !E(Y,Y), !V(Y,X).\n",
+                "E(1,1). E(1,2). E(2,3)."),
+            R"pin(U(2) U(3) V(1,2) V(2,1) V(1,3) V(3,1) V(2,2) V(2,3)
+V(3,2)
+U(2) :- !U(2).
+U(3) :- !U(3).
+V(1,2) :- !V(2,1).
+V(1,3) :- !V(3,1).
+V(2,2) :- !V(2,2).
+V(2,3) :- !V(3,2).
+)pin");
+}
+
+TEST(GroundingPinTest, EqualityBinds) {
+  EXPECT_EQ(PinnedGrounding(
+                "Q(X,Y) :- E(X,Z), Y = Z, !Q(Y,X).\nO(Y) :- Y = 2, !O(Y).\n",
+                "E(1,2). E(2,3). E(3,1)."),
+            R"pin(Q(1,2) Q(2,1) Q(2,3) Q(3,2) Q(3,1) Q(1,3) O(2)
+Q(1,2) :- !Q(2,1).
+Q(2,3) :- !Q(3,2).
+Q(3,1) :- !Q(1,3).
+O(2) :- !O(2).
+)pin");
+}
+
+TEST(GroundingPinTest, InequalityFilters) {
+  EXPECT_EQ(PinnedGrounding(
+                "D(X,Y) :- E(X,Z), E(Y,W), X != Y, !D(Y,X).\n"
+                "I(X) :- E(X,Y), X != 1, !I(Y).\n",
+                "E(1,2). E(2,3). E(3,1)."),
+            R"pin(D(1,2) D(2,1) D(1,3) D(3,1) D(2,3) D(3,2) I(2) I(3)
+I(1)
+D(1,2) :- !D(2,1).
+D(1,3) :- !D(3,1).
+D(2,1) :- !D(1,2).
+D(2,3) :- !D(3,2).
+D(3,1) :- !D(1,3).
+D(3,2) :- !D(2,3).
+I(2) :- !I(3).
+I(3) :- !I(1).
+)pin");
+}
+
+TEST(GroundingPinTest, EdbOnlyComponentWithAndWithoutWitness) {
+  EXPECT_EQ(PinnedGrounding(
+                "A(Z) :- S(Z), E(X,X), !A(Z).\n"
+                "B(Z) :- S(Z), E(X,Y), E(Y,X), !B(Z).\n"
+                "C(Z) :- S(Z), E(X,Y), !C(Y).\n",
+                "E(1,2). E(2,1). E(2,3). S(1). S(3)."),
+            R"pin(B(1) B(3) C(2) C(1) C(3) #exists(2,0)
+B(1) :- !B(1).
+B(3) :- !B(3).
+#exists(2,0) :- !C(2).
+#exists(2,0) :- !C(1).
+#exists(2,0) :- !C(3).
+C(1) :- #exists(2,0).
+C(3) :- #exists(2,0).
+)pin");
 }
 
 // --- Analyzer on the paper's §2 example. ---
@@ -317,22 +588,24 @@ TEST(AnalyzerTest, RaisedStopFlagExhaustsAndAFreshAnalyzerAnswers) {
 
   auto analyzer = engine.MakeAnalyzer(stopped);
   ASSERT_TRUE(analyzer.ok()) << analyzer.status().ToString();
-  EXPECT_EQ(analyzer->HasFixpoint().status().code(),
-            StatusCode::kResourceExhausted);
+  // No conflict budget is set, so the error names the stop flag.
+  const Status has = analyzer->HasFixpoint().status();
+  EXPECT_EQ(has.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(has.message(), "SAT search stopped");
   auto program = engine.program();
   ASSERT_TRUE(program.ok());
-  EXPECT_EQ(EnumerateStableModels(**program, engine.database(), stopped)
-                .status()
-                .code(),
-            StatusCode::kResourceExhausted);
+  const Status stable_stopped =
+      EnumerateStableModels(**program, engine.database(), stopped).status();
+  EXPECT_EQ(stable_stopped.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(stable_stopped.message(), "SAT search stopped");
 
   // The flag belongs to the stopped options only: a fresh analyzer on the
   // same engine answers.
   auto fresh = engine.MakeAnalyzer();
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  auto has = fresh->HasFixpoint();
-  ASSERT_TRUE(has.ok()) << has.status().ToString();
-  EXPECT_TRUE(*has);
+  auto fresh_has = fresh->HasFixpoint();
+  ASSERT_TRUE(fresh_has.ok()) << fresh_has.status().ToString();
+  EXPECT_TRUE(*fresh_has);
   auto stable = EnumerateStableModels(**program, engine.database());
   ASSERT_TRUE(stable.ok()) << stable.status().ToString();
   EXPECT_EQ(stable->models.size(), 1u);
