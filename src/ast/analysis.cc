@@ -1,5 +1,6 @@
 #include "src/ast/analysis.h"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -104,57 +105,142 @@ std::vector<uint32_t> NegationUnsafeVars(const Rule& rule,
   return out;
 }
 
+/// Tarjan's algorithm over `out_edges`, iterative so that a long chain
+/// of rules cannot overflow the stack. A component pops only after every
+/// component it reaches, so the list comes out dependency-first. The
+/// depth-first search starts from `first_roots`, then from every other
+/// predicate by id.
+std::vector<std::vector<uint32_t>> DependencyFirstComponents(
+    const std::vector<std::vector<DependencyEdge>>& out_edges,
+    const std::vector<uint32_t>& first_roots) {
+  const size_t n = out_edges.size();
+  std::vector<std::vector<uint32_t>> components;
+  std::vector<int64_t> index(n, -1);
+  std::vector<int64_t> low(n, 0);
+  std::vector<bool> on_stack(n, false);
+  std::vector<uint32_t> stack;
+  int64_t counter = 0;
+  struct Frame {
+    uint32_t v;
+    size_t edge;
+  };
+  std::vector<Frame> dfs;
+  const auto open = [&](uint32_t v) {
+    index[v] = low[v] = counter++;
+    stack.push_back(v);
+    on_stack[v] = true;
+    dfs.push_back({v, 0});
+  };
+  std::vector<uint32_t> roots = first_roots;
+  for (uint32_t p = 0; p < n; ++p) roots.push_back(p);
+  for (const uint32_t root : roots) {
+    if (index[root] != -1) continue;
+    open(root);
+    while (!dfs.empty()) {
+      Frame& frame = dfs.back();
+      if (frame.edge < out_edges[frame.v].size()) {
+        const uint32_t w = out_edges[frame.v][frame.edge++].body;
+        if (index[w] == -1) {
+          open(w);
+        } else if (on_stack[w]) {
+          low[frame.v] = std::min(low[frame.v], index[w]);
+        }
+        continue;
+      }
+      const uint32_t v = frame.v;
+      dfs.pop_back();
+      if (!dfs.empty()) {
+        low[dfs.back().v] = std::min(low[dfs.back().v], low[v]);
+      }
+      if (index[v] != low[v]) continue;
+      std::vector<uint32_t>& component = components.emplace_back();
+      uint32_t w;
+      do {
+        w = stack.back();
+        stack.pop_back();
+        on_stack[w] = false;
+        component.push_back(w);
+      } while (w != v);
+      std::sort(component.begin(), component.end());
+    }
+  }
+  return components;
+}
+
 }  // namespace
+
+std::vector<bool> ReachablePredicates(const std::vector<Rule>& rules,
+                                      size_t num_predicates,
+                                      const std::vector<uint32_t>& from) {
+  std::vector<std::vector<uint32_t>> body_of(num_predicates);
+  for (const Rule& rule : rules) {
+    for (const Literal& lit : rule.body) {
+      if (lit.IsPositiveAtom() || lit.IsNegatedAtom()) {
+        body_of[rule.head.predicate].push_back(lit.predicate);
+      }
+    }
+  }
+  std::vector<bool> reached(num_predicates, false);
+  std::vector<uint32_t> stack = from;
+  while (!stack.empty()) {
+    const uint32_t p = stack.back();
+    stack.pop_back();
+    for (const uint32_t q : body_of[p]) {
+      if (!reached[q]) {
+        reached[q] = true;
+        stack.push_back(q);
+      }
+    }
+  }
+  return reached;
+}
 
 ProgramAnalysis AnalyzeProgram(const Program& program) {
   ProgramAnalysis out;
   const size_t num_preds = program.num_predicates();
 
-  // --- Dependency graph (deduplicated, negative-dominant). ---
+  // --- Dependency graph: each predicate's head → body edges in rule
+  // order, and the same edges deduplicated, negative-dominant. ---
+  std::vector<std::vector<DependencyEdge>> out_edges(num_preds);
   std::map<std::pair<uint32_t, uint32_t>, bool> edge_map;
   for (const Rule& rule : program.rules()) {
     for (const Literal& lit : rule.body) {
-      if (lit.kind != Literal::Kind::kAtom &&
-          lit.kind != Literal::Kind::kNegAtom) {
-        continue;
-      }
-      auto key = std::make_pair(rule.head.predicate, lit.predicate);
+      if (!lit.IsPositiveAtom() && !lit.IsNegatedAtom()) continue;
       const bool neg = lit.IsNegatedAtom();
-      auto [it, inserted] = edge_map.emplace(key, neg);
-      if (!inserted) it->second = it->second || neg;
+      out_edges[rule.head.predicate].push_back(
+          DependencyEdge{rule.head.predicate, lit.predicate, neg});
+      edge_map[{rule.head.predicate, lit.predicate}] |= neg;
     }
   }
   for (const auto& [key, neg] : edge_map) {
     out.edges.push_back(DependencyEdge{key.first, key.second, neg});
   }
 
-  // --- Stratification by relaxation (Ullman's algorithm): ---
-  //   stratum(head) >= stratum(body)        for positive dependencies,
-  //   stratum(head) >= stratum(body) + 1    for negative dependencies.
-  // If a stratum value exceeds the number of predicates, some cycle goes
-  // through a negative edge and the program is not stratifiable.
+  // --- Strata, one component at a time in dependency-first order: a
+  // component takes the least stratum at or above every component it
+  // reads and above every one it negates. A negative edge inside a
+  // component is a cycle through negation. ---
+  out.components = DependencyFirstComponents(out_edges,
+                                             program.idb_predicates());
+  std::vector<size_t> component_of(num_preds);
+  for (size_t c = 0; c < out.components.size(); ++c) {
+    for (const uint32_t p : out.components[c]) component_of[p] = c;
+  }
   out.stratum.assign(num_preds, 0);
   out.stratifiable = true;
-  bool changed = true;
-  while (changed && out.stratifiable) {
-    changed = false;
-    for (const auto& [key, neg] : edge_map) {
-      const int need = out.stratum[key.second] + (neg ? 1 : 0);
-      if (out.stratum[key.first] < need) {
-        out.stratum[key.first] = need;
-        changed = true;
-        if (out.stratum[key.first] > static_cast<int>(num_preds)) {
-          out.stratifiable = false;
-          break;
-        }
+  out.num_strata = 1;
+  for (size_t c = 0; c < out.components.size(); ++c) {
+    int level = 0;
+    for (const uint32_t p : out.components[c]) {
+      for (const DependencyEdge& e : out_edges[p]) {
+        if (e.negative && component_of[e.body] == c) out.stratifiable = false;
+        level = std::max(level, out.stratum[e.body] + (e.negative ? 1 : 0));
       }
     }
+    for (const uint32_t p : out.components[c]) out.stratum[p] = level;
+    out.num_strata = std::max(out.num_strata, level + 1);
   }
-  if (out.stratifiable) {
-    int max_stratum = 0;
-    for (int s : out.stratum) max_stratum = std::max(max_stratum, s);
-    out.num_strata = max_stratum + 1;
-  } else {
+  if (!out.stratifiable) {
     out.stratum.assign(num_preds, -1);
     out.num_strata = 0;
   }

@@ -1,6 +1,13 @@
-// Static analysis of DATALOG¬ programs: predicate dependency graph,
-// stratifiability (Chandra–Harel / Apt–Blair–Walker layering), and safety
-// (range restriction) diagnostics.
+// Static analysis of DATALOG¬ programs: predicate dependency graph, its
+// strongly connected components, stratifiability (Chandra–Harel /
+// Apt–Blair–Walker layering), and safety (range restriction) diagnostics.
+//
+// The dependency graph is decomposed once, by one linear pass of Tarjan's
+// algorithm. The strata, which order the stratified evaluator's rules,
+// and the incremental maintenance units (src/eval/incremental.h) both
+// come from these components. Reachability from given predicates
+// (dead-rule elimination, the rewrites' needed part, the inliner's
+// recursion test) is ReachablePredicates.
 //
 // Stratifiability matters because the paper contrasts its proposal with the
 // stratified semantics, which "cannot assign meaning to all DATALOG¬
@@ -33,7 +40,16 @@ struct ProgramAnalysis {
   /// the body predicate negatively under that head).
   std::vector<DependencyEdge> edges;
 
-  /// True iff no cycle of dependencies passes through a negative edge.
+  /// The strongly connected components of the dependency graph, over
+  /// every predicate id, dependency-first: every edge stays inside its
+  /// component or leads to an earlier one. Members ascend by id. The
+  /// order is fixed by the program text: the search starts from the IDB
+  /// predicates in Program::idb_predicates() order, then from the other
+  /// ids, and follows each head's edges in rule order.
+  std::vector<std::vector<uint32_t>> components;
+
+  /// True iff no cycle of dependencies passes through a negative edge,
+  /// that is, no negative edge lies inside a component.
   bool stratifiable = false;
 
   /// Stratum per predicate id. EDB predicates are stratum 0; IDB strata
@@ -91,6 +107,15 @@ ProgramAnalysis AnalyzeProgram(const Program& program);
 /// EvalContextOptions / EvalOptions::reject_unsafe_negation; the default
 /// keeps the paper's active-domain reading available.
 Status CheckNegationSafety(const Program& program);
+
+/// The predicates that `from` reaches over one or more head → body edges
+/// of `rules`, through positive and negated literals alike, as a mask
+/// over `num_predicates` ids. A predicate of `from` is marked only when
+/// it reaches itself, that is, when it is recursive. Takes bare rules so
+/// the program rewrites can ask it of a rule set in progress.
+std::vector<bool> ReachablePredicates(const std::vector<Rule>& rules,
+                                      size_t num_predicates,
+                                      const std::vector<uint32_t>& from);
 
 /// Computes the range-restriction closure for one rule: variables bound by
 /// positive body atoms, closed under equalities with constants or bound

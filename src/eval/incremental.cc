@@ -332,97 +332,20 @@ Status IncrementalSession::Init() {
   num_shards_ = state_.relations.empty()
                     ? ResolvedNumShards(options_.context)
                     : state_.relations[0].num_shards();
-  BuildUnits();
+  // The units are the analysis's IDB components, in its dependency-first
+  // order. Negative edges count: they never close a cycle under the
+  // semantics maintained here, but a deletion under negation propagates
+  // too, so they order the units.
+  std::vector<size_t> unit_of(program_->num_predicates());
+  for (const std::vector<uint32_t>& component : analysis_.components) {
+    if (!program_->predicate(component.front()).is_idb) continue;
+    for (const uint32_t p : component) unit_of[p] = units_.size();
+    units_.push_back(Unit{component, {}});
+  }
+  for (size_t r = 0; r < program_->rules().size(); ++r) {
+    units_[unit_of[program_->rules()[r].head.predicate]].rules.push_back(r);
+  }
   return Status::OK();
-}
-
-void IncrementalSession::BuildUnits() {
-  const std::vector<uint32_t>& idb_preds = program_->idb_predicates();
-  const size_t n = idb_preds.size();
-  units_.clear();
-  unit_of_idb_.assign(n, 0);
-  if (n == 0) return;
-
-  // Dependency edges head → body over idb_index space, plus the rules
-  // each head owns. All edges participate: under the semantics the
-  // session maintains incrementally, negative edges never close a cycle
-  // (stratifiable / positive), so they only constrain the topological
-  // order — which they must, deletions on a negated input propagate too.
-  std::vector<std::vector<uint32_t>> adj(n);
-  std::vector<std::vector<size_t>> rules_of(n);
-  const std::vector<Rule>& rules = program_->rules();
-  for (size_t r = 0; r < rules.size(); ++r) {
-    const uint32_t h =
-        static_cast<uint32_t>(program_->predicate(rules[r].head.predicate)
-                                  .idb_index);
-    rules_of[h].push_back(r);
-    for (const Literal& lit : rules[r].body) {
-      if (!lit.IsPositiveAtom() && !lit.IsNegatedAtom()) continue;
-      const PredicateInfo& info = program_->predicate(lit.predicate);
-      if (!info.is_idb) continue;
-      adj[h].push_back(static_cast<uint32_t>(info.idb_index));
-    }
-  }
-
-  // Iterative Tarjan. With head → dependency edges, components pop in
-  // dependency-first order — exactly the unit processing order.
-  std::vector<int64_t> index(n, -1);
-  std::vector<int64_t> low(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<uint32_t> stack;
-  int64_t counter = 0;
-  struct Frame {
-    uint32_t v;
-    size_t edge;
-  };
-  std::vector<Frame> dfs;
-  for (uint32_t root = 0; root < n; ++root) {
-    if (index[root] != -1) continue;
-    index[root] = low[root] = counter++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    dfs.push_back({root, 0});
-    while (!dfs.empty()) {
-      Frame& frame = dfs.back();
-      if (frame.edge < adj[frame.v].size()) {
-        const uint32_t w = adj[frame.v][frame.edge++];
-        if (index[w] == -1) {
-          index[w] = low[w] = counter++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          dfs.push_back({w, 0});
-        } else if (on_stack[w]) {
-          low[frame.v] = std::min(low[frame.v], index[w]);
-        }
-        continue;
-      }
-      const uint32_t v = frame.v;
-      if (index[v] == low[v]) {
-        Unit unit;
-        std::vector<uint32_t> members;
-        uint32_t w;
-        do {
-          w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          members.push_back(w);
-        } while (w != v);
-        std::sort(members.begin(), members.end());
-        for (const uint32_t m : members) {
-          unit_of_idb_[m] = units_.size();
-          unit.preds.push_back(idb_preds[m]);
-          unit.rules.insert(unit.rules.end(), rules_of[m].begin(),
-                            rules_of[m].end());
-        }
-        std::sort(unit.rules.begin(), unit.rules.end());
-        units_.push_back(std::move(unit));
-      }
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        low[dfs.back().v] = std::min(low[dfs.back().v], low[v]);
-      }
-    }
-  }
 }
 
 Result<IdbState> IncrementalSession::ComputeFullState(EvalStats* stats) {

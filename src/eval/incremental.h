@@ -4,10 +4,11 @@
 // An IncrementalSession pins one (program, database, semantics) triple,
 // evaluates it once from scratch, and then maintains the materialized IDB
 // state under batches of EDB inserts and deletes (ApplyUpdate). The
-// program's IDB predicates are decomposed into *units* — strongly
-// connected components of the predicate dependency graph, processed in
-// topological (dependency-first) order, which refines the stratification —
-// and every affected unit is maintained by DRed (delete-and-rederive;
+// program's IDB predicates are decomposed into *units* — the strongly
+// connected components of the predicate dependency graph that
+// AnalyzeProgram finds (src/ast/analysis.h), processed in its
+// dependency-first order, which refines the stratification — and every
+// affected unit is maintained by DRed (delete-and-rederive;
 // Gupta, Mumick & Subrahmanian, SIGMOD 1993): (1) overdelete — propagate
 // deletions through the unit's rules over the frozen old unit state, as a
 // seeded semi-naive fixpoint over synthesized "P~del" companion
@@ -159,9 +160,9 @@ class IncrementalSession {
   const Program& program() const { return *program_; }
 
  private:
-  /// One maintenance unit: an SCC of the IDB dependency graph, with the
-  /// rules whose heads it owns. Units are stored in dependency-first
-  /// topological order.
+  /// One maintenance unit: an IDB component of `analysis_`, with the
+  /// rules whose heads it owns. Units are stored in the analysis's
+  /// dependency-first order.
   struct Unit {
     std::vector<uint32_t> preds;  ///< Predicate ids (real program).
     std::vector<size_t> rules;    ///< Indices into program.rules().
@@ -181,7 +182,6 @@ class IncrementalSession {
                      const IncrementalOptions& options);
 
   Status Init();
-  void BuildUnits();
   Result<IdbState> ComputeFullState(EvalStats* stats);
   Status FullRecompute(EvalStats* stats);
   EvalContextOptions PhaseOptions() const;
@@ -198,8 +198,6 @@ class IncrementalSession {
   bool all_safe_ = false;
   size_t num_shards_ = 1;
   std::vector<Unit> units_;
-  /// Unit index per IDB predicate id (dense by idb_index).
-  std::vector<size_t> unit_of_idb_;
   IdbState state_;
   EvalStats cumulative_;
   /// Pool shared by every maintenance phase of the session

@@ -59,11 +59,11 @@ const EvalStats* EvalOutcome::stats() const {
     case SemanticsKind::kStratified:
       return &std::get<StratifiedResult>(detail).stats;
     case SemanticsKind::kStable:
-      // The stable pipeline bypasses the executor but carries the CDCL
-      // counters of its supported-model enumeration.
+      // The CDCL counters of the supported-model enumeration; the
+      // executor counters of the grounder's binding rules are dropped.
       return &std::get<StableResult>(detail).stats;
     case SemanticsKind::kWellFounded:
-      return nullptr;  // grounded pipeline, bypasses the executor
+      return nullptr;  // no SAT search; the grounder's counters are dropped
   }
   return nullptr;
 }

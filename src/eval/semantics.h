@@ -77,8 +77,9 @@ struct EvalOutcome {
   IdbState& state();
 
   /// The executor counters of the run (the SAT counters for the stable
-  /// pipeline), or nullptr for the well-founded pipeline, which runs
-  /// neither. Borrowed from `detail`.
+  /// pipeline), or nullptr for the well-founded pipeline, which reports
+  /// no counters: it runs no SAT search, and the executor counters of its
+  /// grounder's binding rules are dropped. Borrowed from `detail`.
   const EvalStats* stats() const;
 };
 

@@ -26,28 +26,28 @@ Result<StratifiedResult> EvalStratifiedCore(const Program& program,
   result.state =
       MakeEmptyIdbState(program, ResolvedNumShards(options.context));
 
-  const size_t num_idb = program.idb_predicates().size();
+  // Each stratum's rules (those whose head lives in it), in rule order.
+  std::vector<std::vector<size_t>> rules_of(analysis.num_strata);
+  for (size_t r = 0; r < program.rules().size(); ++r) {
+    rules_of[analysis.stratum[program.rules()[r].head.predicate]].push_back(r);
+  }
   // One pool shared across strata (filled lazily by the first stratum
   // whose stages fan out), so threads are spawned at most once per run.
   std::unique_ptr<ThreadPool> pool;
-  for (int stratum = 0; stratum < analysis.num_strata; ++stratum) {
-    // Rules whose head lives in this stratum.
+  for (std::vector<size_t>& stratum_rules : rules_of) {
+    if (stratum_rules.empty()) continue;
+    // This stratum's predicates, the heads of its rules, are dynamic;
+    // lower strata are frozen at their already-computed values inside
+    // `result.state`.
+    std::vector<bool> dynamic(program.idb_predicates().size(), false);
+    for (const size_t r : stratum_rules) {
+      dynamic[program.predicate(program.rules()[r].head.predicate)
+                  .idb_index] = true;
+    }
     SemiNaiveOptions sn;
     sn.use_deltas = options.use_seminaive;
     sn.pool_cache = &pool;
-    for (size_t r = 0; r < program.rules().size(); ++r) {
-      if (analysis.stratum[program.rules()[r].head.predicate] == stratum) {
-        sn.rule_subset.push_back(r);
-      }
-    }
-    if (sn.rule_subset.empty()) continue;
-    // This stratum's predicates are dynamic; lower strata are frozen at
-    // their already-computed values inside `result.state`.
-    std::vector<bool> dynamic(num_idb, false);
-    for (size_t i = 0; i < num_idb; ++i) {
-      dynamic[i] =
-          analysis.stratum[program.idb_predicates()[i]] == stratum;
-    }
+    sn.rule_subset = std::move(stratum_rules);
     INFLOG_ASSIGN_OR_RETURN(
         EvalContext ctx,
         EvalContext::CreateWithFixed(program, database, dynamic,

@@ -7,19 +7,6 @@
 #include "src/eval/theta.h"
 
 namespace inflog {
-namespace {
-
-/// The error for a search that ended kUnknown: the stop flag when it was
-/// raised, the conflict budget otherwise.
-Status UnknownAnswer(const sat::SolverOptions& options) {
-  if (options.stop != nullptr &&
-      options.stop->load(std::memory_order_relaxed)) {
-    return Status::ResourceExhausted("SAT search stopped");
-  }
-  return Status::ResourceExhausted("SAT conflict budget exhausted");
-}
-
-}  // namespace
 
 Result<FixpointAnalyzer> FixpointAnalyzer::Create(const Program* program,
                                                   const Database* database,
@@ -36,10 +23,10 @@ Result<FixpointAnalyzer> FixpointAnalyzer::Create(const Program* program,
 sat::Solver FixpointAnalyzer::MakeSolver() const {
   sat::Solver solver(options_.solver);
   solver.AddCnf(encoding_.cnf);
-  // Blocking clauses and activation assumptions reference the program's
-  // atom variables after the first Solve: freeze them so preprocessing
-  // cannot eliminate them (elimination is an exact existential
-  // projection, so the model set over the frozen variables is unchanged).
+  // Blocking clauses reference the program's atom variables after the
+  // first Solve: freeze them so preprocessing cannot eliminate them
+  // (elimination is an exact existential projection, so the model set
+  // over the frozen variables is unchanged).
   for (size_t a = 0; a < encoding_.atom_vars.size(); ++a) {
     const int32_t var = encoding_.atom_vars[a];
     if (var >= 0 && !ground_.IsAuxiliary(a)) solver.FreezeVar(var);
@@ -72,7 +59,9 @@ sat::Clause FixpointAnalyzer::BlockingClause(
 
 Result<bool> FixpointAnalyzer::ForEachModel(
     uint64_t limit, bool block_last,
-    const std::function<void(const std::vector<bool>&)>& visit) const {
+    const std::function<void(const std::vector<bool>&)>& visit,
+    const std::function<sat::Clause(const std::vector<bool>&)>& block)
+    const {
   sat::Solver solver = MakeSolver();
   uint64_t models = 0;
   bool ran_out = false;
@@ -88,15 +77,21 @@ Result<bool> FixpointAnalyzer::ForEachModel(
     if (++models == limit && !block_last) break;
     // A block that leaves no clause to add (no atoms) or closes the
     // formula at the root ends the enumeration: every model was seen.
-    const sat::Clause block = BlockingClause(atoms);
-    if (block.empty() || !solver.AddClause(block)) {
+    const sat::Clause clause = block ? block(atoms) : BlockingClause(atoms);
+    if (clause.empty() || !solver.AddClause(clause)) {
       ran_out = true;
       break;
     }
   }
   sat_stats_.Add(solver.stats());
-  if (res == sat::SolveResult::kUnknown) return UnknownAnswer(options_.solver);
-  return ran_out;
+  if (res != sat::SolveResult::kUnknown) return ran_out;
+  // The search ended kUnknown: the stop flag when it was raised, the
+  // conflict budget otherwise.
+  const std::atomic<bool>* stop = options_.solver.stop;
+  return Status::ResourceExhausted(
+      stop != nullptr && stop->load(std::memory_order_relaxed)
+          ? "SAT search stopped"
+          : "SAT conflict budget exhausted");
 }
 
 Result<bool> FixpointAnalyzer::HasFixpoint() const {
@@ -166,55 +161,33 @@ Result<UniqueStatus> FixpointAnalyzer::UniqueFixpoint() const {
 }
 
 Result<LeastFixpointOutcome> FixpointAnalyzer::LeastFixpoint() const {
+  // Candidate C := the atoms true in every model found so far. Each
+  // further model must make some atom of C false; when none can, C is
+  // exactly the intersection of all fixpoints. C only shrinks, so each
+  // round's clause implies the previous round's and stays in the
+  // solver. Each round ends the search or strictly shrinks C, so at most
+  // |C₀|+1 SAT calls run.
   LeastFixpointOutcome out;
-  sat::Solver solver = MakeSolver();
-  sat::SolveResult res = solver.Solve();
-  ++out.sat_calls;
-  if (res == sat::SolveResult::kUnknown) {
-    sat_stats_.Add(solver.stats());
-    return UnknownAnswer(options_.solver);
-  }
-  if (res == sat::SolveResult::kUnsat) {
-    sat_stats_.Add(solver.stats());
-    return out;  // no fixpoint at all
-  }
-  out.has_fixpoint = true;
-
-  // Candidate C := atoms true in the first model; then repeatedly ask for
-  // a fixpoint missing part of C and intersect. When no such model exists,
-  // C is exactly the intersection of all fixpoints. Each round either
-  // terminates or strictly shrinks C, so at most |C₀|+1 SAT calls run.
-  // (Activation variables are created after the first Solve, so the
-  // preprocessor never sees — and cannot eliminate — them.)
-  std::vector<bool> candidate = encoding_.DecodeAtoms(solver.Model());
-  while (true) {
-    sat::Clause ask;
-    const sat::Var activation = solver.NewVar();
-    ask.push_back(sat::Neg(activation));
-    for (size_t a = 0; a < candidate.size(); ++a) {
-      if (candidate[a] && !ground_.IsAuxiliary(a)) {
-        ask.push_back(sat::Neg(encoding_.atom_vars[a]));
-      }
-    }
-    if (ask.size() == 1) break;  // candidate already empty
-    solver.AddClause(ask);
-    res = solver.Solve({sat::Pos(activation)});
-    ++out.sat_calls;
-    if (res == sat::SolveResult::kUnknown) {
-      sat_stats_.Add(solver.stats());
-      return UnknownAnswer(options_.solver);
-    }
-    // Deactivate the query clause for subsequent rounds.
-    const bool found = res == sat::SolveResult::kSat;
-    std::vector<bool> model_atoms;
-    if (found) model_atoms = encoding_.DecodeAtoms(solver.Model());
-    solver.AddClause({sat::Neg(activation)});
-    if (!found) break;
-    for (size_t a = 0; a < candidate.size(); ++a) {
-      candidate[a] = candidate[a] && model_atoms[a];
-    }
-  }
-  sat_stats_.Add(solver.stats());
+  out.sat_calls = 1;
+  std::vector<bool> candidate;
+  INFLOG_RETURN_IF_ERROR(
+      ForEachModel(
+          /*limit=*/0, /*block_last=*/true, /*visit=*/nullptr,
+          [&](const std::vector<bool>& atoms) {
+            if (!out.has_fixpoint) candidate = atoms;
+            out.has_fixpoint = true;
+            sat::Clause some_false;
+            for (size_t a = 0; a < atoms.size(); ++a) {
+              candidate[a] = candidate[a] && atoms[a];
+              if (candidate[a] && !ground_.IsAuxiliary(a)) {
+                some_false.push_back(sat::Neg(encoding_.atom_vars[a]));
+              }
+            }
+            if (!some_false.empty()) ++out.sat_calls;
+            return some_false;
+          })
+          .status());
+  if (!out.has_fixpoint) return out;
 
   out.intersection = ground_.DecodeState(*program_, candidate);
   // Theorem 3's observation: a least fixpoint exists iff the intersection

@@ -62,7 +62,9 @@ struct LeastFixpointOutcome {
   /// The coordinatewise intersection of all fixpoints (meaningful iff
   /// has_fixpoint). When has_least, this is the least fixpoint.
   IdbState intersection;
-  /// SAT oracle calls used (the FONP flavor of Theorem 3 made concrete).
+  /// SAT oracle calls used (the FONP flavor of Theorem 3 made concrete):
+  /// the first solve, then one per query clause. A query clause that the
+  /// solver refutes as it is added counts too; its answer is UNSAT.
   size_t sat_calls = 0;
 };
 
@@ -121,25 +123,27 @@ class FixpointAnalyzer {
       : program_(program), database_(database), options_(options) {}
 
   /// Fresh solver pre-loaded with the completion; the variable of every
-  /// program atom is frozen so blocking clauses and assumptions stay
-  /// sound under preprocessing.
+  /// program atom is frozen so blocking clauses stay sound under
+  /// preprocessing.
   sat::Solver MakeSolver() const;
 
   /// Clause blocking the given assignment of the program's atoms.
   sat::Clause BlockingClause(const std::vector<bool>& atoms) const;
 
-  /// The solve → decode → block loop behind every query but
-  /// LeastFixpoint. A fresh solver solves until the models run out or
-  /// `limit` models were found (0 = no limit); each model's atom
-  /// assignment goes to `visit` (when given) and is then blocked, except
-  /// the `limit`-th when `block_last` is false. Returns whether the
-  /// models ran out: a solve was UNSAT or a block closed the formula, so
-  /// no model is left unvisited. The solver's counters are added to
-  /// sat_stats_ on every exit; ResourceExhausted when a solve hits the
-  /// conflict budget or the stop flag.
+  /// The solve → decode → block loop behind every query. A fresh solver
+  /// solves until the models run out or `limit` models were found (0 = no
+  /// limit); each model's atom assignment goes to `visit` (when given) and
+  /// is then blocked, except the `limit`-th when `block_last` is false.
+  /// The clause that blocks a model is `block(atoms)`, BlockingClause when
+  /// `block` is null. Returns whether the models ran out: a solve was
+  /// UNSAT or a block was empty or closed the formula, so no model is
+  /// left unvisited. The solver's counters are added to sat_stats_ on
+  /// every exit; ResourceExhausted when a solve hits the conflict budget
+  /// or the stop flag.
   Result<bool> ForEachModel(
       uint64_t limit, bool block_last,
-      const std::function<void(const std::vector<bool>&)>& visit =
+      const std::function<void(const std::vector<bool>&)>& visit = nullptr,
+      const std::function<sat::Clause(const std::vector<bool>&)>& block =
           nullptr) const;
 
   /// Decodes an atom assignment and verifies it with Θ(S) = S.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/ast/analysis.h"
+
 namespace inflog {
 
 void DeadRulePass::Run(const PassContext& pctx, StagePlans* plans,
@@ -10,34 +12,11 @@ void DeadRulePass::Run(const PassContext& pctx, StagePlans* plans,
   if (outputs.empty()) return;
   const Program& program = pctx.ctx->program();
 
-  // Predicate-level reachability closure from the outputs: a predicate is
-  // needed iff an output (transitively) depends on it through any rule —
-  // positively or under negation.
-  std::vector<bool> needed(program.num_predicates(), false);
-  std::vector<uint32_t> frontier;
-  for (uint32_t pred : outputs) {
-    if (!needed[pred]) {
-      needed[pred] = true;
-      frontier.push_back(pred);
-    }
-  }
-  while (!frontier.empty()) {
-    std::vector<uint32_t> next;
-    for (const Rule& rule : program.rules()) {
-      if (!needed[rule.head.predicate]) continue;
-      for (const Literal& lit : rule.body) {
-        if (lit.kind != Literal::Kind::kAtom &&
-            lit.kind != Literal::Kind::kNegAtom) {
-          continue;
-        }
-        if (!needed[lit.predicate]) {
-          needed[lit.predicate] = true;
-          next.push_back(lit.predicate);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
+  // A predicate is needed iff it is an output or an output depends on
+  // it (transitively) through any rule, positively or under negation.
+  std::vector<bool> needed = ReachablePredicates(
+      program.rules(), program.num_predicates(), outputs);
+  for (const uint32_t pred : outputs) needed[pred] = true;
 
   const size_t before = plans->rules.size();
   plans->rules.erase(

@@ -2,35 +2,11 @@
 
 #include <string>
 
+#include "src/ast/analysis.h"
+
 namespace inflog {
 
 namespace {
-
-/// True iff `pred` can (transitively) derive through itself: DFS over
-/// head → body-predicate edges starting from the bodies of `pred`'s
-/// rules.
-bool IsRecursive(const RewriteWorkspace& ws, uint32_t pred) {
-  std::vector<bool> visited(ws.names.size(), false);
-  std::vector<uint32_t> stack = {pred};
-  bool first = true;
-  while (!stack.empty()) {
-    const uint32_t p = stack.back();
-    stack.pop_back();
-    if (!first) {
-      if (p == pred) return true;
-      if (visited[p]) continue;
-      visited[p] = true;
-    }
-    first = false;
-    for (const Rule& rule : ws.rules) {
-      if (rule.head.predicate != p) continue;
-      for (const Literal& lit : rule.body) {
-        if (lit.predicate != kNoPredicate) stack.push_back(lit.predicate);
-      }
-    }
-  }
-  return false;
-}
 
 /// The single inlining step: substitutes defining rule `def` (of
 /// predicate `pred`) into the one consumer rule at `use_rule`,
@@ -126,7 +102,9 @@ uint64_t InlineSingleUseRules(const std::vector<bool>& is_output,
           use_rule == static_cast<size_t>(def_rule)) {
         continue;
       }
-      if (IsRecursive(*ws, pred)) continue;
+      if (ReachablePredicates(ws->rules, ws->names.size(), {pred})[pred]) {
+        continue;  // recursive
+      }
       InlineInto(ws->rules[def_rule], &ws->rules[use_rule], use_pos);
       ws->rules.erase(ws->rules.begin() + def_rule);
       ++inlined;

@@ -67,41 +67,16 @@ void CompactRuleVariables(Rule* rule) {
 
 namespace {
 
-/// Predicates reachable from the outputs over head → body edges
-/// (positive and negated), i.e. the rules magic/inline must keep
-/// semantically exact.
-std::vector<bool> NeededPredicates(const RewriteWorkspace& ws,
-                                   const std::vector<uint32_t>& outputs) {
-  std::vector<bool> needed(ws.names.size(), false);
-  std::vector<uint32_t> stack;
-  for (uint32_t out : outputs) {
-    if (!needed[out]) {
-      needed[out] = true;
-      stack.push_back(out);
-    }
-  }
-  while (!stack.empty()) {
-    const uint32_t pred = stack.back();
-    stack.pop_back();
-    for (const Rule& rule : ws.rules) {
-      if (rule.head.predicate != pred) continue;
-      for (const Literal& lit : rule.body) {
-        if (lit.predicate == kNoPredicate) continue;
-        if (!needed[lit.predicate]) {
-          needed[lit.predicate] = true;
-          stack.push_back(lit.predicate);
-        }
-      }
-    }
-  }
-  return needed;
-}
-
-/// True iff some rule whose head the outputs need negates a derived
-/// (IDB) predicate — the bail-out condition for magic under either
-/// semantics and for inlining under the inflationary one.
+/// True iff some rule whose head the outputs need (an output, or a
+/// predicate an output reaches over head → body edges, positive and
+/// negated) negates a derived (IDB) predicate — the bail-out condition
+/// for magic under either semantics and for inlining under the
+/// inflationary one.
 bool NeededPartNegatesIdb(const RewriteWorkspace& ws,
-                          const std::vector<bool>& needed) {
+                          const std::vector<uint32_t>& outputs) {
+  std::vector<bool> needed =
+      ReachablePredicates(ws.rules, ws.names.size(), outputs);
+  for (const uint32_t out : outputs) needed[out] = true;
   for (const Rule& rule : ws.rules) {
     if (!needed[rule.head.predicate]) continue;
     for (const Literal& lit : rule.body) {
@@ -234,18 +209,14 @@ ProgramRewriteResult RewriteProgramForOutputs(
   RewriteWorkspace ws(program);
   uint64_t rules_inlined = 0;
   if (passes.inline_rules) {
-    const std::vector<bool> needed = NeededPredicates(ws, out_ids);
     const bool inline_ok = semantics == RewriteSemantics::kStratified ||
-                           !NeededPartNegatesIdb(ws, needed);
+                           !NeededPartNegatesIdb(ws, out_ids);
     if (inline_ok) rules_inlined = InlineSingleUseRules(is_output, &ws);
   }
   uint64_t magic_rules = 0;
-  if (passes.magic_sets) {
-    // Recompute the gate on the (possibly inlined) rules.
-    const std::vector<bool> needed = NeededPredicates(ws, out_ids);
-    if (!NeededPartNegatesIdb(ws, needed)) {
-      magic_rules = ApplyMagicSets(out_ids, &ws);
-    }
+  // The gate is asked again of the (possibly inlined) rules.
+  if (passes.magic_sets && !NeededPartNegatesIdb(ws, out_ids)) {
+    magic_rules = ApplyMagicSets(out_ids, &ws);
   }
   if (rules_inlined == 0 && magic_rules == 0) return result;
 

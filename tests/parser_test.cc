@@ -3,9 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "src/ast/analysis.h"
 #include "src/ast/parser.h"
 #include "src/ast/printer.h"
+#include "src/base/rng.h"
+#include "src/base/strings.h"
 #include "tests/test_util.h"
 
 namespace inflog {
@@ -304,6 +313,162 @@ TEST(AnalysisTest, LongNegativeChainStratifies) {
       "F(X) :- D(X), !C(X)."));
   ASSERT_TRUE(a.stratifiable);
   EXPECT_EQ(a.num_strata, 4);
+}
+
+/// The edges and strata by Ullman's relaxation, the reference the
+/// component pass must agree with: raise stratum(head) to stratum(body),
+/// plus one over a negative edge, until nothing moves; a stratum past the
+/// number of predicates means a cycle through negation.
+ProgramAnalysis RelaxationReference(const Program& program) {
+  ProgramAnalysis out;
+  const size_t num_preds = program.num_predicates();
+  std::map<std::pair<uint32_t, uint32_t>, bool> edge_map;
+  for (const Rule& rule : program.rules()) {
+    for (const Literal& lit : rule.body) {
+      if (!lit.IsPositiveAtom() && !lit.IsNegatedAtom()) continue;
+      auto [it, inserted] = edge_map.emplace(
+          std::make_pair(rule.head.predicate, lit.predicate),
+          lit.IsNegatedAtom());
+      if (!inserted) it->second = it->second || lit.IsNegatedAtom();
+    }
+  }
+  for (const auto& [key, neg] : edge_map) {
+    out.edges.push_back(DependencyEdge{key.first, key.second, neg});
+  }
+  out.stratum.assign(num_preds, 0);
+  out.stratifiable = true;
+  bool changed = true;
+  while (changed && out.stratifiable) {
+    changed = false;
+    for (const auto& [key, neg] : edge_map) {
+      const int need = out.stratum[key.second] + (neg ? 1 : 0);
+      if (out.stratum[key.first] < need) {
+        out.stratum[key.first] = need;
+        changed = true;
+        if (out.stratum[key.first] > static_cast<int>(num_preds)) {
+          out.stratifiable = false;
+          break;
+        }
+      }
+    }
+  }
+  if (out.stratifiable) {
+    out.num_strata =
+        *std::max_element(out.stratum.begin(), out.stratum.end()) + 1;
+  } else {
+    out.stratum.assign(num_preds, -1);
+  }
+  return out;
+}
+
+/// A random program over P0..P(n-1), 2 <= n <= 12, with an EDB V: rules
+/// `Pi(X) :- <one to three literals Pj(X) or !Pj(X)>.` in shuffled order.
+/// When `layered`, each predicate gets a level, and a rule reads only
+/// predicates at most its head's level and negates only lower ones, so
+/// the program is stratifiable; otherwise any edge may occur, self-loops
+/// included.
+std::string RandomDependencyProgram(Rng* rng, bool layered) {
+  const uint64_t n = 2 + rng->Uniform(11);
+  std::vector<uint64_t> level(n);
+  for (uint64_t& l : level) l = rng->Uniform(4);
+  std::vector<std::string> rules;
+  const uint64_t num_rules = 1 + rng->Uniform(2 * n);
+  for (uint64_t r = 0; r < num_rules; ++r) {
+    const uint64_t head = rng->Uniform(n);
+    std::vector<std::string> body;
+    const uint64_t num_lits = 1 + rng->Uniform(3);
+    for (uint64_t l = 0; l < num_lits; ++l) {
+      const uint64_t pred = rng->Uniform(n);
+      bool negated = rng->Bernoulli(0.4);
+      if (layered && level[pred] > level[head]) continue;
+      if (layered && level[pred] == level[head]) negated = false;
+      body.push_back(StrCat(negated ? "!" : "", "P", pred, "(X)"));
+    }
+    if (body.empty()) body.push_back("V(X)");
+    rules.push_back(StrCat("P", head, "(X) :- ", StrJoin(body, ", "), "."));
+  }
+  rng->Shuffle(&rules);
+  return StrJoin(rules, "\n");
+}
+
+TEST(AnalysisTest, ComponentsAgreeWithRelaxationAndReachability) {
+  Rng rng(22);
+  int stratifiable = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::string text = RandomDependencyProgram(&rng, trial % 2 == 0);
+    const Program p = MustProgram(text);
+    const ProgramAnalysis a = AnalyzeProgram(p);
+    const ProgramAnalysis ref = RelaxationReference(p);
+    ASSERT_EQ(a.stratifiable, ref.stratifiable) << text;
+    EXPECT_EQ(a.stratum, ref.stratum) << text;
+    EXPECT_EQ(a.num_strata, ref.num_strata) << text;
+    ASSERT_EQ(a.edges.size(), ref.edges.size()) << text;
+    for (size_t i = 0; i < a.edges.size(); ++i) {
+      const DependencyEdge& e = a.edges[i];
+      const DependencyEdge& r = ref.edges[i];
+      EXPECT_EQ(std::tie(e.head, e.body, e.negative),
+                std::tie(r.head, r.body, r.negative))
+          << text;
+    }
+    stratifiable += a.stratifiable ? 1 : 0;
+
+    // Each predicate lies in exactly one component, members ascending.
+    const size_t n = p.num_predicates();
+    std::vector<size_t> component_of(n, a.components.size());
+    for (size_t c = 0; c < a.components.size(); ++c) {
+      const std::vector<uint32_t>& component = a.components[c];
+      EXPECT_TRUE(std::is_sorted(component.begin(), component.end()));
+      for (const uint32_t q : component) {
+        EXPECT_EQ(component_of[q], a.components.size()) << text;
+        component_of[q] = c;
+      }
+    }
+    // Two predicates share a component iff each reaches the other
+    // (Floyd–Warshall over the edges).
+    std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+    for (size_t i = 0; i < n; ++i) reach[i][i] = true;
+    for (const DependencyEdge& e : a.edges) reach[e.head][e.body] = true;
+    for (size_t k = 0; k < n; ++k) {
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          if (reach[i][k] && reach[k][j]) reach[i][j] = true;
+        }
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_LT(component_of[i], a.components.size()) << text;
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(component_of[i] == component_of[j],
+                  reach[i][j] && reach[j][i])
+            << text;
+      }
+    }
+    // Dependency-first: an edge stays in its component or leads to an
+    // earlier one.
+    for (const DependencyEdge& e : a.edges) {
+      EXPECT_LE(component_of[e.body], component_of[e.head]) << text;
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(stratifiable, 100);
+  EXPECT_LT(stratifiable, 380);
+}
+
+TEST(AnalysisTest, TopDownNegationChainHasOneStratumPerRule) {
+  // P_i(X) :- V(X), !P_{i-1}(X), written from i = 20,000 down to 1. The
+  // relaxation took one pass over every edge per stratum here, quadratic
+  // in the rule count; the component pass is linear.
+  std::string text;
+  for (int i = 20000; i >= 1; --i) {
+    text += StrCat("P", i, "(X) :- V(X), !P", i - 1, "(X).\n");
+  }
+  const Program p = MustProgram(text);
+  const ProgramAnalysis a = AnalyzeProgram(p);
+  ASSERT_TRUE(a.stratifiable);
+  EXPECT_EQ(a.num_strata, 20001);
+  EXPECT_EQ(a.components.size(), 20002u);  // P0..P20000 and V
+  EXPECT_EQ(a.stratum[*p.FindPredicate("P0")], 0);
+  EXPECT_EQ(a.stratum[*p.FindPredicate("P20000")], 20000);
 }
 
 }  // namespace
