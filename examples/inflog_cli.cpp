@@ -541,16 +541,10 @@ int main(int argc, char** argv) {
       std::cout << " fixpoint " << i + 1 << ":\n";
       PrintState(engine, (*fixpoints)[i], query);
     }
-    // With no fixpoint there is no least one, and LeastFixpoint would
-    // only refute the input a second time.
-    bool has_least = false;
-    if (!fixpoints->empty()) {
-      auto least = analyzer->LeastFixpoint();
-      if (!least.ok()) return Fail(least.status());
-      has_least = least->has_least;
-    }
-    std::cout << "least fixpoint exists: " << (has_least ? "yes" : "no")
-              << "\n";
+    auto least = analyzer->LeastFixpoint();
+    if (!least.ok()) return Fail(least.status());
+    std::cout << "least fixpoint exists: "
+              << (least->has_least ? "yes" : "no") << "\n";
     if (settings.print_stats) {
       // Fixpoint analysis runs the CDCL pipeline, not the relational
       // executor: the SAT group is the whole story.

@@ -11,6 +11,7 @@ Status Engine::LoadProgramText(std::string_view text) {
   INFLOG_ASSIGN_OR_RETURN(Program program, ParseProgram(text, symbols_));
   incremental_.reset();  // the sessions borrow the program being replaced
   serving_.reset();
+  DropGrounding();
   program_.emplace(std::move(program));
   return Status::OK();
 }
@@ -23,6 +24,7 @@ Status Engine::LoadProgram(Program program) {
   }
   incremental_.reset();  // the sessions borrow the program being replaced
   serving_.reset();
+  DropGrounding();
   program_.emplace(std::move(program));
   return Status::OK();
 }
@@ -95,7 +97,27 @@ IncrementalOptions ResolveEvalOptions(SemanticsKind kind,
 Result<EvalOutcome> Engine::Evaluate(SemanticsKind kind,
                                      const EvalOptions& options) const {
   INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-  return EvalSemantics(*p, database_, ResolveEvalOptions(kind, options));
+  std::shared_ptr<const GroundCompletion> grounding;
+  if (kind == SemanticsKind::kWellFounded || kind == SemanticsKind::kStable) {
+    grounding = LiveGrounding();
+  }
+  return EvalSemantics(*p, database_, ResolveEvalOptions(kind, options),
+                       std::move(grounding));
+}
+
+std::shared_ptr<const GroundCompletion> Engine::LiveGrounding() const {
+  std::lock_guard<std::mutex> lock(analyzer_grounding_->mu);
+  // EvalSemantics grounds at the grounder defaults.
+  if (analyzer_grounding_->options != GrounderOptions{} ||
+      analyzer_grounding_->generation != database_.generation()) {
+    return nullptr;
+  }
+  return analyzer_grounding_->grounding.lock();
+}
+
+void Engine::DropGrounding() {
+  std::lock_guard<std::mutex> lock(analyzer_grounding_->mu);
+  analyzer_grounding_->grounding.reset();
 }
 
 Status Engine::BeginIncremental(SemanticsKind kind,
@@ -189,7 +211,13 @@ Result<const EvalStats*> Engine::IncrementalStats() const {
 
 Result<FixpointAnalyzer> Engine::MakeAnalyzer(AnalyzeOptions options) const {
   INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-  return FixpointAnalyzer::Create(p, &database_, std::move(options));
+  INFLOG_ASSIGN_OR_RETURN(FixpointAnalyzer analyzer,
+                          FixpointAnalyzer::Create(p, &database_, options));
+  std::lock_guard<std::mutex> lock(analyzer_grounding_->mu);
+  analyzer_grounding_->grounding = analyzer.grounding();
+  analyzer_grounding_->options = options.grounder;
+  analyzer_grounding_->generation = database_.generation();
+  return analyzer;
 }
 
 Result<const Relation*> Engine::RelationOf(

@@ -21,6 +21,7 @@
 #define INFLOG_CORE_ENGINE_H_
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -144,7 +145,11 @@ class Engine {
 
   /// Evaluates the loaded program under `kind` (EvalSemantics). The
   /// stratified semantics fails on non-stratifiable programs; the other
-  /// three are total. `detail` carries each semantics' own result.
+  /// three are total. `detail` carries each semantics' own result. The
+  /// well-founded and stable pipelines reuse the grounding of the newest
+  /// MakeAnalyzer while that analyzer is alive, it was built at the
+  /// grounder defaults, and the database has not changed since; otherwise
+  /// they ground again. Safe to call from several threads at once.
   Result<EvalOutcome> Evaluate(SemanticsKind kind,
                                const EvalOptions& options = {}) const;
 
@@ -226,7 +231,9 @@ class Engine {
 
   /// Builds a fixpoint analyzer for the loaded (program, database). The
   /// analyzer borrows the engine's program and database: keep the engine
-  /// alive while using it.
+  /// alive while using it. The engine keeps a weak reference to the
+  /// analyzer's grounding for Evaluate to reuse; it never keeps a
+  /// grounding alive on its own.
   Result<FixpointAnalyzer> MakeAnalyzer(AnalyzeOptions options = {}) const;
 
   /// Looks up an IDB relation by predicate name inside a state produced
@@ -235,11 +242,30 @@ class Engine {
                                      std::string_view predicate) const;
 
  private:
+  // The grounding of the newest analyzer, held weakly, with its key: the
+  // grounder options it was built under and the database generation it
+  // read. Loading a program drops it. The mutex lets const callers on
+  // several threads share it; the record sits behind a pointer so the
+  // engine stays movable.
+  struct AnalyzerGrounding {
+    std::mutex mu;
+    std::weak_ptr<const GroundCompletion> grounding;
+    GrounderOptions options;
+    DatabaseGeneration generation;
+  };
+
+  /// The recorded grounding when its key matches what Evaluate grounds
+  /// (the grounder defaults, this database state) and it is still alive.
+  std::shared_ptr<const GroundCompletion> LiveGrounding() const;
+  void DropGrounding();
+
   std::shared_ptr<SymbolTable> symbols_;
   Database database_;
   std::optional<Program> program_;
   std::unique_ptr<IncrementalSession> incremental_;
   std::unique_ptr<serve::ServingSession> serving_;
+  std::unique_ptr<AnalyzerGrounding> analyzer_grounding_ =
+      std::make_unique<AnalyzerGrounding>();
 };
 
 }  // namespace inflog

@@ -68,9 +68,10 @@ const EvalStats* EvalOutcome::stats() const {
   return nullptr;
 }
 
-Result<EvalOutcome> EvalSemantics(const Program& program,
-                                  const Database& database,
-                                  const SemanticsOptions& options) {
+Result<EvalOutcome> EvalSemantics(
+    const Program& program, const Database& database,
+    const SemanticsOptions& options,
+    std::shared_ptr<const GroundCompletion> grounding) {
   if (options.context.reject_unsafe_negation) {
     // Checked here for every semantics: the grounded pipelines never
     // build an EvalContext, so they would otherwise accept such rules
@@ -95,6 +96,11 @@ Result<EvalOutcome> EvalSemantics(const Program& program,
       return EvalOutcome{options.semantics, std::move(r), {}};
     }
     case SemanticsKind::kWellFounded: {
+      if (grounding != nullptr) {
+        return EvalOutcome{options.semantics,
+                           AlternatingFixpoint(program, grounding->ground),
+                           {}};
+      }
       INFLOG_ASSIGN_OR_RETURN(WellFoundedResult r,
                               EvalWellFounded(program, database));
       return EvalOutcome{options.semantics, std::move(r), {}};
@@ -103,7 +109,8 @@ Result<EvalOutcome> EvalSemantics(const Program& program,
       AnalyzeOptions analyze;
       analyze.solver = options.sat;
       INFLOG_ASSIGN_OR_RETURN(
-          StableResult r, EnumerateStableModels(program, database, analyze));
+          StableResult r, EnumerateStableModels(program, database, analyze,
+                                                std::move(grounding)));
       return EvalOutcome{options.semantics, std::move(r),
                          MakeEmptyIdbState(program)};
     }

@@ -11,6 +11,7 @@
 #ifndef INFLOG_EVAL_SEMANTICS_H_
 #define INFLOG_EVAL_SEMANTICS_H_
 
+#include <memory>
 #include <string_view>
 #include <variant>
 
@@ -83,10 +84,15 @@ struct EvalOutcome {
   const EvalStats* stats() const;
 };
 
-/// Evaluates (program, database) under `options.semantics`.
-Result<EvalOutcome> EvalSemantics(const Program& program,
-                                  const Database& database,
-                                  const SemanticsOptions& options);
+/// Evaluates (program, database) under `options.semantics`. `grounding`,
+/// when given, must be the grounding and completion of (program, database)
+/// at the grounder defaults: the well-founded pipeline then runs only its
+/// alternation over it, and the stable pipeline its search, on a solver
+/// of its own. The relational pipelines ignore it.
+Result<EvalOutcome> EvalSemantics(
+    const Program& program, const Database& database,
+    const SemanticsOptions& options,
+    std::shared_ptr<const GroundCompletion> grounding = nullptr);
 
 }  // namespace inflog
 

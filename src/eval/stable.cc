@@ -1,6 +1,7 @@
 #include "src/eval/stable.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/eval/reduct.h"
 
@@ -17,32 +18,32 @@ void FillSatStats(const sat::SolverStats& s, EvalStats* stats) {
   stats->sat_preprocess_clauses_removed = s.preprocess_clauses_removed;
 }
 
-Result<StableResult> EnumerateStableModels(const Program& program,
-                                           const Database& database,
-                                           const AnalyzeOptions& options) {
-  INFLOG_ASSIGN_OR_RETURN(
-      FixpointAnalyzer analyzer,
-      FixpointAnalyzer::Create(&program, &database, options));
+Result<StableResult> EnumerateStableModels(
+    const Program& program, const Database& database,
+    const AnalyzeOptions& options,
+    std::shared_ptr<const GroundCompletion> grounding) {
+  INFLOG_ASSIGN_OR_RETURN(FixpointAnalyzer analyzer,
+                          FixpointAnalyzer::Create(&program, &database, options,
+                                                   std::move(grounding)));
   const GroundProgram& ground = analyzer.ground();
 
   // Enumerate supported models at the SAT level so the stability filter
-  // runs on atom vectors.
+  // runs on atom vectors. One model past the cap is the overflow witness.
   StableResult out;
   std::vector<std::vector<bool>> stable_atoms;
   INFLOG_ASSIGN_OR_RETURN(
-      const bool ran_out,
+      const uint64_t supported,
       analyzer.ForEachModel(
-          kMaxSupportedModels, /*block_last=*/true,
-          [&](const std::vector<bool>& atoms) {
-            ++out.supported_examined;
+          kMaxSupportedModels + 1, [&](const std::vector<bool>& atoms) {
             // Gelfond–Lifschitz check: S is stable iff S = LM(P^S).
             if (LeastModelOfReduct(ground, atoms) == atoms) {
               stable_atoms.push_back(atoms);
             }
           }));
-  if (!ran_out) {
+  if (supported > kMaxSupportedModels) {
     return Status::ResourceExhausted("supported-model budget exhausted");
   }
+  out.supported_examined = supported;
   // Canonical order: the model list is then identical whatever order the
   // solver configuration produced the supported models in.
   std::sort(stable_atoms.begin(), stable_atoms.end());

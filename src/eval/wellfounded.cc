@@ -10,6 +10,11 @@ Result<WellFoundedResult> EvalWellFounded(const Program& program,
                                           const GrounderOptions& options) {
   INFLOG_ASSIGN_OR_RETURN(const GroundProgram ground,
                           GroundProgramFor(program, database, options));
+  return AlternatingFixpoint(program, ground);
+}
+
+WellFoundedResult AlternatingFixpoint(const Program& program,
+                                      const GroundProgram& ground) {
   const size_t num_atoms = ground.atoms.size();
 
   // Van Gelder's alternating iteration U_{k+1} = S(S(U_k)) through the

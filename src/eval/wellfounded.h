@@ -38,10 +38,15 @@ struct WellFoundedResult {
   bool total = false;
 };
 
-/// Computes the well-founded model of (π, D).
+/// Computes the well-founded model of (π, D): grounds it, then runs
+/// AlternatingFixpoint.
 Result<WellFoundedResult> EvalWellFounded(
     const Program& program, const Database& database,
     const GrounderOptions& options = {});
+
+/// Van Gelder's alternation over `ground`, a grounding of (π, D).
+WellFoundedResult AlternatingFixpoint(const Program& program,
+                                      const GroundProgram& ground);
 
 }  // namespace inflog
 

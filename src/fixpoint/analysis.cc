@@ -2,41 +2,59 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "src/base/strings.h"
 #include "src/eval/theta.h"
 
 namespace inflog {
 
-Result<FixpointAnalyzer> FixpointAnalyzer::Create(const Program* program,
-                                                  const Database* database,
-                                                  AnalyzeOptions options) {
-  INFLOG_CHECK(program != nullptr && database != nullptr);
-  FixpointAnalyzer analyzer(program, database, options);
-  INFLOG_ASSIGN_OR_RETURN(
-      analyzer.ground_,
-      GroundProgramFor(*program, *database, options.grounder));
-  analyzer.encoding_ = EncodeCompletion(analyzer.ground_);
-  return analyzer;
+namespace {
+
+// The error of a solve that ended kUnknown: on the stop flag when it was
+// raised, on the conflict budget otherwise.
+Status SearchStopped(const sat::SolverOptions& options) {
+  return Status::ResourceExhausted(
+      options.stop != nullptr && options.stop->load(std::memory_order_relaxed)
+          ? "SAT search stopped"
+          : "SAT conflict budget exhausted");
 }
 
-sat::Solver FixpointAnalyzer::MakeSolver() const {
-  sat::Solver solver(options_.solver);
-  solver.AddCnf(encoding_.cnf);
+}  // namespace
+
+Result<FixpointAnalyzer> FixpointAnalyzer::Create(
+    const Program* program, const Database* database, AnalyzeOptions options,
+    std::shared_ptr<const GroundCompletion> grounding) {
+  INFLOG_CHECK(program != nullptr && database != nullptr);
+  if (grounding == nullptr) {
+    auto built = std::make_shared<GroundCompletion>();
+    INFLOG_ASSIGN_OR_RETURN(
+        built->ground,
+        GroundProgramFor(*program, *database, options.grounder));
+    built->encoding = EncodeCompletion(built->ground);
+    grounding = std::move(built);
+  }
+  return FixpointAnalyzer(program, database, std::move(options),
+                          std::move(grounding));
+}
+
+std::unique_ptr<sat::Solver> FixpointAnalyzer::MakeSolver() const {
+  auto solver = std::make_unique<sat::Solver>(options_.solver);
+  solver->AddCnf(encoding().cnf);
   // Blocking clauses reference the program's atom variables after the
   // first Solve: freeze them so preprocessing cannot eliminate them
   // (elimination is an exact existential projection, so the model set
   // over the frozen variables is unchanged).
-  for (size_t a = 0; a < encoding_.atom_vars.size(); ++a) {
-    const int32_t var = encoding_.atom_vars[a];
-    if (var >= 0 && !ground_.IsAuxiliary(a)) solver.FreezeVar(var);
+  for (size_t a = 0; a < encoding().atom_vars.size(); ++a) {
+    const int32_t var = encoding().atom_vars[a];
+    if (var >= 0 && !ground().IsAuxiliary(a)) solver->FreezeVar(var);
   }
   return solver;
 }
 
 Result<IdbState> FixpointAnalyzer::DecodeModel(
     const std::vector<bool>& atoms) const {
-  IdbState state = ground_.DecodeState(*program_, atoms);
+  IdbState state = ground().DecodeState(*program_, atoms);
   INFLOG_ASSIGN_OR_RETURN(const bool is_fixpoint, VerifyFixpoint(state));
   if (!is_fixpoint) {
     return Status::Internal(
@@ -49,80 +67,80 @@ Result<IdbState> FixpointAnalyzer::DecodeModel(
 sat::Clause FixpointAnalyzer::BlockingClause(
     const std::vector<bool>& atoms) const {
   sat::Clause clause;
-  for (size_t a = 0; a < encoding_.atom_vars.size(); ++a) {
-    const int32_t var = encoding_.atom_vars[a];
-    if (var < 0 || ground_.IsAuxiliary(a)) continue;
+  for (size_t a = 0; a < encoding().atom_vars.size(); ++a) {
+    const int32_t var = encoding().atom_vars[a];
+    if (var < 0 || ground().IsAuxiliary(a)) continue;
     clause.push_back(atoms[a] ? sat::Neg(var) : sat::Pos(var));
   }
   return clause;
 }
 
-Result<bool> FixpointAnalyzer::ForEachModel(
-    uint64_t limit, bool block_last,
+Result<uint64_t> FixpointAnalyzer::ForEachModel(
+    uint64_t limit,
     const std::function<void(const std::vector<bool>&)>& visit,
-    const std::function<sat::Clause(const std::vector<bool>&)>& block)
-    const {
-  sat::Solver solver = MakeSolver();
-  uint64_t models = 0;
-  bool ran_out = false;
-  sat::SolveResult res = sat::SolveResult::kSat;
-  while (limit == 0 || models < limit) {
-    res = solver.Solve();
-    if (res != sat::SolveResult::kSat) {
-      ran_out = res == sat::SolveResult::kUnsat;
-      break;
+    const std::function<sat::Clause(const std::vector<bool>&)>& block) {
+  if (!first_known_) {
+    if (solver_ == nullptr) solver_ = MakeSolver();
+    const sat::SolveResult res = solver_->Solve();
+    if (res == sat::SolveResult::kUnknown) {
+      return SearchStopped(options_.solver);
     }
-    const std::vector<bool> atoms = encoding_.DecodeAtoms(solver.Model());
-    if (visit) visit(atoms);
-    if (++models == limit && !block_last) break;
-    // A block that leaves no clause to add (no atoms) or closes the
-    // formula at the root ends the enumeration: every model was seen.
-    const sat::Clause clause = block ? block(atoms) : BlockingClause(atoms);
-    if (clause.empty() || !solver.AddClause(clause)) {
-      ran_out = true;
-      break;
+    first_known_ = true;
+    if (res == sat::SolveResult::kSat) {
+      first_model_ = encoding().DecodeAtoms(solver_->Model());
     }
   }
-  sat_stats_.Add(solver.stats());
-  if (res != sat::SolveResult::kUnknown) return ran_out;
-  // The search ended kUnknown: the stop flag when it was raised, the
-  // conflict budget otherwise.
-  const std::atomic<bool>* stop = options_.solver.stop;
-  return Status::ResourceExhausted(
-      stop != nullptr && stop->load(std::memory_order_relaxed)
-          ? "SAT search stopped"
-          : "SAT conflict budget exhausted");
+  if (!first_model_.has_value()) return uint64_t{0};
+
+  // The activation variable is allocated after the first Solve, so the
+  // preprocessor, which runs once at that solve, cannot eliminate it.
+  sat::Var act = -1;
+  uint64_t visited = 0;
+  Status status;
+  std::vector<bool> atoms = *first_model_;
+  while (true) {
+    if (visit) visit(atoms);
+    if (++visited == limit) break;
+    sat::Clause clause = block ? block(atoms) : BlockingClause(atoms);
+    if (clause.empty()) break;
+    if (act < 0) act = solver_->NewVar();
+    // A block false at the root reduces to the unit ¬act, and the solve
+    // under act then answers UNSAT.
+    clause.push_back(sat::Neg(act));
+    solver_->AddClause(std::move(clause));
+    const sat::SolveResult res = solver_->Solve({sat::Pos(act)});
+    if (res != sat::SolveResult::kSat) {
+      if (res == sat::SolveResult::kUnknown) {
+        status = SearchStopped(options_.solver);
+      }
+      break;
+    }
+    atoms = encoding().DecodeAtoms(solver_->Model());
+  }
+  if (act >= 0) solver_->AddClause({sat::Neg(act)});
+  if (!status.ok()) return status;
+  return visited;
 }
 
-Result<bool> FixpointAnalyzer::HasFixpoint() const {
-  // One solve: the models ran out before the first iff there is none.
-  INFLOG_ASSIGN_OR_RETURN(const bool none,
-                          ForEachModel(/*limit=*/1, /*block_last=*/false));
-  return !none;
+Result<bool> FixpointAnalyzer::HasFixpoint() {
+  INFLOG_ASSIGN_OR_RETURN(const uint64_t found, ForEachModel(/*limit=*/1));
+  return found > 0;
 }
 
-Result<std::optional<IdbState>> FixpointAnalyzer::FindFixpoint() const {
-  std::vector<bool> first;
-  INFLOG_ASSIGN_OR_RETURN(
-      const bool none,
-      ForEachModel(/*limit=*/1, /*block_last=*/false,
-                   [&first](const std::vector<bool>& atoms) {
-                     first = atoms;
-                   }));
-  if (none) return std::optional<IdbState>();
-  INFLOG_ASSIGN_OR_RETURN(IdbState state, DecodeModel(first));
+Result<std::optional<IdbState>> FixpointAnalyzer::FindFixpoint() {
+  INFLOG_ASSIGN_OR_RETURN(const uint64_t found, ForEachModel(/*limit=*/1));
+  if (found == 0) return std::optional<IdbState>();
+  INFLOG_ASSIGN_OR_RETURN(IdbState state, DecodeModel(*first_model_));
   return std::optional<IdbState>(std::move(state));
 }
 
 Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
-    size_t limit) const {
+    size_t limit) {
   std::vector<std::vector<bool>> found;
   INFLOG_RETURN_IF_ERROR(
-      ForEachModel(limit, /*block_last=*/true,
-                   [&found](const std::vector<bool>& atoms) {
-                     found.push_back(atoms);
-                   })
-          .status());
+      ForEachModel(limit, [&found](const std::vector<bool>& atoms) {
+        found.push_back(atoms);
+      }).status());
   // Canonical order: a full enumeration is then identical whatever the
   // solver configuration found the models in.
   std::sort(found.begin(), found.end());
@@ -135,61 +153,51 @@ Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
   return fixpoints;
 }
 
-Result<uint64_t> FixpointAnalyzer::CountFixpoints(uint64_t limit) const {
-  // One model past the limit, left unblocked, is the overflow witness; a
-  // limit of UINT64_MAX wraps to 0, no limit, which it is.
-  uint64_t count = 0;
-  INFLOG_RETURN_IF_ERROR(
-      ForEachModel(limit + 1, /*block_last=*/false,
-                   [&count](const std::vector<bool>&) { ++count; })
-          .status());
+Result<uint64_t> FixpointAnalyzer::CountFixpoints(uint64_t limit) {
+  // One model past the limit is the overflow witness; a limit of
+  // UINT64_MAX wraps to 0, no limit, which it is.
+  INFLOG_ASSIGN_OR_RETURN(const uint64_t count, ForEachModel(limit + 1));
   if (count > limit) {
     return Status::ResourceExhausted(StrCat("more than ", limit, " fixpoints"));
   }
   return count;
 }
 
-Result<UniqueStatus> FixpointAnalyzer::UniqueFixpoint() const {
-  // Two SAT calls at most: solve, block, solve.
-  uint64_t count = 0;
-  INFLOG_RETURN_IF_ERROR(
-      ForEachModel(/*limit=*/2, /*block_last=*/false,
-                   [&count](const std::vector<bool>&) { ++count; })
-          .status());
+Result<UniqueStatus> FixpointAnalyzer::UniqueFixpoint() {
+  // Two SAT calls at most: solve, block, solve; the first is memoized.
+  INFLOG_ASSIGN_OR_RETURN(const uint64_t count, ForEachModel(/*limit=*/2));
   if (count == 0) return UniqueStatus::kNoFixpoint;
   return count == 1 ? UniqueStatus::kUnique : UniqueStatus::kMultiple;
 }
 
-Result<LeastFixpointOutcome> FixpointAnalyzer::LeastFixpoint() const {
+Result<LeastFixpointOutcome> FixpointAnalyzer::LeastFixpoint() {
   // Candidate C := the atoms true in every model found so far. Each
   // further model must make some atom of C false; when none can, C is
   // exactly the intersection of all fixpoints. C only shrinks, so each
-  // round's clause implies the previous round's and stays in the
-  // solver. Each round ends the search or strictly shrinks C, so at most
-  // |C₀|+1 SAT calls run.
+  // round's clause implies the previous round's and stays in the solver
+  // until the query ends. Each round ends the search or strictly shrinks
+  // C, so at most |C₀|+1 SAT calls run.
   LeastFixpointOutcome out;
   out.sat_calls = 1;
-  std::vector<bool> candidate;
-  INFLOG_RETURN_IF_ERROR(
+  std::vector<bool> candidate(encoding().atom_vars.size(), true);
+  INFLOG_ASSIGN_OR_RETURN(
+      const uint64_t found,
       ForEachModel(
-          /*limit=*/0, /*block_last=*/true, /*visit=*/nullptr,
-          [&](const std::vector<bool>& atoms) {
-            if (!out.has_fixpoint) candidate = atoms;
-            out.has_fixpoint = true;
+          /*limit=*/0, /*visit=*/nullptr, [&](const std::vector<bool>& atoms) {
             sat::Clause some_false;
             for (size_t a = 0; a < atoms.size(); ++a) {
               candidate[a] = candidate[a] && atoms[a];
-              if (candidate[a] && !ground_.IsAuxiliary(a)) {
-                some_false.push_back(sat::Neg(encoding_.atom_vars[a]));
+              if (candidate[a] && !ground().IsAuxiliary(a)) {
+                some_false.push_back(sat::Neg(encoding().atom_vars[a]));
               }
             }
             if (!some_false.empty()) ++out.sat_calls;
             return some_false;
-          })
-          .status());
+          }));
+  out.has_fixpoint = found > 0;
   if (!out.has_fixpoint) return out;
 
-  out.intersection = ground_.DecodeState(*program_, candidate);
+  out.intersection = ground().DecodeState(*program_, candidate);
   // Theorem 3's observation: a least fixpoint exists iff the intersection
   // of all fixpoints is itself a fixpoint.
   INFLOG_ASSIGN_OR_RETURN(out.has_least, VerifyFixpoint(out.intersection));

@@ -21,6 +21,15 @@
 // Θ(S) = S check, so the SAT path never silently diverges from the
 // semantics.
 //
+// All of an analyzer's queries share one incremental CDCL solver, so
+// clauses learnt by one query prune the next query's search. The first
+// solve carries no query clause, so its answer — the first model, or
+// UNSAT — is memoized as the first answer of every query: UniqueFixpoint
+// after HasFixpoint makes one solve, not two, and on a refuted instance
+// none. Each query adds its clauses under its own activation literal and
+// retires that literal when it ends, so no query's clauses cut off
+// another's models.
+//
 // The grounding's auxiliary atoms (projected existential components, see
 // src/ground/grounder.h) are fixed by their completion once the program's
 // atoms are: blocking clauses, the least-fixpoint queries and variable
@@ -32,7 +41,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/ast/program.h"
@@ -48,7 +59,19 @@ namespace inflog {
 /// Limits for fixpoint analysis.
 struct AnalyzeOptions {
   GrounderOptions grounder;
+  /// The configuration of the analyzer's one solver. Its conflict budget
+  /// (max_conflicts) therefore covers the whole analyzer, every query
+  /// together: once a query has spent it, each later query that needs a
+  /// conflict fails with ResourceExhausted too.
   sat::SolverOptions solver;
+};
+
+/// A grounding of (π, D) and the Clark completion of it. Analyzers share
+/// it by shared_ptr, so Engine::Evaluate can reuse the grounding of a live
+/// analyzer instead of grounding again.
+struct GroundCompletion {
+  GroundProgram ground;
+  CompletionEncoding encoding;
 };
 
 /// Three-way answer for unique-fixpoint queries (the class US asks for
@@ -63,88 +86,112 @@ struct LeastFixpointOutcome {
   /// has_fixpoint). When has_least, this is the least fixpoint.
   IdbState intersection;
   /// SAT oracle calls used (the FONP flavor of Theorem 3 made concrete):
-  /// the first solve, then one per query clause. A query clause that the
-  /// solver refutes as it is added counts too; its answer is UNSAT.
+  /// the first answer, memoized or not, then one per query clause. The
+  /// rounds follow the models found, and on one solver those depend on
+  /// what earlier queries learnt, so the count can differ after them; it
+  /// stays within [1, |C₀|+1].
   size_t sat_calls = 0;
 };
 
 struct StableResult;
 
-/// Per-(π, D) analyzer. Holds the grounding and its completion; each query
-/// runs a fresh CDCL solver over the encoding.
+/// Per-(π, D) analyzer. Holds the grounding and its completion, and one
+/// incremental CDCL solver over the encoding, built at the first query and
+/// shared by every later one. Move-only.
 class FixpointAnalyzer {
  public:
-  /// Grounds and encodes. `program` and `database` must outlive the
-  /// analyzer.
-  static Result<FixpointAnalyzer> Create(const Program* program,
-                                         const Database* database,
-                                         AnalyzeOptions options = {});
+  /// Grounds and encodes, or reuses `grounding` when given: it must then
+  /// be the grounding and completion of (program, database) under
+  /// `options.grounder`. The solver is the analyzer's own either way.
+  /// `program` and `database` must outlive the analyzer.
+  static Result<FixpointAnalyzer> Create(
+      const Program* program, const Database* database,
+      AnalyzeOptions options = {},
+      std::shared_ptr<const GroundCompletion> grounding = nullptr);
 
   /// Does (π, D) have any fixpoint?
-  Result<bool> HasFixpoint() const;
+  Result<bool> HasFixpoint();
 
-  /// Some fixpoint, or nullopt when none exists.
-  Result<std::optional<IdbState>> FindFixpoint() const;
+  /// Some fixpoint, or nullopt when none exists: always the first one
+  /// this analyzer found, whatever ran before.
+  Result<std::optional<IdbState>> FindFixpoint();
 
   /// Up to `limit` fixpoints (0 = all). The returned set is sorted
   /// canonically (by ground-atom assignment), so a full enumeration is
   /// identical across solver settings (preprocessing, reduction
-  /// interval); with a nonzero `limit`, *which* fixpoints are found first
-  /// remains solver-dependent.
-  Result<std::vector<IdbState>> EnumerateFixpoints(size_t limit = 0) const;
+  /// interval) and earlier queries; with a nonzero `limit`, *which*
+  /// fixpoints are found first remains solver-dependent.
+  Result<std::vector<IdbState>> EnumerateFixpoints(size_t limit = 0);
 
   /// Number of fixpoints, counted by enumeration up to `limit`
   /// (ResourceExhausted beyond it).
-  Result<uint64_t> CountFixpoints(uint64_t limit = 1'000'000) const;
+  Result<uint64_t> CountFixpoints(uint64_t limit = 1'000'000);
 
   /// None / exactly one / more than one fixpoint.
-  Result<UniqueStatus> UniqueFixpoint() const;
+  Result<UniqueStatus> UniqueFixpoint();
 
   /// Decides least-fixpoint existence per Theorem 3.
-  Result<LeastFixpointOutcome> LeastFixpoint() const;
+  Result<LeastFixpointOutcome> LeastFixpoint();
 
   /// Direct semantic check Θ(state) = state (independent of SAT).
   Result<bool> VerifyFixpoint(const IdbState& state) const;
 
-  const GroundProgram& ground() const { return ground_; }
-  const CompletionEncoding& encoding() const { return encoding_; }
+  const GroundProgram& ground() const { return grounding_->ground; }
+  const CompletionEncoding& encoding() const { return grounding_->encoding; }
+  /// The grounding and completion, for other analyzers and evaluations
+  /// to share (Engine::MakeAnalyzer keeps a weak reference to it).
+  const std::shared_ptr<const GroundCompletion>& grounding() const {
+    return grounding_;
+  }
 
-  /// SAT statistics accumulated across every query on this analyzer.
-  const sat::SolverStats& sat_stats() const { return sat_stats_; }
+  /// The solver's counters: every query on this analyzer so far, zeros
+  /// before the first.
+  sat::SolverStats sat_stats() const {
+    return solver_ == nullptr ? sat::SolverStats{} : solver_->stats();
+  }
 
  private:
   // The stable pipeline filters the supported models ForEachModel finds.
-  friend Result<StableResult> EnumerateStableModels(const Program&,
-                                                    const Database&,
-                                                    const AnalyzeOptions&);
+  friend Result<StableResult> EnumerateStableModels(
+      const Program&, const Database&, const AnalyzeOptions&,
+      std::shared_ptr<const GroundCompletion>);
 
   FixpointAnalyzer(const Program* program, const Database* database,
-                   AnalyzeOptions options)
-      : program_(program), database_(database), options_(options) {}
+                   AnalyzeOptions options,
+                   std::shared_ptr<const GroundCompletion> grounding)
+      : program_(program),
+        database_(database),
+        options_(std::move(options)),
+        grounding_(std::move(grounding)) {}
 
   /// Fresh solver pre-loaded with the completion; the variable of every
   /// program atom is frozen so blocking clauses stay sound under
   /// preprocessing.
-  sat::Solver MakeSolver() const;
+  std::unique_ptr<sat::Solver> MakeSolver() const;
 
   /// Clause blocking the given assignment of the program's atoms.
   sat::Clause BlockingClause(const std::vector<bool>& atoms) const;
 
-  /// The solve → decode → block loop behind every query. A fresh solver
-  /// solves until the models run out or `limit` models were found (0 = no
-  /// limit); each model's atom assignment goes to `visit` (when given) and
-  /// is then blocked, except the `limit`-th when `block_last` is false.
-  /// The clause that blocks a model is `block(atoms)`, BlockingClause when
-  /// `block` is null. Returns whether the models ran out: a solve was
-  /// UNSAT or a block was empty or closed the formula, so no model is
-  /// left unvisited. The solver's counters are added to sat_stats_ on
-  /// every exit; ResourceExhausted when a solve hits the conflict budget
-  /// or the stop flag.
-  Result<bool> ForEachModel(
-      uint64_t limit, bool block_last,
+  /// The solve → decode → block loop behind every query. Visits models
+  /// until they run out or `limit` were visited (0 = no limit), and
+  /// returns how many it visited: fewer than `limit` means no model is
+  /// left unvisited. The first model is the memoized first answer, made
+  /// by the analyzer's first solve. Each model's atom assignment goes to
+  /// `visit` (when given) and, unless it was the `limit`-th, is blocked by
+  /// `block(atoms)` (BlockingClause when `block` is null) before the next
+  /// solve; an empty block leaves no model to find. The query adds each
+  /// block as block ∨ ¬act, over an activation variable act allocated at
+  /// its first block, and solves assuming act; on every exit the unit
+  /// ¬act retires the blocks: they are then satisfied at the root, the
+  /// next learnt-clause reduction sweeps them, and no later query sees
+  /// them.
+  /// ResourceExhausted when a solve hits the conflict budget or the stop
+  /// flag; such a solve memoizes nothing.
+  Result<uint64_t> ForEachModel(
+      uint64_t limit,
       const std::function<void(const std::vector<bool>&)>& visit = nullptr,
       const std::function<sat::Clause(const std::vector<bool>&)>& block =
-          nullptr) const;
+          nullptr);
 
   /// Decodes an atom assignment and verifies it with Θ(S) = S.
   Result<IdbState> DecodeModel(const std::vector<bool>& atoms) const;
@@ -152,9 +199,12 @@ class FixpointAnalyzer {
   const Program* program_;
   const Database* database_;
   AnalyzeOptions options_;
-  GroundProgram ground_;
-  CompletionEncoding encoding_;
-  mutable sat::SolverStats sat_stats_;
+  std::shared_ptr<const GroundCompletion> grounding_;
+  std::unique_ptr<sat::Solver> solver_;  // built at the first query
+  // The first solve's answer, memoized once a solve ends kSat or kUnsat:
+  // the first model's atoms, or nullopt when there is none.
+  bool first_known_ = false;
+  std::optional<std::vector<bool>> first_model_;
 };
 
 }  // namespace inflog

@@ -61,6 +61,8 @@ struct GrounderOptions {
   /// If true, EDB predicates missing from the database are treated as
   /// empty relations (EvalContextOptions::allow_missing_edb).
   bool allow_missing_edb = false;
+
+  bool operator==(const GrounderOptions&) const = default;
 };
 
 /// Grounds `program` against `database`.

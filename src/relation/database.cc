@@ -1,8 +1,15 @@
 #include "src/relation/database.h"
 
+#include <atomic>
+
 #include "src/base/strings.h"
 
 namespace inflog {
+
+uint64_t Database::Stamp::NextIdentity() {
+  static std::atomic<uint64_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 Status Database::DeclareRelation(std::string_view name, size_t arity) {
   auto it = relations_.find(name);
@@ -15,12 +22,14 @@ Status Database::DeclareRelation(std::string_view name, size_t arity) {
     return Status::OK();
   }
   relations_.emplace(std::string(name), Relation(arity));
+  stamp_.Bump();
   return Status::OK();
 }
 
 void Database::AddUniverseValue(Value value) {
   if (universe_set_.insert(value).second) {
     universe_.push_back(value);
+    stamp_.Bump();
   }
 }
 
@@ -46,6 +55,7 @@ Status Database::AddFact(std::string_view relation, TupleView tuple) {
     AddUniverseValue(v);
   }
   relations_.find(relation)->second.Insert(tuple);
+  stamp_.Bump();
   return Status::OK();
 }
 
@@ -61,6 +71,7 @@ Status Database::AddFactNamed(std::string_view relation,
 
 Status Database::MergeFrom(const Database& other) {
   if (&other == this) return Status::OK();
+  stamp_.Bump();
   const bool same_symbols = other.symbols_ == symbols_;
   if (same_symbols) {
     for (Value v : other.universe_) AddUniverseValue(v);
@@ -106,6 +117,7 @@ Result<Relation*> Database::MutableRelation(std::string_view name) {
   if (it == relations_.end()) {
     return Status::NotFound(StrCat("no relation named ", name));
   }
+  stamp_.Bump();
   return &it->second;
 }
 

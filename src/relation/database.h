@@ -10,6 +10,7 @@
 #ifndef INFLOG_RELATION_DATABASE_H_
 #define INFLOG_RELATION_DATABASE_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,6 +25,14 @@
 #include "src/relation/value.h"
 
 namespace inflog {
+
+/// Names one state of one Database object: see Database::generation().
+struct DatabaseGeneration {
+  uint64_t identity = 0;  ///< The object's, unique in the process.
+  uint64_t version = 0;   ///< Bumped by every mutation of the object.
+
+  bool operator==(const DatabaseGeneration&) const = default;
+};
 
 /// A finite structure over a shared symbol table.
 class Database {
@@ -85,7 +94,10 @@ class Database {
   /// inserts so new constants join the universe, Relation::Erase for
   /// deletes — the universe, being the *active domain plus history*,
   /// never shrinks, matching what a from-scratch evaluation of this
-  /// database object would quantify over).
+  /// database object would quantify over). The call counts as a mutation
+  /// (see generation()); writes through the pointer after a later call
+  /// that read the generation (e.g. an Engine call) would go unseen, so
+  /// ask for the relation again before each round of writes.
   Result<Relation*> MutableRelation(std::string_view name);
 
   /// True iff a relation named `name` has been declared. Heterogeneous
@@ -113,11 +125,45 @@ class Database {
   /// Renders every relation plus the universe, for debugging and goldens.
   std::string ToString() const;
 
+  /// This object's current state: it changes on every mutation (each
+  /// DeclareRelation, universe addition, AddFact, MergeFrom and
+  /// MutableRelation call, and each copy or move assignment into the
+  /// object), and two objects never share one: a copy starts with its
+  /// own identity. A mutation bumps a plain counter, no atomic operation.
+  DatabaseGeneration generation() const { return stamp_.Get(); }
+
  private:
+  // Stamps this object's states. Construction draws a fresh identity
+  // from a process-wide counter; a copy or move gets its own, and
+  // assignment into the object, or a move out of it, bumps the version.
+  class Stamp {
+   public:
+    Stamp() : identity_(NextIdentity()) {}
+    Stamp(const Stamp&) : Stamp() {}
+    Stamp(Stamp&& other) noexcept : Stamp() { other.Bump(); }
+    Stamp& operator=(const Stamp&) {
+      Bump();
+      return *this;
+    }
+    Stamp& operator=(Stamp&& other) noexcept {
+      Bump();
+      other.Bump();
+      return *this;
+    }
+    void Bump() { ++version_; }
+    DatabaseGeneration Get() const { return {identity_, version_}; }
+
+   private:
+    static uint64_t NextIdentity();
+    uint64_t identity_;
+    uint64_t version_ = 0;
+  };
+
   std::shared_ptr<SymbolTable> symbols_;
   std::vector<Value> universe_;
   std::unordered_set<Value> universe_set_;
   std::map<std::string, Relation, std::less<>> relations_;
+  Stamp stamp_;
 };
 
 }  // namespace inflog

@@ -16,9 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <string>
+#include <thread>
+#include <utility>
 #include <variant>
+#include <vector>
 
 #include "src/base/rng.h"
+#include "src/base/strings.h"
 #include "src/core/engine.h"
 #include "src/graphs/digraph.h"
 #include "tests/test_util.h"
@@ -141,6 +148,161 @@ TEST_P(CrossSemantics, StratifiableProgramStratifiedEqualsWellFounded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossSemantics, ::testing::Range(0, 8));
+
+// --- The grounding Evaluate shares with a live analyzer. ---
+
+/// A state by predicate and constant names, so engines with different
+/// symbol tables compare.
+std::string RenderByName(const Program& p, const IdbState& state) {
+  std::string out;
+  for (const uint32_t pred : p.idb_predicates()) {
+    out += StrCat(p.predicate(pred).name, "={");
+    const int idb = p.predicate(pred).idb_index;
+    for (const std::vector<std::string>& row :
+         testing::TuplesOf(p.symbols(), state.relations[idb])) {
+      out += StrCat("(", StrJoin(row, ","), ")");
+    }
+    out += "} ";
+  }
+  return out;
+}
+
+/// The well-founded model and the stable models of the engine's (π, D),
+/// or the error that stopped them.
+std::string GroundedAnswers(const Engine& engine) {
+  const Program& p = *engine.program().value();
+  auto wf = engine.Evaluate(SemanticsKind::kWellFounded);
+  if (!wf.ok()) return wf.status().ToString();
+  const auto& model = std::get<WellFoundedResult>(wf->detail);
+  std::string out =
+      StrCat("true: ", RenderByName(p, model.true_state),
+             "\nundefined: ", RenderByName(p, model.undefined_state), "\n");
+  auto stable = engine.Evaluate(SemanticsKind::kStable);
+  if (!stable.ok()) return out + stable.status().ToString();
+  std::multiset<std::string> models;
+  for (const IdbState& m : std::get<StableResult>(stable->detail).models) {
+    models.insert(RenderByName(p, m));
+  }
+  for (const std::string& m : models) out += StrCat("stable: ", m, "\n");
+  return out;
+}
+
+/// GroundedAnswers of a fresh Engine over `program` and a copy of `db`.
+std::string FreshGroundedAnswers(const std::string& program,
+                                 const Database& db) {
+  Engine fresh;
+  INFLOG_CHECK(fresh.LoadProgramText(program).ok());
+  INFLOG_CHECK(fresh.mutable_database()->MergeFrom(db).ok());
+  return GroundedAnswers(fresh);
+}
+
+TEST(SharedGroundingTest, NeverStaleAfterAMutation) {
+  Engine engine;
+  std::string program = "T(X) :- E(Y,X), !T(Y).";
+  ASSERT_TRUE(engine.LoadProgramText(program).ok());
+  ASSERT_TRUE(engine.LoadDatabaseText("E(1,2). E(2,3). E(3,4). E(4,1).").ok());
+  Database* db = engine.mutable_database();
+  const std::vector<std::pair<std::string, std::function<void()>>> mutations =
+      {
+          {"AddFact",
+           [&] { ASSERT_TRUE(db->AddFactNamed("E", {"4", "5"}).ok()); }},
+          {"Relation::Erase",
+           [&] {
+             auto e = db->MutableRelation("E");
+             ASSERT_TRUE(e.ok());
+             const Tuple edge = {engine.symbols()->Intern("4"),
+                                 engine.symbols()->Intern("1")};
+             ASSERT_TRUE((*e)->Erase(edge));
+           }},
+          {"copy assignment",
+           [&] {
+             Database other(engine.symbols());
+             ASSERT_TRUE(other.AddFactNamed("E", {"1", "2"}).ok());
+             ASSERT_TRUE(other.AddFactNamed("E", {"2", "1"}).ok());
+             *db = other;
+           }},
+          {"LoadDatabaseText",
+           [&] { ASSERT_TRUE(engine.LoadDatabaseText("E(3,1).").ok()); }},
+          {"LoadProgramText",
+           [&] {
+             program = "T(X) :- E(X,Y), !T(Y).";
+             ASSERT_TRUE(engine.LoadProgramText(program).ok());
+           }},
+      };
+  for (const auto& [name, mutate] : mutations) {
+    SCOPED_TRACE(name);
+    auto analyzer = engine.MakeAnalyzer();
+    ASSERT_TRUE(analyzer.ok()) << analyzer.status().ToString();
+    const std::string before = GroundedAnswers(engine);
+    EXPECT_EQ(before, FreshGroundedAnswers(program, engine.database()));
+    mutate();
+    // The analyzer, and with it its grounding, is still alive.
+    const std::string after = GroundedAnswers(engine);
+    EXPECT_EQ(after, FreshGroundedAnswers(program, engine.database()));
+    EXPECT_NE(after, before) << "the mutation changed no answer";
+  }
+}
+
+TEST(SharedGroundingTest, EvaluateReusesOnlyALiveAnalyzersGrounding) {
+  // A write through a Relation* taken before MakeAnalyzer goes unseen by
+  // the database generation (MutableRelation's contract), so it shows
+  // which grounding Evaluate ran on.
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgramText("T(X) :- E(Y,X), !T(Y).").ok());
+  ASSERT_TRUE(engine.LoadDatabaseText("E(1,2). E(2,3).").ok());
+  const std::string before = GroundedAnswers(engine);
+  auto e = engine.mutable_database()->MutableRelation("E");
+  ASSERT_TRUE(e.ok());
+  {
+    auto analyzer = engine.MakeAnalyzer();
+    ASSERT_TRUE(analyzer.ok());
+    (*e)->Insert(Tuple{engine.symbols()->Intern("3"),
+                       engine.symbols()->Intern("1")});
+    EXPECT_EQ(GroundedAnswers(engine), before);
+  }
+  // The analyzer is gone, and the engine kept no grounding of its own.
+  const std::string after = GroundedAnswers(engine);
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after, FreshGroundedAnswers("T(X) :- E(Y,X), !T(Y).",
+                                        engine.database()));
+}
+
+TEST(SharedGroundingTest, AnalyzerGrounderOptionsDoNotReachEvaluate) {
+  // F is an EDB relation the database lacks: the analyzer may read it as
+  // empty, Evaluate, which grounds at the defaults, may not.
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgramText("T(X) :- E(Y,X), !T(Y), !F(X).").ok());
+  ASSERT_TRUE(engine.LoadDatabaseText("E(1,2). E(2,3).").ok());
+  const Status alone = engine.Evaluate(SemanticsKind::kWellFounded).status();
+  ASSERT_FALSE(alone.ok());
+  AnalyzeOptions lenient;
+  lenient.grounder.allow_missing_edb = true;
+  auto analyzer = engine.MakeAnalyzer(lenient);
+  ASSERT_TRUE(analyzer.ok()) << analyzer.status().ToString();
+  EXPECT_EQ(engine.Evaluate(SemanticsKind::kWellFounded).status(), alone);
+  EXPECT_FALSE(engine.Evaluate(SemanticsKind::kStable).ok());
+}
+
+TEST(EngineConcurrencyTest, GroundedEvaluationsShareALiveAnalyzersGrounding) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgramText("T(X) :- E(Y,X), !T(Y).").ok());
+  LoadRandomGraphDb(&engine, 12, 77);
+  const std::string serial = GroundedAnswers(engine);
+  auto analyzer = engine.MakeAnalyzer();
+  ASSERT_TRUE(analyzer.ok());
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&engine, &got, t] {
+      for (int i = 0; i < 8; ++i) got[t].push_back(GroundedAnswers(engine));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::vector<std::string>& answers : got) {
+    for (const std::string& answer : answers) EXPECT_EQ(answer, serial);
+  }
+}
 
 }  // namespace
 }  // namespace inflog

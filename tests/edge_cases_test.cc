@@ -275,5 +275,28 @@ TEST(SolverBudgetTest, BudgetSurfacesAsResourceExhausted) {
   EXPECT_EQ(fps.status().message(), "SAT conflict budget exhausted");
 }
 
+TEST(SolverBudgetTest, BudgetCoversEveryQueryOfOneAnalyzer) {
+  // One solver serves every query of an analyzer, so the budget is the
+  // analyzer's: a second query that needs a conflict finds it spent.
+  auto symbols = std::make_shared<SymbolTable>();
+  Program p = MustProgram("T(X) :- E(Y,X), !T(Y).", symbols);
+  Database db = DbFromGraph(DisjointCycles(6, 4), symbols);
+  AnalyzeOptions opts;
+  opts.solver.max_conflicts = 1;
+  auto analyzer = FixpointAnalyzer::Create(&p, &db, opts);
+  ASSERT_TRUE(analyzer.ok());
+  EXPECT_EQ(analyzer->EnumerateFixpoints().status().code(),
+            StatusCode::kResourceExhausted);
+  const Status second = analyzer->CountFixpoints().status();
+  EXPECT_EQ(second.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(second.message(), "SAT conflict budget exhausted");
+  // A fresh analyzer with no budget answers: 2^6 fixpoints.
+  auto fresh = FixpointAnalyzer::Create(&p, &db);
+  ASSERT_TRUE(fresh.ok());
+  auto count = fresh->CountFixpoints();
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 64u);
+}
+
 }  // namespace
 }  // namespace inflog

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,6 +22,7 @@
 #include "src/fixpoint/analysis.h"
 #include "src/fixpoint/brute_force.h"
 #include "src/ground/grounder.h"
+#include "src/reductions/three_coloring.h"
 #include "tests/test_util.h"
 
 namespace inflog {
@@ -609,6 +613,42 @@ TEST(AnalyzerTest, RaisedStopFlagExhaustsAndAFreshAnalyzerAnswers) {
   auto stable = EnumerateStableModels(**program, engine.database());
   ASSERT_TRUE(stable.ok()) << stable.status().ToString();
   EXPECT_EQ(stable->models.size(), 1u);
+
+  // The stopped solve memoized nothing, so once the flag is lowered the
+  // same analyzer answers.
+  stop = false;
+  auto again = analyzer->HasFixpoint();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(*again);
+}
+
+TEST(AnalyzerTest, QueryStoppedAfterTheFirstAnswerLeavesTheAnalyzerUsable) {
+  // On C₄ the second fixpoint takes a decision to find, so a raised flag
+  // stops UniqueFixpoint after its memoized first answer.
+  auto symbols = std::make_shared<SymbolTable>();
+  Program p = MustProgram(kPi1, symbols);
+  Database db = DbFromGraph(CycleGraph(4), symbols);
+  std::atomic<bool> stop{false};
+  AnalyzeOptions options;
+  options.solver.stop = &stop;
+  auto analyzer = FixpointAnalyzer::Create(&p, &db, options);
+  ASSERT_TRUE(analyzer.ok());
+  auto has = analyzer->HasFixpoint();
+  ASSERT_TRUE(has.ok());
+  EXPECT_TRUE(*has);
+  stop = true;
+  const Status stopped = analyzer->UniqueFixpoint().status();
+  EXPECT_EQ(stopped.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(stopped.message(), "SAT search stopped");
+  // The stopped query's block reaches no later query: both fixpoints
+  // are still there.
+  stop = false;
+  auto unique = analyzer->UniqueFixpoint();
+  ASSERT_TRUE(unique.ok()) << unique.status().ToString();
+  EXPECT_EQ(*unique, UniqueStatus::kMultiple);
+  auto count = analyzer->CountFixpoints();
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 2u);
 }
 
 // --- Brute force cross-checks. ---
@@ -754,6 +794,163 @@ TEST_P(RandomProgramCrossCheck, SatEnumerationEqualsBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramCrossCheck,
                          ::testing::Range(0, 100));
+
+// --- One solver across queries. ---
+
+/// The answers of fresh analyzers, one per query.
+struct FreshAnswers {
+  bool has = false;
+  std::optional<IdbState> found;
+  std::vector<IdbState> all;
+  UniqueStatus unique = UniqueStatus::kNoFixpoint;
+  LeastFixpointOutcome least;
+};
+
+FixpointAnalyzer MustAnalyzer(const Program& p, const Database& db,
+                              const AnalyzeOptions& options) {
+  auto a = FixpointAnalyzer::Create(&p, &db, options);
+  INFLOG_CHECK(a.ok()) << a.status().ToString();
+  return std::move(a).value();
+}
+
+FreshAnswers AskFresh(const Program& p, const Database& db,
+                      const AnalyzeOptions& options) {
+  FreshAnswers ref;
+  ref.has = MustAnalyzer(p, db, options).HasFixpoint().value();
+  ref.found = MustAnalyzer(p, db, options).FindFixpoint().value();
+  ref.all = MustAnalyzer(p, db, options).EnumerateFixpoints().value();
+  ref.unique = MustAnalyzer(p, db, options).UniqueFixpoint().value();
+  ref.least = MustAnalyzer(p, db, options).LeastFixpoint().value();
+  return ref;
+}
+
+// The six queries; EnumerateFixpoints runs both in full and below the
+// total.
+enum class Query { kHas, kFind, kEnumerateAll, kEnumerateSome, kCount,
+                   kUnique, kLeast };
+
+/// Asks every query twice, in an order drawn from `seed`, on one analyzer
+/// over (p, db), and checks each answer against fresh analyzers', with
+/// preprocessing off and on.
+void CheckQueryOrder(const Program& p, const Database& db,
+                     AnalyzeOptions options, uint64_t seed,
+                     const std::string& what) {
+  for (const bool preprocess : {false, true}) {
+    options.solver.preprocess = preprocess;
+    SCOPED_TRACE(StrCat(what, " preprocess=", preprocess));
+    const FreshAnswers ref = AskFresh(p, db, options);
+    const std::multiset<std::string> all = CanonStates(p, ref.all);
+    std::vector<Query> order;
+    for (const Query q :
+         {Query::kHas, Query::kFind, Query::kEnumerateAll,
+          Query::kEnumerateSome, Query::kCount, Query::kUnique,
+          Query::kLeast}) {
+      order.insert(order.end(), {q, q});
+    }
+    Rng rng(seed);
+    rng.Shuffle(&order);
+    FixpointAnalyzer analyzer = MustAnalyzer(p, db, options);
+    for (const Query q : order) {
+      switch (q) {
+        case Query::kHas:
+          EXPECT_EQ(analyzer.HasFixpoint().value(), ref.has);
+          break;
+        case Query::kFind: {
+          const std::optional<IdbState> found =
+              analyzer.FindFixpoint().value();
+          ASSERT_EQ(found.has_value(), ref.found.has_value());
+          if (found) {
+            EXPECT_EQ(testing::CanonState(p, *found),
+                      testing::CanonState(p, *ref.found));
+          }
+          break;
+        }
+        case Query::kEnumerateAll:
+          EXPECT_EQ(CanonStates(p, analyzer.EnumerateFixpoints().value()),
+                    all);
+          break;
+        case Query::kEnumerateSome: {
+          if (ref.all.size() < 2) break;
+          const size_t k = 1 + rng.Uniform(ref.all.size() - 1);
+          const std::multiset<std::string> some =
+              CanonStates(p, analyzer.EnumerateFixpoints(k).value());
+          EXPECT_EQ(some.size(), k);
+          EXPECT_EQ(std::set<std::string>(some.begin(), some.end()).size(),
+                    k);
+          EXPECT_TRUE(std::includes(all.begin(), all.end(), some.begin(),
+                                    some.end()));
+          break;
+        }
+        case Query::kCount:
+          EXPECT_EQ(analyzer.CountFixpoints().value(), ref.all.size());
+          break;
+        case Query::kUnique:
+          EXPECT_EQ(analyzer.UniqueFixpoint().value(), ref.unique);
+          break;
+        case Query::kLeast: {
+          const LeastFixpointOutcome least = analyzer.LeastFixpoint().value();
+          EXPECT_EQ(least.has_fixpoint, ref.least.has_fixpoint);
+          EXPECT_EQ(least.has_least, ref.least.has_least);
+          if (least.has_fixpoint && ref.least.has_fixpoint) {
+            EXPECT_EQ(testing::CanonState(p, least.intersection),
+                      testing::CanonState(p, ref.least.intersection));
+          }
+          // C₀ is the first model's atoms: each later round shrinks it.
+          const size_t c0 = ref.found ? ref.found->TotalTuples() : 0;
+          EXPECT_GE(least.sat_calls, 1u);
+          EXPECT_LE(least.sat_calls, c0 + 1);
+          break;
+        }
+      }
+    }
+  }
+}
+
+class QueryOrder : public ::testing::TestWithParam<int> {};
+
+TEST_P(QueryOrder, RandomProgramAnswersEqualFreshAnalyzers) {
+  // The programs and graphs of RandomProgramCrossCheck.
+  const int seed = GetParam();
+  Rng rng(seed * 37 + 5);
+  const std::string text = RandomUnaryProgram(&rng);
+  auto symbols = std::make_shared<SymbolTable>();
+  Program p = MustProgram(text, symbols);
+  Database db = DbFromGraph(RandomDigraph(3, 0.4, &rng), symbols);
+  AnalyzeOptions options;
+  options.grounder.allow_missing_edb = true;
+  CheckQueryOrder(p, db, options, seed, text);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QueryOrder, ::testing::Range(0, 100));
+
+TEST(QueryOrderTest, PaperInstancesAnswerAsFreshAnalyzers) {
+  struct Case {
+    const char* name;
+    const char* program;
+    Digraph graph;
+  };
+  Digraph strip(10);  // uniquely 3-colourable: 6 fixpoints
+  for (size_t i = 0; i < 10; ++i) {
+    for (size_t j = i + 1; j <= i + 2 && j < 10; ++j) strip.AddEdge(i, j);
+  }
+  const std::string pi_col = PiColText();
+  const Case cases[] = {
+      {"pi_col/strip", pi_col.c_str(), strip},
+      {"pi_col/K4", pi_col.c_str(), CompleteGraph(4)},
+      {"C3", kPi1, CycleGraph(3)},
+      {"C4", kPi1, CycleGraph(4)},
+      {"C6", kPi1, CycleGraph(6)},
+      {"L5", kPi1, PathGraph(5)},
+      {"G3", kPi1, DisjointCycles(3, 4)},
+  };
+  uint64_t seed = 1;
+  for (const Case& c : cases) {
+    auto symbols = std::make_shared<SymbolTable>();
+    Program p = MustProgram(c.program, symbols);
+    Database db = DbFromGraph(c.graph, symbols);
+    CheckQueryOrder(p, db, {}, seed++, c.name);
+  }
+}
 
 }  // namespace
 }  // namespace inflog
