@@ -97,19 +97,16 @@ IncrementalOptions ResolveEvalOptions(SemanticsKind kind,
 Result<EvalOutcome> Engine::Evaluate(SemanticsKind kind,
                                      const EvalOptions& options) const {
   INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-  std::shared_ptr<const GroundCompletion> grounding;
-  if (kind == SemanticsKind::kWellFounded || kind == SemanticsKind::kStable) {
-    grounding = LiveGrounding();
-  }
+  // Held for the call: the analyzer may go away meanwhile.
+  const std::shared_ptr<const GroundCompletion> grounding =
+      kind == SemanticsKind::kWellFounded ? LiveGrounding() : nullptr;
   return EvalSemantics(*p, database_, ResolveEvalOptions(kind, options),
-                       std::move(grounding));
+                       grounding == nullptr ? nullptr : &grounding->ground);
 }
 
 std::shared_ptr<const GroundCompletion> Engine::LiveGrounding() const {
   std::lock_guard<std::mutex> lock(analyzer_grounding_->mu);
-  // EvalSemantics grounds at the grounder defaults.
-  if (analyzer_grounding_->options != GrounderOptions{} ||
-      analyzer_grounding_->generation != database_.generation()) {
+  if (analyzer_grounding_->generation != database_.generation()) {
     return nullptr;
   }
   return analyzer_grounding_->grounding.lock();
@@ -211,12 +208,17 @@ Result<const EvalStats*> Engine::IncrementalStats() const {
 
 Result<FixpointAnalyzer> Engine::MakeAnalyzer(AnalyzeOptions options) const {
   INFLOG_ASSIGN_OR_RETURN(const Program* p, program());
-  INFLOG_ASSIGN_OR_RETURN(FixpointAnalyzer analyzer,
-                          FixpointAnalyzer::Create(p, &database_, options));
-  std::lock_guard<std::mutex> lock(analyzer_grounding_->mu);
-  analyzer_grounding_->grounding = analyzer.grounding();
-  analyzer_grounding_->options = options.grounder;
-  analyzer_grounding_->generation = database_.generation();
+  // EvalSemantics grounds at the grounder defaults, so only a grounding
+  // built at them can stand in for its own.
+  const bool shareable = options.grounder == GrounderOptions{};
+  INFLOG_ASSIGN_OR_RETURN(
+      FixpointAnalyzer analyzer,
+      FixpointAnalyzer::Create(p, &database_, std::move(options)));
+  if (shareable) {
+    std::lock_guard<std::mutex> lock(analyzer_grounding_->mu);
+    analyzer_grounding_->grounding = analyzer.grounding();
+    analyzer_grounding_->generation = database_.generation();
+  }
   return analyzer;
 }
 

@@ -146,10 +146,10 @@ class Engine {
   /// Evaluates the loaded program under `kind` (EvalSemantics). The
   /// stratified semantics fails on non-stratifiable programs; the other
   /// three are total. `detail` carries each semantics' own result. The
-  /// well-founded and stable pipelines reuse the grounding of the newest
-  /// MakeAnalyzer while that analyzer is alive, it was built at the
-  /// grounder defaults, and the database has not changed since; otherwise
-  /// they ground again. Safe to call from several threads at once.
+  /// well-founded pipeline reuses the grounding of the newest MakeAnalyzer
+  /// built at the grounder defaults while that analyzer is alive and the
+  /// database has not changed since; otherwise it grounds again. Safe to
+  /// call from several threads at once.
   Result<EvalOutcome> Evaluate(SemanticsKind kind,
                                const EvalOptions& options = {}) const;
 
@@ -242,20 +242,18 @@ class Engine {
                                      std::string_view predicate) const;
 
  private:
-  // The grounding of the newest analyzer, held weakly, with its key: the
-  // grounder options it was built under and the database generation it
-  // read. Loading a program drops it. The mutex lets const callers on
-  // several threads share it; the record sits behind a pointer so the
-  // engine stays movable.
+  // The grounding of the newest analyzer built at the grounder defaults,
+  // held weakly, with the database generation it read. Loading a program
+  // drops it. The mutex lets const callers on several threads share it;
+  // the record sits behind a pointer so the engine stays movable.
   struct AnalyzerGrounding {
     std::mutex mu;
     std::weak_ptr<const GroundCompletion> grounding;
-    GrounderOptions options;
     DatabaseGeneration generation;
   };
 
-  /// The recorded grounding when its key matches what Evaluate grounds
-  /// (the grounder defaults, this database state) and it is still alive.
+  /// The recorded grounding when it is still alive and the database is in
+  /// the state it read.
   std::shared_ptr<const GroundCompletion> LiveGrounding() const;
   void DropGrounding();
 

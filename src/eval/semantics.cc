@@ -68,10 +68,10 @@ const EvalStats* EvalOutcome::stats() const {
   return nullptr;
 }
 
-Result<EvalOutcome> EvalSemantics(
-    const Program& program, const Database& database,
-    const SemanticsOptions& options,
-    std::shared_ptr<const GroundCompletion> grounding) {
+Result<EvalOutcome> EvalSemantics(const Program& program,
+                                  const Database& database,
+                                  const SemanticsOptions& options,
+                                  const GroundProgram* ground) {
   if (options.context.reject_unsafe_negation) {
     // Checked here for every semantics: the grounded pipelines never
     // build an EvalContext, so they would otherwise accept such rules
@@ -96,10 +96,9 @@ Result<EvalOutcome> EvalSemantics(
       return EvalOutcome{options.semantics, std::move(r), {}};
     }
     case SemanticsKind::kWellFounded: {
-      if (grounding != nullptr) {
+      if (ground != nullptr) {
         return EvalOutcome{options.semantics,
-                           AlternatingFixpoint(program, grounding->ground),
-                           {}};
+                           AlternatingFixpoint(program, *ground), {}};
       }
       INFLOG_ASSIGN_OR_RETURN(WellFoundedResult r,
                               EvalWellFounded(program, database));
@@ -109,8 +108,7 @@ Result<EvalOutcome> EvalSemantics(
       AnalyzeOptions analyze;
       analyze.solver = options.sat;
       INFLOG_ASSIGN_OR_RETURN(
-          StableResult r, EnumerateStableModels(program, database, analyze,
-                                                std::move(grounding)));
+          StableResult r, EnumerateStableModels(program, database, analyze));
       return EvalOutcome{options.semantics, std::move(r),
                          MakeEmptyIdbState(program)};
     }

@@ -11,7 +11,6 @@
 #ifndef INFLOG_EVAL_SEMANTICS_H_
 #define INFLOG_EVAL_SEMANTICS_H_
 
-#include <memory>
 #include <string_view>
 #include <variant>
 
@@ -84,15 +83,14 @@ struct EvalOutcome {
   const EvalStats* stats() const;
 };
 
-/// Evaluates (program, database) under `options.semantics`. `grounding`,
-/// when given, must be the grounding and completion of (program, database)
-/// at the grounder defaults: the well-founded pipeline then runs only its
-/// alternation over it, and the stable pipeline its search, on a solver
-/// of its own. The relational pipelines ignore it.
-Result<EvalOutcome> EvalSemantics(
-    const Program& program, const Database& database,
-    const SemanticsOptions& options,
-    std::shared_ptr<const GroundCompletion> grounding = nullptr);
+/// Evaluates (program, database) under `options.semantics`. `ground`,
+/// when given, must be a grounding of (program, database) at the grounder
+/// defaults: the well-founded pipeline then runs only its alternation over
+/// it. The other pipelines ignore it.
+Result<EvalOutcome> EvalSemantics(const Program& program,
+                                  const Database& database,
+                                  const SemanticsOptions& options,
+                                  const GroundProgram* ground = nullptr);
 
 }  // namespace inflog
 

@@ -1,7 +1,6 @@
 #include "src/eval/stable.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/eval/reduct.h"
 
@@ -18,13 +17,12 @@ void FillSatStats(const sat::SolverStats& s, EvalStats* stats) {
   stats->sat_preprocess_clauses_removed = s.preprocess_clauses_removed;
 }
 
-Result<StableResult> EnumerateStableModels(
-    const Program& program, const Database& database,
-    const AnalyzeOptions& options,
-    std::shared_ptr<const GroundCompletion> grounding) {
-  INFLOG_ASSIGN_OR_RETURN(FixpointAnalyzer analyzer,
-                          FixpointAnalyzer::Create(&program, &database, options,
-                                                   std::move(grounding)));
+Result<StableResult> EnumerateStableModels(const Program& program,
+                                           const Database& database,
+                                           const AnalyzeOptions& options) {
+  INFLOG_ASSIGN_OR_RETURN(
+      FixpointAnalyzer analyzer,
+      FixpointAnalyzer::Create(&program, &database, options));
   const GroundProgram& ground = analyzer.ground();
 
   // Enumerate supported models at the SAT level so the stability filter

@@ -13,7 +13,6 @@
 #ifndef INFLOG_EVAL_STABLE_H_
 #define INFLOG_EVAL_STABLE_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/ast/program.h"
@@ -46,14 +45,10 @@ struct StableResult {
 /// Copies a solver's CDCL counters into the sat_* block of `stats`.
 void FillSatStats(const sat::SolverStats& s, EvalStats* stats);
 
-/// Enumerates the stable models of (π, D). `grounding`, when given, is the
-/// grounding and completion of (π, D) under `options.grounder`, reused
-/// instead of grounding again (FixpointAnalyzer::Create); the search runs
-/// on a solver of its own either way.
-Result<StableResult> EnumerateStableModels(
-    const Program& program, const Database& database,
-    const AnalyzeOptions& options = {},
-    std::shared_ptr<const GroundCompletion> grounding = nullptr);
+/// Enumerates the stable models of (π, D).
+Result<StableResult> EnumerateStableModels(const Program& program,
+                                           const Database& database,
+                                           const AnalyzeOptions& options = {});
 
 }  // namespace inflog
 

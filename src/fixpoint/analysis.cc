@@ -22,18 +22,15 @@ Status SearchStopped(const sat::SolverOptions& options) {
 
 }  // namespace
 
-Result<FixpointAnalyzer> FixpointAnalyzer::Create(
-    const Program* program, const Database* database, AnalyzeOptions options,
-    std::shared_ptr<const GroundCompletion> grounding) {
+Result<FixpointAnalyzer> FixpointAnalyzer::Create(const Program* program,
+                                                  const Database* database,
+                                                  AnalyzeOptions options) {
   INFLOG_CHECK(program != nullptr && database != nullptr);
-  if (grounding == nullptr) {
-    auto built = std::make_shared<GroundCompletion>();
-    INFLOG_ASSIGN_OR_RETURN(
-        built->ground,
-        GroundProgramFor(*program, *database, options.grounder));
-    built->encoding = EncodeCompletion(built->ground);
-    grounding = std::move(built);
-  }
+  auto grounding = std::make_shared<GroundCompletion>();
+  INFLOG_ASSIGN_OR_RETURN(
+      grounding->ground,
+      GroundProgramFor(*program, *database, options.grounder));
+  grounding->encoding = EncodeCompletion(grounding->ground);
   return FixpointAnalyzer(program, database, std::move(options),
                           std::move(grounding));
 }

@@ -28,7 +28,9 @@
 // after HasFixpoint makes one solve, not two, and on a refuted instance
 // none. Each query adds its clauses under its own activation literal and
 // retires that literal when it ends, so no query's clauses cut off
-// another's models.
+// another's models. Retired clauses stay in the solver until a
+// learnt-clause reduction collects them, which may never run: memory
+// grows with the models all queries together have blocked.
 //
 // The grounding's auxiliary atoms (projected existential components, see
 // src/ground/grounder.h) are fixed by their completion once the program's
@@ -66,7 +68,7 @@ struct AnalyzeOptions {
   sat::SolverOptions solver;
 };
 
-/// A grounding of (π, D) and the Clark completion of it. Analyzers share
+/// A grounding of (π, D) and the Clark completion of it. An analyzer holds
 /// it by shared_ptr, so Engine::Evaluate can reuse the grounding of a live
 /// analyzer instead of grounding again.
 struct GroundCompletion {
@@ -100,14 +102,11 @@ struct StableResult;
 /// shared by every later one. Move-only.
 class FixpointAnalyzer {
  public:
-  /// Grounds and encodes, or reuses `grounding` when given: it must then
-  /// be the grounding and completion of (program, database) under
-  /// `options.grounder`. The solver is the analyzer's own either way.
-  /// `program` and `database` must outlive the analyzer.
-  static Result<FixpointAnalyzer> Create(
-      const Program* program, const Database* database,
-      AnalyzeOptions options = {},
-      std::shared_ptr<const GroundCompletion> grounding = nullptr);
+  /// Grounds and encodes. `program` and `database` must outlive the
+  /// analyzer.
+  static Result<FixpointAnalyzer> Create(const Program* program,
+                                         const Database* database,
+                                         AnalyzeOptions options = {});
 
   /// Does (π, D) have any fixpoint?
   Result<bool> HasFixpoint();
@@ -138,8 +137,8 @@ class FixpointAnalyzer {
 
   const GroundProgram& ground() const { return grounding_->ground; }
   const CompletionEncoding& encoding() const { return grounding_->encoding; }
-  /// The grounding and completion, for other analyzers and evaluations
-  /// to share (Engine::MakeAnalyzer keeps a weak reference to it).
+  /// The grounding and completion, for Engine::Evaluate to share
+  /// (Engine::MakeAnalyzer keeps a weak reference to it).
   const std::shared_ptr<const GroundCompletion>& grounding() const {
     return grounding_;
   }
@@ -152,9 +151,9 @@ class FixpointAnalyzer {
 
  private:
   // The stable pipeline filters the supported models ForEachModel finds.
-  friend Result<StableResult> EnumerateStableModels(
-      const Program&, const Database&, const AnalyzeOptions&,
-      std::shared_ptr<const GroundCompletion>);
+  friend Result<StableResult> EnumerateStableModels(const Program&,
+                                                    const Database&,
+                                                    const AnalyzeOptions&);
 
   FixpointAnalyzer(const Program* program, const Database* database,
                    AnalyzeOptions options,
@@ -182,9 +181,13 @@ class FixpointAnalyzer {
   /// solve; an empty block leaves no model to find. The query adds each
   /// block as block ∨ ¬act, over an activation variable act allocated at
   /// its first block, and solves assuming act; on every exit the unit
-  /// ¬act retires the blocks: they are then satisfied at the root, the
-  /// next learnt-clause reduction sweeps them, and no later query sees
-  /// them.
+  /// ¬act retires the blocks: they are then satisfied at the root and no
+  /// later query sees them. They and act stay in the solver until a
+  /// learnt-clause reduction's garbage collection sweeps them. A
+  /// reduction runs only at a restart inside a solve, once the solver has
+  /// spent SolverOptions::reduce_base conflicts (2,000 by default), so an
+  /// enumeration whose solves each end before their first restart keeps
+  /// every retired block for the analyzer's whole life.
   /// ResourceExhausted when a solve hits the conflict budget or the stop
   /// flag; such a solve memoizes nothing.
   Result<uint64_t> ForEachModel(

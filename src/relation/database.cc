@@ -55,7 +55,6 @@ Status Database::AddFact(std::string_view relation, TupleView tuple) {
     AddUniverseValue(v);
   }
   relations_.find(relation)->second.Insert(tuple);
-  stamp_.Bump();
   return Status::OK();
 }
 
@@ -71,7 +70,6 @@ Status Database::AddFactNamed(std::string_view relation,
 
 Status Database::MergeFrom(const Database& other) {
   if (&other == this) return Status::OK();
-  stamp_.Bump();
   const bool same_symbols = other.symbols_ == symbols_;
   if (same_symbols) {
     for (Value v : other.universe_) AddUniverseValue(v);
@@ -117,8 +115,15 @@ Result<Relation*> Database::MutableRelation(std::string_view name) {
   if (it == relations_.end()) {
     return Status::NotFound(StrCat("no relation named ", name));
   }
-  stamp_.Bump();
   return &it->second;
+}
+
+DatabaseGeneration Database::generation() const {
+  DatabaseGeneration generation = stamp_.Get();
+  for (const auto& [name, rel] : relations_) {
+    generation.contents += rel.version();
+  }
+  return generation;
 }
 
 std::vector<std::string> Database::RelationNames() const {

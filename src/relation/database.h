@@ -29,7 +29,10 @@ namespace inflog {
 /// Names one state of one Database object: see Database::generation().
 struct DatabaseGeneration {
   uint64_t identity = 0;  ///< The object's, unique in the process.
-  uint64_t version = 0;   ///< Bumped by every mutation of the object.
+  /// Bumped by each relation declaration, universe addition and
+  /// assignment into the object.
+  uint64_t version = 0;
+  uint64_t contents = 0;  ///< The sum of the relations' Relation::version().
 
   bool operator==(const DatabaseGeneration&) const = default;
 };
@@ -94,10 +97,7 @@ class Database {
   /// inserts so new constants join the universe, Relation::Erase for
   /// deletes — the universe, being the *active domain plus history*,
   /// never shrinks, matching what a from-scratch evaluation of this
-  /// database object would quantify over). The call counts as a mutation
-  /// (see generation()); writes through the pointer after a later call
-  /// that read the generation (e.g. an Engine call) would go unseen, so
-  /// ask for the relation again before each round of writes.
+  /// database object would quantify over).
   Result<Relation*> MutableRelation(std::string_view name);
 
   /// True iff a relation named `name` has been declared. Heterogeneous
@@ -125,12 +125,14 @@ class Database {
   /// Renders every relation plus the universe, for debugging and goldens.
   std::string ToString() const;
 
-  /// This object's current state: it changes on every mutation (each
-  /// DeclareRelation, universe addition, AddFact, MergeFrom and
-  /// MutableRelation call, and each copy or move assignment into the
-  /// object), and two objects never share one: a copy starts with its
-  /// own identity. A mutation bumps a plain counter, no atomic operation.
-  DatabaseGeneration generation() const { return stamp_.Get(); }
+  /// This object's current state. It changes on every mutation, a write
+  /// through a MutableRelation pointer included, and two objects never
+  /// share one: a copy starts with its own identity. Within one `version`
+  /// the set of relations is fixed and each relation's version only
+  /// grows, so `contents` tells their states apart. A mutation bumps a
+  /// plain counter, no atomic operation; the call sums every relation's
+  /// version.
+  DatabaseGeneration generation() const;
 
  private:
   // Stamps this object's states. Construction draws a fresh identity

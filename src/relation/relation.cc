@@ -1,6 +1,7 @@
 #include "src/relation/relation.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace inflog {
 namespace {
@@ -18,6 +19,38 @@ Relation::Relation(size_t arity, size_t num_shards)
     : arity_(arity),
       shard_bits_(ShardBitsFor(num_shards == 0 ? 1 : num_shards)) {
   shards_.resize(size_t{1} << shard_bits_);
+}
+
+Relation& Relation::operator=(const Relation& other) {
+  if (this == &other) return *this;
+  const uint64_t before = version();
+  arity_ = other.arity_;
+  shard_bits_ = other.shard_bits_;
+  shards_ = other.shards_;
+  version_base_ = before + 1 + other.version_base_;
+  return *this;
+}
+
+Relation::Relation(Relation&& other) noexcept
+    : arity_(other.arity_),
+      shard_bits_(other.shard_bits_),
+      shards_(std::move(other.shards_)),
+      version_base_(other.version_base_) {
+  other.shards_.clear();
+  other.version_base_ = version() + 1;
+}
+
+Relation& Relation::operator=(Relation&& other) noexcept {
+  if (this == &other) return *this;
+  const uint64_t before = version();
+  const uint64_t other_before = other.version();
+  arity_ = other.arity_;
+  shard_bits_ = other.shard_bits_;
+  shards_ = std::move(other.shards_);
+  version_base_ = before + 1 + other.version_base_;
+  other.shards_.clear();
+  other.version_base_ = other_before + 1;
+  return *this;
 }
 
 void Relation::RehashShard(Shard* shard, size_t new_capacity) {

@@ -79,11 +79,12 @@ class Relation {
   explicit Relation(size_t arity, size_t num_shards = 1);
 
   // Copies transfer rows but not the lazily built column indexes (the copy
-  // rebuilds its own on first use); moves transfer everything.
+  // rebuilds its own on first use); moves transfer everything. Assigning
+  // into a relation, or moving out of one, raises its version().
   Relation(const Relation& other) = default;
-  Relation& operator=(const Relation& other) = default;
-  Relation(Relation&&) = default;
-  Relation& operator=(Relation&&) = default;
+  Relation& operator=(const Relation& other);
+  Relation(Relation&& other) noexcept;
+  Relation& operator=(Relation&& other) noexcept;
 
   /// The number of columns.
   size_t arity() const { return arity_; }
@@ -238,9 +239,10 @@ class Relation {
   bool operator!=(const Relation& other) const { return !(*this == other); }
 
   /// Grows monotonically with every successful mutation (insert, erase,
-  /// compaction); lets callers detect change.
+  /// compaction, assignment into the relation, a move out of it), so one
+  /// object never shows a value twice; lets callers detect change.
   uint64_t version() const {
-    uint64_t v = 0;
+    uint64_t v = version_base_;
     for (const Shard& s : shards_) v += s.ops;
     return v;
   }
@@ -330,6 +332,10 @@ class Relation {
   size_t arity_;
   uint32_t shard_bits_ = 0;
   std::vector<Shard> shards_;
+  // The part of version() that shards_ does not count: each assignment
+  // into the object and each move out of it raises it past the old
+  // version().
+  uint64_t version_base_ = 0;
 };
 
 }  // namespace inflog

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -214,6 +215,16 @@ TEST(SharedGroundingTest, NeverStaleAfterAMutation) {
                                  engine.symbols()->Intern("1")};
              ASSERT_TRUE((*e)->Erase(edge));
            }},
+          {"Relation assignment",
+           [&] {
+             auto e = db->MutableRelation("E");
+             ASSERT_TRUE(e.ok());
+             Database cycle(engine.symbols());
+             ASSERT_TRUE(cycle.AddFactNamed("E", {"1", "2"}).ok());
+             ASSERT_TRUE(cycle.AddFactNamed("E", {"2", "3"}).ok());
+             ASSERT_TRUE(cycle.AddFactNamed("E", {"3", "1"}).ok());
+             **e = *cycle.GetRelation("E").value();
+           }},
           {"copy assignment",
            [&] {
              Database other(engine.symbols());
@@ -243,28 +254,40 @@ TEST(SharedGroundingTest, NeverStaleAfterAMutation) {
   }
 }
 
-TEST(SharedGroundingTest, EvaluateReusesOnlyALiveAnalyzersGrounding) {
-  // A write through a Relation* taken before MakeAnalyzer goes unseen by
-  // the database generation (MutableRelation's contract), so it shows
-  // which grounding Evaluate ran on.
+TEST(SharedGroundingTest, WritesThroughAnEarlierRelationPointerAreSeen) {
+  // The database generation sums the relations' versions, so a write
+  // through a Relation* taken before MakeAnalyzer keeps Evaluate off the
+  // analyzer's grounding like any other mutation.
   Engine engine;
-  ASSERT_TRUE(engine.LoadProgramText("T(X) :- E(Y,X), !T(Y).").ok());
+  const std::string program = "T(X) :- E(Y,X), !T(Y).";
+  ASSERT_TRUE(engine.LoadProgramText(program).ok());
   ASSERT_TRUE(engine.LoadDatabaseText("E(1,2). E(2,3).").ok());
   const std::string before = GroundedAnswers(engine);
   auto e = engine.mutable_database()->MutableRelation("E");
   ASSERT_TRUE(e.ok());
+  auto analyzer = engine.MakeAnalyzer();
+  ASSERT_TRUE(analyzer.ok());
+  (*e)->Insert(
+      Tuple{engine.symbols()->Intern("3"), engine.symbols()->Intern("1")});
+  const std::string after = GroundedAnswers(engine);
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after, FreshGroundedAnswers(program, engine.database()));
+}
+
+TEST(SharedGroundingTest, TheEngineKeepsNoGroundingAlive) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgramText("T(X) :- E(Y,X), !T(Y).").ok());
+  ASSERT_TRUE(engine.LoadDatabaseText("E(1,2). E(2,3).").ok());
+  std::weak_ptr<const GroundCompletion> grounding;
   {
     auto analyzer = engine.MakeAnalyzer();
     ASSERT_TRUE(analyzer.ok());
-    (*e)->Insert(Tuple{engine.symbols()->Intern("3"),
-                       engine.symbols()->Intern("1")});
-    EXPECT_EQ(GroundedAnswers(engine), before);
+    grounding = analyzer->grounding();
+    ASSERT_TRUE(engine.Evaluate(SemanticsKind::kWellFounded).ok());
+    EXPECT_FALSE(grounding.expired());
   }
-  // The analyzer is gone, and the engine kept no grounding of its own.
-  const std::string after = GroundedAnswers(engine);
-  EXPECT_NE(after, before);
-  EXPECT_EQ(after, FreshGroundedAnswers("T(X) :- E(Y,X), !T(Y).",
-                                        engine.database()));
+  EXPECT_TRUE(grounding.expired());
+  EXPECT_TRUE(engine.Evaluate(SemanticsKind::kWellFounded).ok());
 }
 
 TEST(SharedGroundingTest, AnalyzerGrounderOptionsDoNotReachEvaluate) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/relation/database.h"
@@ -153,6 +154,55 @@ TEST(DatabaseUniverseTest, UniverseWithAppendsOutsideConstantsInOrder) {
             (std::vector<Value>{b, a, c, z, y}));
   EXPECT_EQ(db.UniverseWith({}), db.universe());
   EXPECT_FALSE(db.InUniverse(z));  // the database itself is untouched
+}
+
+TEST(DatabaseGenerationTest, EveryMutationNamesANewState) {
+  Database db = MixedArityDb();
+  // Taken first, so the writes below go through an old pointer.
+  Relation* e = db.MutableRelation("E").value();
+  std::vector<DatabaseGeneration> seen = {db.generation()};
+  const auto expect_new = [&](const char* what) {
+    const DatabaseGeneration now = db.generation();
+    for (const DatabaseGeneration& g : seen) EXPECT_FALSE(now == g) << what;
+    seen.push_back(now);
+  };
+  ASSERT_TRUE(db.AddFactNamed("E", {"c", "a"}).ok());
+  expect_new("AddFact");
+  ASSERT_TRUE(db.AddFactNamed("E", {"c", "a"}).ok());
+  EXPECT_TRUE(db.generation() == seen.back()) << "a fact already present";
+  const Value a = db.symbols().Find("a");
+  const Value b = db.symbols().Find("b");
+  ASSERT_TRUE(e->Erase(Tuple{a, b}));
+  expect_new("Relation::Erase");
+  ASSERT_TRUE(e->Insert(Tuple{b, a}));
+  expect_new("Relation::Insert");
+  // An empty relation, then two inserts, as many as E had counted at the
+  // start: a version that restarted from the source's would bring the
+  // sum back to the first generation.
+  *e = Relation(2);
+  expect_new("Relation assignment");
+  ASSERT_TRUE(e->Insert(Tuple{a, a}));
+  expect_new("Relation::Insert after the assignment");
+  ASSERT_TRUE(e->Insert(Tuple{b, b}));
+  expect_new("a second Relation::Insert after the assignment");
+  ASSERT_TRUE(db.DeclareRelation("F", 1).ok());
+  expect_new("DeclareRelation");
+  db.AddUniverseSymbol("z");
+  expect_new("a universe addition");
+  // Restoring a snapshot brings back relations with the versions they
+  // had, so only the assignment itself tells the states apart.
+  const Database snapshot = db;
+  ASSERT_TRUE(db.AddFactNamed("V", {"c"}).ok());
+  expect_new("AddFact after a snapshot");
+  db = snapshot;
+  expect_new("copy assignment of the snapshot");
+  Database moved = db;
+  ASSERT_TRUE(db.AddFactNamed("V", {"c"}).ok());
+  expect_new("AddFact after a second snapshot");
+  db = std::move(moved);
+  expect_new("move assignment of the snapshot");
+  const Database copy = db;
+  EXPECT_FALSE(copy.generation() == db.generation()) << "a copy";
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/relation/database.h"
 #include "src/relation/relation.h"
 #include "src/relation/tuple.h"
@@ -114,6 +116,31 @@ TEST(RelationTest, VersionBumpsOnlyOnNewTuples) {
   EXPECT_GT(v1, v0);
   r.Insert(Tuple{1});
   EXPECT_EQ(r.version(), v1);
+}
+
+TEST(RelationTest, VersionGrowsAcrossAssignmentAndMoves) {
+  // One object never shows a version twice, so a caller that recorded it
+  // sees a whole-relation replacement too, even by a relation that has
+  // counted as many mutations.
+  Relation r(1);
+  r.Insert(Tuple{1});
+  Relation other(1);
+  other.Insert(Tuple{2});
+  ASSERT_EQ(other.version(), r.version());
+  uint64_t seen = r.version();
+  r = other;
+  EXPECT_GT(r.version(), seen);
+  EXPECT_TRUE(r.Contains(Tuple{2}));
+  seen = r.version();
+  Relation moved = std::move(r);
+  EXPECT_GT(r.version(), seen);  // NOLINT(bugprone-use-after-move)
+  seen = r.version();
+  r = Relation(1);
+  EXPECT_GT(r.version(), seen);
+  seen = r.version();
+  r = std::move(moved);
+  EXPECT_GT(r.version(), seen);
+  EXPECT_TRUE(r.Contains(Tuple{2}));
 }
 
 TEST(RelationTest, SortedTuplesCanonical) {
