@@ -135,82 +135,5 @@ void BM_Thm1CompiledSat(benchmark::State& state) {
 BENCHMARK(BM_Thm1CompiledSat)->Arg(8)->Arg(12)
     ->Unit(benchmark::kMillisecond);
 
-// --- CDCL preprocessing ablation: the same instances solved raw and
-// with the preprocessing front-end. Every iteration cross-checks its
-// verdict against the raw configuration's, so a speedup can never come
-// from a changed answer. ---
-
-struct SatConfig {
-  const char* name;
-  bool preprocess;
-};
-
-constexpr SatConfig kSatConfigs[] = {
-    {"raw", false},
-    {"preprocess", true},
-};
-
-/// A random 3-CNF core extended with definitional variables: each original
-/// clause (a ∨ b ∨ c) is split through a fresh d with d ↔ (a ∨ b) and
-/// (d ∨ c). The extension preserves satisfiability, doubles the variable
-/// count with NiVER-eliminable definitions, and models the Tseitin-style
-/// encodings the completion pipeline emits.
-sat::Cnf DefinitionalExtension(const sat::Cnf& core) {
-  sat::Cnf out;
-  out.num_vars = core.num_vars;
-  for (const sat::Clause& clause : core.clauses) {
-    if (clause.size() != 3) {
-      out.AddClause(clause);
-      continue;
-    }
-    const sat::Var d = out.NewVar();
-    const sat::Lit a = clause[0], b = clause[1], c = clause[2];
-    out.AddClause({sat::Neg(d), a, b});         // d → (a ∨ b)
-    out.AddClause({~a, sat::Pos(d)});           // a → d
-    out.AddClause({~b, sat::Pos(d)});           // b → d
-    out.AddClause({sat::Pos(d), c});            // d ∨ c
-  }
-  return out;
-}
-
-void BM_CdclAblation(benchmark::State& state) {
-  const int num_vars = state.range(0);
-  const SatConfig& cfg = kSatConfigs[state.range(1)];
-  Rng rng(num_vars * 2027 + 11);
-  const sat::Cnf cnf =
-      DefinitionalExtension(bench::Random3Sat(num_vars, 4.3, &rng));
-  // The reference verdict, from the raw configuration.
-  sat::SolveResult expected;
-  {
-    sat::Solver s;
-    s.AddCnf(cnf);
-    expected = s.Solve();
-  }
-  sat::SolverStats stats;
-  for (auto _ : state) {
-    sat::SolverOptions opts;
-    opts.preprocess = cfg.preprocess;
-    sat::Solver solver(opts);
-    solver.AddCnf(cnf);
-    const sat::SolveResult got = solver.Solve();
-    INFLOG_CHECK(got == expected) << cfg.name;  // ablation cross-check
-    stats = solver.stats();
-  }
-  state.SetLabel(cfg.name);
-  state.counters["vars"] = num_vars;
-  state.counters["clauses"] = static_cast<double>(cnf.clauses.size());
-  state.counters["preprocess"] = cfg.preprocess ? 1 : 0;
-  state.counters["conflicts"] = static_cast<double>(stats.conflicts);
-  state.counters["learned"] = static_cast<double>(stats.learned_clauses);
-  state.counters["deleted"] = static_cast<double>(stats.deleted_clauses);
-  state.counters["pre_vars_eliminated"] =
-      static_cast<double>(stats.preprocess_vars_eliminated);
-  state.counters["satisfiable"] =
-      expected == sat::SolveResult::kSat ? 1 : 0;
-}
-BENCHMARK(BM_CdclAblation)
-    ->ArgsProduct({{60, 90, 120}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace inflog

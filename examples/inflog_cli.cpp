@@ -196,8 +196,6 @@ std::vector<Flag> Flags(Settings* s) {
       {"--reject-unsafe-negation", "", "fail on unsafe negated variables",
        Switch(&e.reject_unsafe_negation)},
       {"--stats", "", "print the run's counters", Switch(&s->print_stats)},
-      {"--sat-preprocess", "0|1", "CDCL preprocessing (default 0)",
-       Count(1, [&e](size_t n) { e.sat.preprocess = n != 0; })},
       {"--sat-reduce-interval", "N", "conflicts between reductions (0 = 2000)",
        Count(1 << 20, [&e](size_t n) { e.sat.reduce_base = n; })},
       {"--dump-cnf", "FILE", "write the completion CNF as DIMACS first",
@@ -263,9 +261,17 @@ int main(int argc, char** argv) {
     const auto flag = std::find_if(
         flags.begin(), flags.end(),
         [&name](const Flag& f) { return f.name == name; });
-    if (flag == flags.end() || (flag->placeholder.empty() && name != arg)) {
-      args.push_back(arg);  // not a flag, or a switch given a value
+    if (flag == flags.end()) {
+      if (arg.rfind("--", 0) == 0) {
+        std::cerr << "error: unknown flag " << name << "\n";
+        return 2;
+      }
+      args.push_back(arg);
       continue;
+    }
+    if (flag->placeholder.empty() && name != arg) {
+      std::cerr << "error: " << flag->name << " takes no value\n";
+      return 2;
     }
     std::string value = name == arg ? "" : arg.substr(name.size() + 1);
     if (!flag->placeholder.empty() && name == arg) {

@@ -92,7 +92,7 @@ struct EvalOptions {
   /// bit-identical for every setting.
   serve::ServingTuning serving;
   /// CDCL solver configuration for the SAT-backed stable pipeline
-  /// (preprocessing, learnt-clause reduction interval, budgets).
+  /// (learnt-clause reduction interval, conflict budget, stop flag).
   /// Results are identical for every configuration — enumeration is
   /// canonicalized — only the search statistics vary.
   sat::SolverOptions sat;

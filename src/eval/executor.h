@@ -79,9 +79,7 @@ enum class StatsGroup {
   X(sat_propagations, kSat, "Unit propagations.")                              \
   X(sat_restarts, kSat, "Luby restarts.")                                      \
   X(sat_learned, kSat, "Clauses learned from conflicts.")                      \
-  X(sat_deleted, kSat, "Learnt clauses dropped by ReduceDB.")                  \
-  X(sat_preprocess_vars_eliminated, kSat, "Vars preprocessing eliminated.")    \
-  X(sat_preprocess_clauses_removed, kSat, "Net clause drop by preprocessing.") \
+  X(sat_deleted, kSat, "Learnt clauses ReduceDB or Simplify dropped.")         \
   X(serve_epochs_published, kServing, "Snapshots sealed and swapped in.")      \
   X(serve_snapshots_pinned, kServing, "Pin calls readers made.")               \
   X(serve_queries, kServing, "Queries evaluated or served from cache.")        \

@@ -13,8 +13,6 @@ void FillSatStats(const sat::SolverStats& s, EvalStats* stats) {
   stats->sat_restarts = s.restarts;
   stats->sat_learned = s.learned_clauses;
   stats->sat_deleted = s.deleted_clauses;
-  stats->sat_preprocess_vars_eliminated = s.preprocess_vars_eliminated;
-  stats->sat_preprocess_clauses_removed = s.preprocess_clauses_removed;
 }
 
 Result<StableResult> EnumerateStableModels(const Program& program,

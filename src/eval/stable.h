@@ -32,7 +32,7 @@ inline constexpr size_t kMaxSupportedModels = 100'000;
 struct StableResult {
   /// The stable models, sorted canonically (by ground-atom assignment) so
   /// the result is bit-identical whatever order the solver settings
-  /// (preprocessing, reduction interval) find them in.
+  /// (reduction interval) find them in.
   std::vector<IdbState> models;
   /// Supported models (fixpoints) examined — ≥ models.size(); the gap is
   /// the supported-but-not-stable count (e.g. self-supported loops).

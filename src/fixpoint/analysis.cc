@@ -35,20 +35,6 @@ Result<FixpointAnalyzer> FixpointAnalyzer::Create(const Program* program,
                           std::move(grounding));
 }
 
-std::unique_ptr<sat::Solver> FixpointAnalyzer::MakeSolver() const {
-  auto solver = std::make_unique<sat::Solver>(options_.solver);
-  solver->AddCnf(encoding().cnf);
-  // Blocking clauses reference the program's atom variables after the
-  // first Solve: freeze them so preprocessing cannot eliminate them
-  // (elimination is an exact existential projection, so the model set
-  // over the frozen variables is unchanged).
-  for (size_t a = 0; a < encoding().atom_vars.size(); ++a) {
-    const int32_t var = encoding().atom_vars[a];
-    if (var >= 0 && !ground().IsAuxiliary(a)) solver->FreezeVar(var);
-  }
-  return solver;
-}
-
 Result<IdbState> FixpointAnalyzer::DecodeModel(
     const std::vector<bool>& atoms) const {
   IdbState state = ground().DecodeState(*program_, atoms);
@@ -77,7 +63,10 @@ Result<uint64_t> FixpointAnalyzer::ForEachModel(
     const std::function<void(const std::vector<bool>&)>& visit,
     const std::function<sat::Clause(const std::vector<bool>&)>& block) {
   if (!first_known_) {
-    if (solver_ == nullptr) solver_ = MakeSolver();
+    if (solver_ == nullptr) {
+      solver_ = std::make_unique<sat::Solver>(options_.solver);
+      solver_->AddCnf(encoding().cnf);
+    }
     const sat::SolveResult res = solver_->Solve();
     if (res == sat::SolveResult::kUnknown) {
       return SearchStopped(options_.solver);
@@ -89,8 +78,6 @@ Result<uint64_t> FixpointAnalyzer::ForEachModel(
   }
   if (!first_model_.has_value()) return uint64_t{0};
 
-  // The activation variable is allocated after the first Solve, so the
-  // preprocessor, which runs once at that solve, cannot eliminate it.
   sat::Var act = -1;
   uint64_t visited = 0;
   Status status;
@@ -100,11 +87,20 @@ Result<uint64_t> FixpointAnalyzer::ForEachModel(
     if (++visited == limit) break;
     sat::Clause clause = block ? block(atoms) : BlockingClause(atoms);
     if (clause.empty()) break;
-    if (act < 0) act = solver_->NewVar();
+    if (act < 0) {
+      // Every block added before this query is retired: collect them once
+      // they outnumber the completion's clauses.
+      if (unswept_blocks_ > encoding().cnf.clauses.size()) {
+        solver_->Simplify();
+        unswept_blocks_ = 0;
+      }
+      act = solver_->NewVar();
+    }
     // A block false at the root reduces to the unit ¬act, and the solve
     // under act then answers UNSAT.
     clause.push_back(sat::Neg(act));
     solver_->AddClause(std::move(clause));
+    ++unswept_blocks_;
     const sat::SolveResult res = solver_->Solve({sat::Pos(act)});
     if (res != sat::SolveResult::kSat) {
       if (res == sat::SolveResult::kUnknown) {

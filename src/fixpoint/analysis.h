@@ -28,15 +28,15 @@
 // after HasFixpoint makes one solve, not two, and on a refuted instance
 // none. Each query adds its clauses under its own activation literal and
 // retires that literal when it ends, so no query's clauses cut off
-// another's models. Retired clauses stay in the solver until a
-// learnt-clause reduction collects them, which may never run: memory
-// grows with the models all queries together have blocked.
+// another's models. Once the retired clauses outnumber the completion's,
+// a root sweep collects them, so an analyzer holds at most the
+// completion's count plus its last query's retired clauses, however many
+// models its queries have blocked.
 //
 // The grounding's auxiliary atoms (projected existential components, see
 // src/ground/grounder.h) are fixed by their completion once the program's
-// atoms are: blocking clauses, the least-fixpoint queries and variable
-// freezing all range over the program's atoms only, so each fixpoint is
-// found once and preprocessing is free to eliminate the auxiliaries.
+// atoms are: blocking clauses and the least-fixpoint queries range over
+// the program's atoms only, so each fixpoint is found once.
 
 #ifndef INFLOG_FIXPOINT_ANALYSIS_H_
 #define INFLOG_FIXPOINT_ANALYSIS_H_
@@ -117,9 +117,9 @@ class FixpointAnalyzer {
 
   /// Up to `limit` fixpoints (0 = all). The returned set is sorted
   /// canonically (by ground-atom assignment), so a full enumeration is
-  /// identical across solver settings (preprocessing, reduction
-  /// interval) and earlier queries; with a nonzero `limit`, *which*
-  /// fixpoints are found first remains solver-dependent.
+  /// identical across solver settings (reduction interval) and earlier
+  /// queries; with a nonzero `limit`, *which* fixpoints are found first
+  /// remains solver-dependent.
   Result<std::vector<IdbState>> EnumerateFixpoints(size_t limit = 0);
 
   /// Number of fixpoints, counted by enumeration up to `limit`
@@ -163,11 +163,6 @@ class FixpointAnalyzer {
         options_(std::move(options)),
         grounding_(std::move(grounding)) {}
 
-  /// Fresh solver pre-loaded with the completion; the variable of every
-  /// program atom is frozen so blocking clauses stay sound under
-  /// preprocessing.
-  std::unique_ptr<sat::Solver> MakeSolver() const;
-
   /// Clause blocking the given assignment of the program's atoms.
   sat::Clause BlockingClause(const std::vector<bool>& atoms) const;
 
@@ -175,21 +170,20 @@ class FixpointAnalyzer {
   /// until they run out or `limit` were visited (0 = no limit), and
   /// returns how many it visited: fewer than `limit` means no model is
   /// left unvisited. The first model is the memoized first answer, made
-  /// by the analyzer's first solve. Each model's atom assignment goes to
-  /// `visit` (when given) and, unless it was the `limit`-th, is blocked by
-  /// `block(atoms)` (BlockingClause when `block` is null) before the next
-  /// solve; an empty block leaves no model to find. The query adds each
-  /// block as block ∨ ¬act, over an activation variable act allocated at
-  /// its first block, and solves assuming act; on every exit the unit
-  /// ¬act retires the blocks: they are then satisfied at the root and no
-  /// later query sees them. They and act stay in the solver until a
-  /// learnt-clause reduction's garbage collection sweeps them. A
-  /// reduction runs only at a restart inside a solve, once the solver has
-  /// spent SolverOptions::reduce_base conflicts (2,000 by default), so an
-  /// enumeration whose solves each end before their first restart keeps
-  /// every retired block for the analyzer's whole life.
-  /// ResourceExhausted when a solve hits the conflict budget or the stop
-  /// flag; such a solve memoizes nothing.
+  /// by the analyzer's first solve, which builds the solver. Each model's
+  /// atom assignment goes to `visit` (when given) and, unless it was the
+  /// `limit`-th, is blocked by `block(atoms)` (BlockingClause when `block`
+  /// is null) before the next solve; an empty block leaves no model to
+  /// find. The query adds each block as block ∨ ¬act, over an activation
+  /// variable act allocated at its first block, and solves assuming act;
+  /// on every exit the unit ¬act retires the blocks: they are then
+  /// satisfied at the root and no later query sees them. Before a query
+  /// adds its first block, once the blocks retired since the last sweep
+  /// outnumber the completion's clauses, Solver::Simplify collects them
+  /// and the learnt clauses that rest on them; each sweep's pass over the
+  /// completion is paid for by as many retired blocks. ResourceExhausted
+  /// when a solve hits the conflict budget or the stop flag; such a solve
+  /// memoizes nothing.
   Result<uint64_t> ForEachModel(
       uint64_t limit,
       const std::function<void(const std::vector<bool>&)>& visit = nullptr,
@@ -204,6 +198,7 @@ class FixpointAnalyzer {
   AnalyzeOptions options_;
   std::shared_ptr<const GroundCompletion> grounding_;
   std::unique_ptr<sat::Solver> solver_;  // built at the first query
+  uint64_t unswept_blocks_ = 0;  // blocks added since the last Simplify
   // The first solve's answer, memoized once a solve ends kSat or kUnsat:
   // the first model's atoms, or nullopt when there is none.
   bool first_known_ = false;

@@ -18,8 +18,8 @@
 // one per existential body component the grounder projected (see
 // grounder.h), defined by that component's ground rules. They are
 // ordinary atoms to the completion, the alternating fixpoint and the
-// reduct; DecodeState drops them, and the analyzer never blocks on or
-// freezes them, because their definition fixes their value.
+// reduct; DecodeState drops them, and the analyzer never blocks on
+// them, because their definition fixes their value.
 //
 // Bodies are interned: rules whose variables do not all occur in the
 // head share one GroundBody record, and a rule is just a (head atom,

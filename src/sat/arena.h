@@ -103,11 +103,6 @@ class ClauseArena {
   size_t num_clauses() const { return num_clauses_; }
   size_t words() const { return buffer_.size(); }
 
-  void Clear() {
-    buffer_.clear();
-    num_clauses_ = 0;
-  }
-
   /// Trades buffers with `other` (used to install a compacted arena).
   void Swap(ClauseArena* other) {
     buffer_.swap(other->buffer_);

@@ -26,19 +26,12 @@ Var Solver::NewVar() {
   activity_.push_back(0.0);
   phase_.push_back(0);
   seen_.push_back(0);
-  frozen_.push_back(0);
-  eliminated_.push_back(0);
   heap_pos_.push_back(-1);
   watches_.emplace_back();
   watches_.emplace_back();
   lbd_seen_.resize(assigns_.size() + 1, 0);  // indexed by decision level
   HeapInsert(v);
   return v;
-}
-
-void Solver::FreezeVar(Var v) {
-  INFLOG_CHECK(v >= 0 && v < num_vars());
-  frozen_[v] = 1;
 }
 
 bool Solver::AddClause(Clause clause) {
@@ -52,9 +45,6 @@ bool Solver::AddClause(Clause clause) {
   for (const Lit& lit : clause) {
     INFLOG_CHECK(lit.var() >= 0 && lit.var() < num_vars())
         << "clause uses unallocated variable";
-    INFLOG_CHECK(!eliminated_[lit.var()])
-        << "clause mentions a preprocessing-eliminated variable; "
-           "FreezeVar it before the first Solve";
     if (LitValue(lit) == 1) return true;            // already satisfied
     if (LitValue(lit) == 0) continue;               // false at root: drop
     if (!simplified.empty() && lit == prev) continue;  // duplicate
@@ -282,9 +272,7 @@ void Solver::BumpClause(ClauseRef cref) {
 Lit Solver::PickBranchLit() {
   while (!heap_.empty()) {
     const Var v = HeapPopMax();
-    if (assigns_[v] == kUndef && !eliminated_[v]) {
-      return Lit(v, phase_[v] != 1);
-    }
+    if (assigns_[v] == kUndef) return Lit(v, phase_[v] != 1);
   }
   return Lit();  // no unassigned variable remains
 }
@@ -353,70 +341,6 @@ uint64_t Solver::Luby(uint64_t i) {
     i = i % size;
   }
   return uint64_t{1} << seq;
-}
-
-void Solver::RunPreprocess() {
-  preprocessed_ = true;
-  INFLOG_DCHECK(DecisionLevel() == 0);
-  preprocessor_ = std::make_unique<Preprocessor>(num_vars());
-  for (Var v = 0; v < num_vars(); ++v) {
-    if (frozen_[v]) preprocessor_->FreezeVar(v);
-  }
-  // Feed the preprocessor the root state: implied units plus every problem
-  // clause currently attached.
-  std::vector<Clause> clauses;
-  clauses.reserve(clauses_.size() + trail_.size());
-  for (const Lit& l : trail_) clauses.push_back(Clause{l});
-  for (const ClauseRef cref : clauses_) {
-    const Lit* lits = arena_.lits(cref);
-    clauses.emplace_back(lits, lits + arena_.size(cref));
-  }
-  if (!preprocessor_->Run(std::move(clauses))) {
-    ok_ = false;
-    return;
-  }
-  const PreprocessStats& ps = preprocessor_->stats();
-  stats_.preprocess_vars_eliminated = ps.pure_eliminated + ps.bve_eliminated;
-  stats_.preprocess_clauses_removed = ps.clauses_removed;
-  RebuildFromClauses(preprocessor_->clauses());
-}
-
-void Solver::RebuildFromClauses(const std::vector<Clause>& clauses) {
-  arena_.Clear();
-  clauses_.clear();
-  learnts_.clear();
-  for (std::vector<Watch>& ws : watches_) ws.clear();
-  trail_.clear();
-  trail_lim_.clear();
-  qhead_ = 0;
-  std::fill(assigns_.begin(), assigns_.end(), kUndef);
-  std::fill(reasons_.begin(), reasons_.end(), kNullClauseRef);
-  std::fill(levels_.begin(), levels_.end(), 0);
-  heap_.clear();
-  std::fill(heap_pos_.begin(), heap_pos_.end(), -1);
-
-  const std::vector<int8_t>& forced = preprocessor_->forced();
-  for (Var v = 0; v < num_vars(); ++v) {
-    eliminated_[v] = preprocessor_->IsEliminated(v) ? 1 : 0;
-    if (eliminated_[v]) continue;
-    if (forced[v] >= 0) {
-      Enqueue(Lit(v, /*negated=*/forced[v] == 0), kNullClauseRef);
-      continue;
-    }
-    HeapInsert(v);
-  }
-  // The preprocessor reached a BCP fixpoint: no surviving clause mentions
-  // a forced variable, so there is nothing to propagate.
-  qhead_ = trail_.size();
-
-  for (const Clause& c : clauses) {
-    INFLOG_DCHECK(c.size() >= 2);
-    const ClauseRef cref =
-        arena_.Alloc(c.data(), static_cast<uint32_t>(c.size()),
-                     /*learned=*/false, /*lbd=*/0);
-    clauses_.push_back(cref);
-    AttachClause(cref);
-  }
 }
 
 void Solver::ReduceDB() {
@@ -493,13 +417,25 @@ void Solver::GarbageCollect() {
   }
   arena_.Swap(&fresh);
   for (std::vector<Watch>& ws : watches_) ws.clear();
+  // No clause watches a root-assigned literal again, so their lists hand
+  // their memory back; each retired activation literal's would keep it.
+  for (const Lit& l : trail_) {
+    std::vector<Watch>().swap(watches_[l.code]);
+    std::vector<Watch>().swap(watches_[(~l).code]);
+  }
   for (const ClauseRef cref : clauses_) AttachClause(cref);
   for (const ClauseRef cref : learnts_) AttachClause(cref);
 }
 
-void Solver::ExtendModel() {
-  if (preprocessor_ == nullptr) return;
-  preprocessor_->Extend(&model_);
+bool Solver::Simplify() {
+  if (!ok_) return false;
+  CancelUntil(0);
+  if (Propagate() != kNullClauseRef) {
+    ok_ = false;
+    return false;
+  }
+  GarbageCollect();
+  return true;
 }
 
 SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
@@ -509,15 +445,8 @@ SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
     ok_ = false;
     return SolveResult::kUnsat;
   }
-  if (options_.preprocess && !preprocessed_) {
-    RunPreprocess();
-    if (!ok_) return SolveResult::kUnsat;
-  }
   for (const Lit& a : assumptions) {
     INFLOG_CHECK(a.var() >= 0 && a.var() < num_vars());
-    INFLOG_CHECK(!eliminated_[a.var()])
-        << "assumption on a preprocessing-eliminated variable; FreezeVar "
-           "it before the first Solve";
   }
 
   uint64_t restart_count = 0;
@@ -606,10 +535,8 @@ SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
     ++stats_.decisions;
     const Lit next = PickBranchLit();
     if (next.code == -1) {
-      // Every live variable is assigned: a model. Preprocessing-eliminated
-      // variables are reconstructed by ExtendModel.
+      // Every variable is assigned: a model.
       model_.assign(assigns_.begin(), assigns_.end());
-      ExtendModel();
       CancelUntil(0);
       return SolveResult::kSat;
     }

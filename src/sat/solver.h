@@ -3,9 +3,7 @@
 // Conflict-driven clause learning with two-literal watches over a
 // contiguous clause arena, first-UIP conflict analysis, LBD-scored
 // learnt-clause database reduction, VSIDS variable activities with phase
-// saving, Luby restarts, an optional preprocessing front-end (root BCP,
-// pure literals, NiVER bounded variable elimination) with model
-// reconstruction, incremental clause addition, and solving under
+// saving, Luby restarts, incremental clause addition, and solving under
 // assumptions.
 //
 // This is the NP engine behind the paper's Theorems 1–3: fixpoint
@@ -13,25 +11,19 @@
 // through Clark-completion encodings solved here. It is also used as the
 // independent satisfiability oracle for the Example 1 reduction tests.
 //
-// Incremental use with preprocessing: the preprocessor runs once, at the
-// first Solve. Variables that later clauses or assumptions will mention
-// must be frozen (FreezeVar) before that first Solve — the analyzer
-// freezes every completion atom variable, which keeps blocking-clause
-// model enumeration exact (elimination computes the existential
-// projection onto the surviving variables, so the model set over frozen
-// variables is unchanged).
+// Incremental use: a caller adds temporary clauses as clause ∨ ¬act,
+// solves assuming act, and retires them with the unit ¬act. Retired
+// clauses are satisfied at the root; Simplify collects them.
 
 #ifndef INFLOG_SAT_SOLVER_H_
 #define INFLOG_SAT_SOLVER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/sat/arena.h"
 #include "src/sat/cnf.h"
-#include "src/sat/preprocess.h"
 
 namespace inflog {
 namespace sat {
@@ -43,18 +35,13 @@ enum class SolveResult {
   kUnknown,  ///< Conflict budget exhausted or stop flag raised.
 };
 
-/// Budgets and the two search settings a caller picks. Everything else
-/// (Luby restarts every 100 conflicts, VSIDS decay 0.95, learnt-DB
-/// reduction growing by 300 conflicts per pass, the preprocessor's round
-/// and occurrence caps) is fixed in solver.cc and preprocess.cc.
+/// The conflict budget, the stop flag and the one search setting a caller
+/// picks. Everything else (Luby restarts every 100 conflicts, VSIDS decay
+/// 0.95, learnt-DB reduction growing by 300 conflicts per pass) is fixed
+/// in solver.cc.
 struct SolverOptions {
   /// Abort with kUnknown after this many conflicts (0 = unlimited).
   uint64_t max_conflicts = 0;
-
-  /// Run the preprocessing front-end once, at the first Solve. Callers
-  /// that add clauses or assumptions over existing variables after that
-  /// must FreezeVar them first.
-  bool preprocess = false;
 
   /// Conflicts before the first LBD-scored learnt-clause database
   /// reduction; 0 = the default (2000). Reductions are checked at
@@ -74,10 +61,8 @@ struct SolverStats {
   uint64_t propagations = 0;
   uint64_t restarts = 0;
   uint64_t learned_clauses = 0;
-  uint64_t deleted_clauses = 0;   ///< Learnt clauses dropped by ReduceDB.
+  uint64_t deleted_clauses = 0;   ///< Learnts ReduceDB or Simplify dropped.
   uint64_t db_reductions = 0;     ///< ReduceDB passes (each ends in a GC).
-  uint64_t preprocess_vars_eliminated = 0;
-  uint64_t preprocess_clauses_removed = 0;
 
   void Add(const SolverStats& o) {
     conflicts += o.conflicts;
@@ -87,8 +72,6 @@ struct SolverStats {
     learned_clauses += o.learned_clauses;
     deleted_clauses += o.deleted_clauses;
     db_reductions += o.db_reductions;
-    preprocess_vars_eliminated += o.preprocess_vars_eliminated;
-    preprocess_clauses_removed += o.preprocess_clauses_removed;
   }
 };
 
@@ -103,13 +86,8 @@ class Solver {
   /// Number of allocated variables.
   int32_t num_vars() const { return static_cast<int32_t>(assigns_.size()); }
 
-  /// Marks `v` as referenced by future clauses or assumptions: the
-  /// preprocessor will not eliminate it. Call before the first Solve.
-  void FreezeVar(Var v);
-
   /// Adds a clause (callable between Solve calls). Returns false when the
-  /// solver is already in an unsatisfiable root state. Must not mention
-  /// preprocessing-eliminated variables (freeze them instead).
+  /// solver is already in an unsatisfiable root state.
   bool AddClause(Clause clause);
 
   /// Loads every clause of `cnf` (allocating variables as needed).
@@ -118,8 +96,13 @@ class Solver {
   /// Decides satisfiability under the given assumption literals.
   SolveResult Solve(const std::vector<Lit>& assumptions = {});
 
+  /// Root sweep (callable between Solve calls): propagates at the root,
+  /// then drops every clause the root assignment satisfies and compacts
+  /// the arena. Returns false when the root state is unsatisfiable.
+  bool Simplify();
+
   /// Model access after kSat: the value of `v` in the satisfying
-  /// assignment (eliminated variables reconstructed).
+  /// assignment.
   bool ModelValue(Var v) const {
     INFLOG_CHECK(v >= 0 && static_cast<size_t>(v) < model_.size());
     return model_[v] == 1;
@@ -179,12 +162,9 @@ class Solver {
   }
   Lit PickBranchLit();
 
-  void RunPreprocess();
-  void RebuildFromClauses(const std::vector<Clause>& clauses);
   void ReduceDB();
   void RemoveRootSatisfied(std::vector<ClauseRef>* list);
   void GarbageCollect();
-  void ExtendModel();
   bool StopRequested() const {
     return options_.stop != nullptr &&
            options_.stop->load(std::memory_order_relaxed);
@@ -215,16 +195,12 @@ class Solver {
   std::vector<int8_t> phase_;                // by var (saved polarity)
   std::vector<char> seen_;                   // by var (analyze scratch)
   std::vector<int> lbd_seen_;                // by level (ComputeLbd scratch)
-  std::vector<int8_t> frozen_;               // by var
-  std::vector<int8_t> eliminated_;           // by var
   std::vector<Lit> trail_;
   std::vector<size_t> trail_lim_;
   size_t qhead_ = 0;
   double var_inc_ = 1.0;
   float cla_inc_ = 1.0f;
 
-  bool preprocessed_ = false;
-  std::unique_ptr<Preprocessor> preprocessor_;  // kept for Extend
   uint64_t reduce_conflicts_ = 0;  // conflicts at the last reduction
 
   std::vector<Var> heap_;

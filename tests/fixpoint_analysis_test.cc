@@ -830,77 +830,70 @@ enum class Query { kHas, kFind, kEnumerateAll, kEnumerateSome, kCount,
                    kUnique, kLeast };
 
 /// Asks every query twice, in an order drawn from `seed`, on one analyzer
-/// over (p, db), and checks each answer against fresh analyzers', with
-/// preprocessing off and on.
+/// over (p, db), and checks each answer against fresh analyzers'.
 void CheckQueryOrder(const Program& p, const Database& db,
-                     AnalyzeOptions options, uint64_t seed,
+                     const AnalyzeOptions& options, uint64_t seed,
                      const std::string& what) {
-  for (const bool preprocess : {false, true}) {
-    options.solver.preprocess = preprocess;
-    SCOPED_TRACE(StrCat(what, " preprocess=", preprocess));
-    const FreshAnswers ref = AskFresh(p, db, options);
-    const std::multiset<std::string> all = CanonStates(p, ref.all);
-    std::vector<Query> order;
-    for (const Query q :
-         {Query::kHas, Query::kFind, Query::kEnumerateAll,
-          Query::kEnumerateSome, Query::kCount, Query::kUnique,
-          Query::kLeast}) {
-      order.insert(order.end(), {q, q});
-    }
-    Rng rng(seed);
-    rng.Shuffle(&order);
-    FixpointAnalyzer analyzer = MustAnalyzer(p, db, options);
-    for (const Query q : order) {
-      switch (q) {
-        case Query::kHas:
-          EXPECT_EQ(analyzer.HasFixpoint().value(), ref.has);
-          break;
-        case Query::kFind: {
-          const std::optional<IdbState> found =
-              analyzer.FindFixpoint().value();
-          ASSERT_EQ(found.has_value(), ref.found.has_value());
-          if (found) {
-            EXPECT_EQ(testing::CanonState(p, *found),
-                      testing::CanonState(p, *ref.found));
-          }
-          break;
+  SCOPED_TRACE(what);
+  const FreshAnswers ref = AskFresh(p, db, options);
+  const std::multiset<std::string> all = CanonStates(p, ref.all);
+  std::vector<Query> order;
+  for (const Query q :
+       {Query::kHas, Query::kFind, Query::kEnumerateAll,
+        Query::kEnumerateSome, Query::kCount, Query::kUnique,
+        Query::kLeast}) {
+    order.insert(order.end(), {q, q});
+  }
+  Rng rng(seed);
+  rng.Shuffle(&order);
+  FixpointAnalyzer analyzer = MustAnalyzer(p, db, options);
+  for (const Query q : order) {
+    switch (q) {
+      case Query::kHas:
+        EXPECT_EQ(analyzer.HasFixpoint().value(), ref.has);
+        break;
+      case Query::kFind: {
+        const std::optional<IdbState> found = analyzer.FindFixpoint().value();
+        ASSERT_EQ(found.has_value(), ref.found.has_value());
+        if (found) {
+          EXPECT_EQ(testing::CanonState(p, *found),
+                    testing::CanonState(p, *ref.found));
         }
-        case Query::kEnumerateAll:
-          EXPECT_EQ(CanonStates(p, analyzer.EnumerateFixpoints().value()),
-                    all);
-          break;
-        case Query::kEnumerateSome: {
-          if (ref.all.size() < 2) break;
-          const size_t k = 1 + rng.Uniform(ref.all.size() - 1);
-          const std::multiset<std::string> some =
-              CanonStates(p, analyzer.EnumerateFixpoints(k).value());
-          EXPECT_EQ(some.size(), k);
-          EXPECT_EQ(std::set<std::string>(some.begin(), some.end()).size(),
-                    k);
-          EXPECT_TRUE(std::includes(all.begin(), all.end(), some.begin(),
-                                    some.end()));
-          break;
+        break;
+      }
+      case Query::kEnumerateAll:
+        EXPECT_EQ(CanonStates(p, analyzer.EnumerateFixpoints().value()), all);
+        break;
+      case Query::kEnumerateSome: {
+        if (ref.all.size() < 2) break;
+        const size_t k = 1 + rng.Uniform(ref.all.size() - 1);
+        const std::multiset<std::string> some =
+            CanonStates(p, analyzer.EnumerateFixpoints(k).value());
+        EXPECT_EQ(some.size(), k);
+        EXPECT_EQ(std::set<std::string>(some.begin(), some.end()).size(), k);
+        EXPECT_TRUE(std::includes(all.begin(), all.end(), some.begin(),
+                                  some.end()));
+        break;
+      }
+      case Query::kCount:
+        EXPECT_EQ(analyzer.CountFixpoints().value(), ref.all.size());
+        break;
+      case Query::kUnique:
+        EXPECT_EQ(analyzer.UniqueFixpoint().value(), ref.unique);
+        break;
+      case Query::kLeast: {
+        const LeastFixpointOutcome least = analyzer.LeastFixpoint().value();
+        EXPECT_EQ(least.has_fixpoint, ref.least.has_fixpoint);
+        EXPECT_EQ(least.has_least, ref.least.has_least);
+        if (least.has_fixpoint && ref.least.has_fixpoint) {
+          EXPECT_EQ(testing::CanonState(p, least.intersection),
+                    testing::CanonState(p, ref.least.intersection));
         }
-        case Query::kCount:
-          EXPECT_EQ(analyzer.CountFixpoints().value(), ref.all.size());
-          break;
-        case Query::kUnique:
-          EXPECT_EQ(analyzer.UniqueFixpoint().value(), ref.unique);
-          break;
-        case Query::kLeast: {
-          const LeastFixpointOutcome least = analyzer.LeastFixpoint().value();
-          EXPECT_EQ(least.has_fixpoint, ref.least.has_fixpoint);
-          EXPECT_EQ(least.has_least, ref.least.has_least);
-          if (least.has_fixpoint && ref.least.has_fixpoint) {
-            EXPECT_EQ(testing::CanonState(p, least.intersection),
-                      testing::CanonState(p, ref.least.intersection));
-          }
-          // C₀ is the first model's atoms: each later round shrinks it.
-          const size_t c0 = ref.found ? ref.found->TotalTuples() : 0;
-          EXPECT_GE(least.sat_calls, 1u);
-          EXPECT_LE(least.sat_calls, c0 + 1);
-          break;
-        }
+        // C₀ is the first model's atoms: each later round shrinks it.
+        const size_t c0 = ref.found ? ref.found->TotalTuples() : 0;
+        EXPECT_GE(least.sat_calls, 1u);
+        EXPECT_LE(least.sat_calls, c0 + 1);
+        break;
       }
     }
   }
@@ -942,6 +935,9 @@ TEST(QueryOrderTest, PaperInstancesAnswerAsFreshAnalyzers) {
       {"C6", kPi1, CycleGraph(6)},
       {"L5", kPi1, PathGraph(5)},
       {"G3", kPi1, DisjointCycles(3, 4)},
+      // 64 fixpoints against fewer CNF clauses: later queries run after the
+      // analyzer has swept the retired blocks.
+      {"self-support/C6", "S(X) :- E(X,Y), S(X).", CycleGraph(6)},
   };
   uint64_t seed = 1;
   for (const Case& c : cases) {

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <ostream>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/sat/dimacs.h"
@@ -146,14 +148,35 @@ bool BruteForceSat(const Cnf& cnf) {
   return false;
 }
 
-class Random3SatTest : public ::testing::TestWithParam<int> {};
+/// One random instance: Rng(seed * mul + add) draws min_vars +
+/// Uniform(var_span) variables, and the seed picks 2 + seed % ratios
+/// clauses per variable, sweeping the ratio through the phase transition
+/// (~4.26).
+struct Draw {
+  int mul, add, min_vars, var_span, ratios;
+  int seed = 0;
+};
+
+// Test names carry the seed alone.
+void PrintTo(const Draw& draw, std::ostream* os) { *os << draw.seed; }
+
+/// `recipe` at seeds 0..count-1.
+std::vector<Draw> SeedRange(Draw recipe, int count) {
+  std::vector<Draw> draws;
+  for (recipe.seed = 0; recipe.seed < count; ++recipe.seed) {
+    draws.push_back(recipe);
+  }
+  return draws;
+}
+
+class Random3SatTest : public ::testing::TestWithParam<Draw> {};
 
 TEST_P(Random3SatTest, MatchesBruteForce) {
-  const int seed = GetParam();
-  Rng rng(seed * 7919 + 13);
-  // Sweep clause/variable ratios through the phase transition (~4.26).
-  const int n = 8 + static_cast<int>(rng.Uniform(5));
-  const int m = static_cast<int>(n * (2.0 + (seed % 6)));
+  const Draw& draw = GetParam();
+  const int seed = draw.seed;
+  Rng rng(seed * draw.mul + draw.add);
+  const int n = draw.min_vars + static_cast<int>(rng.Uniform(draw.var_span));
+  const int m = static_cast<int>(n * (2.0 + (seed % draw.ratios)));
   Cnf cnf = Random3Sat(n, m, &rng);
   Solver s;
   s.AddCnf(cnf);
@@ -166,7 +189,14 @@ TEST_P(Random3SatTest, MatchesBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, Random3SatTest, ::testing::Range(0, 30));
+// 8–12 variables, ratios 2–7.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, Random3SatTest,
+    ::testing::ValuesIn(SeedRange({7919, 13, 8, 5, 6}, 30)));
+// 6–14 variables, ratios 2–6.
+INSTANTIATE_TEST_SUITE_P(
+    Wide, Random3SatTest,
+    ::testing::ValuesIn(SeedRange({104729, 7, 6, 9, 5}, 500)));
 
 // --- Assumptions and incrementality. ---
 
@@ -219,6 +249,37 @@ TEST(SolverTest, ActivationLiteralPattern) {
   EXPECT_TRUE(s.ModelValue(x));
 }
 
+TEST(SolverTest, SimplifyCollectsRetiredClauses) {
+  Cnf cnf;
+  const Var x = cnf.NewVar(), y = cnf.NewVar(), z = cnf.NewVar();
+  cnf.AddClause({Pos(x), Pos(y)});
+  cnf.AddClause({Neg(x), Pos(z)});
+  Solver s;
+  s.AddCnf(cnf);
+  ASSERT_EQ(s.Solve(), SolveResult::kSat);
+  const size_t words = s.arena_words();
+  // Two clauses c ∨ ¬a, then the unit ¬a that retires them.
+  const Var a = s.NewVar();
+  s.AddClause({Pos(z), Neg(a)});
+  s.AddClause({Neg(x), Neg(y), Neg(a)});
+  ASSERT_EQ(s.Solve({Pos(a)}), SolveResult::kSat);
+  EXPECT_TRUE(s.ModelValue(z));
+  EXPECT_NE(s.ModelValue(x), s.ModelValue(y));
+  s.AddClause({Neg(a)});
+  ASSERT_EQ(s.num_learnts(), 0u);
+  EXPECT_GT(s.arena_words(), words);
+  ASSERT_TRUE(s.Simplify());
+  EXPECT_EQ(s.arena_words(), words);
+  // The solver answers as it did before the clauses came.
+  ASSERT_EQ(s.Solve(), SolveResult::kSat);
+  EXPECT_TRUE(cnf.IsSatisfiedBy(s.Model()));
+  ASSERT_EQ(s.Solve({Pos(x), Pos(y), Neg(z)}), SolveResult::kUnsat);
+  ASSERT_EQ(s.Solve({Pos(x), Pos(y)}), SolveResult::kSat);
+  EXPECT_TRUE(s.ModelValue(z));
+  EXPECT_EQ(s.Solve({Neg(x), Neg(y)}), SolveResult::kUnsat);
+  EXPECT_TRUE(s.ok());
+}
+
 TEST(SolverTest, ModelEnumerationCountsAllAssignments) {
   // x ∨ y over 3 variables: 6 models on (x,y,z) — block and recount.
   Solver s;
@@ -264,111 +325,6 @@ TEST(SolverTest, StatsAccumulate) {
   EXPECT_GT(s.stats().conflicts, 0u);
   EXPECT_GT(s.stats().decisions, 0u);
   EXPECT_GT(s.stats().propagations, 0u);
-}
-
-// --- Preprocessing front-end. ---
-
-TEST(PreprocessTest, PureLiteralsLeaveSatisfiableResidue) {
-  SolverOptions opts;
-  opts.preprocess = true;
-  Solver s(opts);
-  Cnf cnf;
-  const Var x = cnf.NewVar(), y = cnf.NewVar(), z = cnf.NewVar();
-  cnf.AddClause({Pos(x), Pos(y)});
-  cnf.AddClause({Pos(x), Neg(z)});
-  s.AddCnf(cnf);
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  // The reconstructed model must satisfy the ORIGINAL clauses even though
-  // x is pure (and y, z may be eliminated too).
-  EXPECT_TRUE(cnf.IsSatisfiedBy(s.Model()));
-}
-
-TEST(PreprocessTest, BveReconstructsEliminatedVariables) {
-  SolverOptions opts;
-  opts.preprocess = true;
-  Solver s(opts);
-  Cnf cnf;
-  // x occurs once per polarity: NiVER resolves it away, replacing
-  // (x ∨ a)(¬x ∨ b) with (a ∨ b). The model must still assign x a value
-  // satisfying both original clauses.
-  const Var x = cnf.NewVar(), a = cnf.NewVar(), b = cnf.NewVar();
-  cnf.AddClause({Pos(x), Pos(a)});
-  cnf.AddClause({Neg(x), Pos(b)});
-  cnf.AddClause({Neg(a), Pos(b)});
-  cnf.AddClause({Pos(a), Neg(b)});
-  s.AddCnf(cnf);
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  EXPECT_TRUE(cnf.IsSatisfiedBy(s.Model()));
-}
-
-TEST(PreprocessTest, DetectsRootUnsat) {
-  SolverOptions opts;
-  opts.preprocess = true;
-  Solver s(opts);
-  const Var x = s.NewVar(), y = s.NewVar();
-  s.AddClause({Pos(x), Pos(y)});
-  s.AddClause({Pos(x), Neg(y)});
-  s.AddClause({Neg(x), Pos(y)});
-  s.AddClause({Neg(x), Neg(y)});
-  EXPECT_EQ(s.Solve(), SolveResult::kUnsat);
-}
-
-TEST(PreprocessTest, FrozenVariablesStayAssumable) {
-  SolverOptions opts;
-  opts.preprocess = true;
-  Solver s(opts);
-  const Var x = s.NewVar(), y = s.NewVar();
-  s.AddClause({Pos(x), Pos(y)});
-  s.FreezeVar(x);
-  s.FreezeVar(y);
-  ASSERT_EQ(s.Solve({Neg(x)}), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(y));
-  ASSERT_EQ(s.Solve({Neg(x), Neg(y)}), SolveResult::kUnsat);
-  // Incremental clause addition over frozen vars after preprocessing.
-  ASSERT_TRUE(s.AddClause({Neg(x)}));
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(y));
-}
-
-TEST(PreprocessTest, ReportsEliminationStats) {
-  SolverOptions opts;
-  opts.preprocess = true;
-  Solver s(opts);
-  // A unit chain: root BCP forces everything, removing every clause.
-  std::vector<Var> v;
-  for (int i = 0; i < 10; ++i) v.push_back(s.NewVar());
-  s.AddClause({Pos(v[0])});
-  for (int i = 0; i + 1 < 10; ++i) s.AddClause({Neg(v[i]), Pos(v[i + 1])});
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  EXPECT_GT(s.stats().preprocess_clauses_removed, 0u);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(s.ModelValue(v[i]));
-}
-
-// --- Differential: the modern configurations must agree with the raw
-// solver on hundreds of random instances, and every model must satisfy
-// the ORIGINAL clauses (exercising reconstruction end to end). ---
-
-TEST(PreprocessDifferentialTest, AgreesWithRawSolverAcross500Instances) {
-  for (int seed = 0; seed < 500; ++seed) {
-    Rng rng(seed * 104729 + 7);
-    const int n = 6 + static_cast<int>(rng.Uniform(9));  // 6..14 vars
-    const int m = static_cast<int>(n * (2.0 + (seed % 5)));
-    Cnf cnf = Random3Sat(n, m, &rng);
-
-    Solver raw;
-    raw.AddCnf(cnf);
-    const SolveResult expected = raw.Solve();
-    ASSERT_NE(expected, SolveResult::kUnknown) << "seed=" << seed;
-
-    SolverOptions pre_opts;
-    pre_opts.preprocess = true;
-    Solver pre(pre_opts);
-    pre.AddCnf(cnf);
-    ASSERT_EQ(pre.Solve(), expected) << "seed=" << seed;
-    if (expected == SolveResult::kSat) {
-      EXPECT_TRUE(cnf.IsSatisfiedBy(pre.Model())) << "seed=" << seed;
-    }
-  }
 }
 
 // --- Learnt-clause deletion and arena garbage collection. ---
