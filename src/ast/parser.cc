@@ -1,214 +1,44 @@
 #include "src/ast/parser.h"
 
-#include <cctype>
 #include <unordered_map>
 
-#include "src/base/strings.h"
+#include "src/ast/lexer.h"
 
 namespace inflog {
 namespace {
 
-enum class TokenKind {
-  kIdent,     // lowercase-initial identifier or number or quoted string
-  kVariable,  // uppercase- or underscore-initial identifier
-  kLParen,
-  kRParen,
-  kComma,
-  kPeriod,
-  kColonDash,  // :-
-  kBang,       // !
-  kEq,         // =
-  kNeq,        // != or <>
-  kAt,         // @
-  kEof,
-};
-
-struct Token {
-  TokenKind kind;
-  std::string text;
-  int line;
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view text) : text_(text) {}
-
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> tokens;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-        continue;
-      }
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-        continue;
-      }
-      if (c == '%' || (c == '/' && pos_ + 1 < text_.size() &&
-                       text_[pos_ + 1] == '/')) {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-        continue;
-      }
-      switch (c) {
-        case '(':
-          tokens.push_back({TokenKind::kLParen, "(", line_});
-          ++pos_;
-          continue;
-        case ')':
-          tokens.push_back({TokenKind::kRParen, ")", line_});
-          ++pos_;
-          continue;
-        case ',':
-          tokens.push_back({TokenKind::kComma, ",", line_});
-          ++pos_;
-          continue;
-        case '.':
-          tokens.push_back({TokenKind::kPeriod, ".", line_});
-          ++pos_;
-          continue;
-        case '@':
-          tokens.push_back({TokenKind::kAt, "@", line_});
-          ++pos_;
-          continue;
-        case '=':
-          tokens.push_back({TokenKind::kEq, "=", line_});
-          ++pos_;
-          continue;
-        case '!':
-          if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '=') {
-            tokens.push_back({TokenKind::kNeq, "!=", line_});
-            pos_ += 2;
-          } else {
-            tokens.push_back({TokenKind::kBang, "!", line_});
-            ++pos_;
-          }
-          continue;
-        case '<':
-          if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
-            tokens.push_back({TokenKind::kNeq, "<>", line_});
-            pos_ += 2;
-            continue;
-          }
-          return Err("unexpected '<'");
-        case ':':
-          if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '-') {
-            tokens.push_back({TokenKind::kColonDash, ":-", line_});
-            pos_ += 2;
-            continue;
-          }
-          return Err("expected ':-'");
-        case '\'': {
-          const size_t start = ++pos_;
-          while (pos_ < text_.size() && text_[pos_] != '\'') ++pos_;
-          if (pos_ >= text_.size()) return Err("unterminated quoted constant");
-          tokens.push_back({TokenKind::kIdent,
-                            std::string(text_.substr(start, pos_ - start)),
-                            line_});
-          ++pos_;
-          continue;
-        }
-        default:
-          break;
-      }
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        const size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '_')) {
-          ++pos_;
-        }
-        std::string word(text_.substr(start, pos_ - start));
-        const bool is_var = std::isupper(static_cast<unsigned char>(c)) ||
-                            c == '_';
-        tokens.push_back(
-            {is_var ? TokenKind::kVariable : TokenKind::kIdent,
-             std::move(word), line_});
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        const size_t start = pos_;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-          ++pos_;
-        }
-        tokens.push_back({TokenKind::kIdent,
-                          std::string(text_.substr(start, pos_ - start)),
-                          line_});
-        continue;
-      }
-      return Err(StrCat("unexpected character '", std::string(1, c), "'"));
-    }
-    tokens.push_back({TokenKind::kEof, "", line_});
-    return tokens;
-  }
-
- private:
-  Status Err(std::string message) {
-    return Status::InvalidArgument(
-        StrCat("line ", line_, ": ", message));
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  int line_ = 1;
-};
-
 // Recursive-descent parser over the token stream.
 class ProgramParser {
  public:
-  ProgramParser(std::vector<Token> tokens,
-                std::shared_ptr<SymbolTable> symbols)
-      : tokens_(std::move(tokens)), program_(std::move(symbols)) {}
+  ProgramParser(std::string_view text, std::shared_ptr<SymbolTable> symbols)
+      : in_(text), program_(std::move(symbols)) {}
 
   Result<Program> Parse() {
-    while (Peek().kind != TokenKind::kEof) {
+    while (in_.Peek().kind != TokenKind::kEof) {
       INFLOG_RETURN_IF_ERROR(ParseClause());
     }
     return std::move(program_);
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    const size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  Token Take() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
-
-  Status Err(const Token& tok, std::string message) {
-    return Status::InvalidArgument(
-        StrCat("line ", tok.line, ": ", message, " (at '", tok.text, "')"));
-  }
-
-  Status Expect(TokenKind kind, const char* what) {
-    if (Peek().kind != kind) return Err(Peek(), StrCat("expected ", what));
-    Take();
-    return Status::OK();
-  }
-
   // clause := atom ( ":-" literal ("," literal)* )? "."
   Status ParseClause() {
     var_ids_.clear();
     var_names_.clear();
     HeadAtom head;
-    INFLOG_RETURN_IF_ERROR(ParseHead(&head));
+    INFLOG_RETURN_IF_ERROR(ParseAtom(&head.predicate, &head.args));
     std::vector<Literal> body;
-    if (Peek().kind == TokenKind::kColonDash) {
-      Take();
-      // Allow an empty body before the period ("H :- ." as in the paper's
-      // input-gate rules), as well as a non-empty literal list.
-      if (Peek().kind != TokenKind::kPeriod) {
-        while (true) {
-          Literal lit;
-          INFLOG_RETURN_IF_ERROR(ParseLiteral(&lit));
-          body.push_back(std::move(lit));
-          if (Peek().kind != TokenKind::kComma) break;
-          Take();
-        }
-      }
+    // Allow an empty body before the period ("H :- ." as in the paper's
+    // input-gate rules), as well as a non-empty literal list.
+    if (in_.TakeIf(TokenKind::kColonDash) &&
+        in_.Peek().kind != TokenKind::kPeriod) {
+      do {
+        Literal lit;
+        INFLOG_RETURN_IF_ERROR(ParseLiteral(&lit));
+        body.push_back(std::move(lit));
+      } while (in_.TakeIf(TokenKind::kComma));
     }
-    INFLOG_RETURN_IF_ERROR(Expect(TokenKind::kPeriod, "'.'"));
+    INFLOG_RETURN_IF_ERROR(in_.Expect(TokenKind::kPeriod, "'.'"));
     Rule rule;
     rule.head = std::move(head);
     rule.body = std::move(body);
@@ -221,30 +51,17 @@ class ProgramParser {
   // lowercase; the syntactic position — not the case — decides whether an
   // identifier is a predicate. Case only disambiguates terms.
   static bool IsNameToken(const Token& tok) {
-    return tok.kind == TokenKind::kIdent || tok.kind == TokenKind::kVariable;
-  }
-
-  Status ParseHead(HeadAtom* head) {
-    if (!IsNameToken(Peek())) {
-      return Err(Peek(), "expected predicate name in rule head");
-    }
-    const Token name = Take();
-    std::vector<Term> args;
-    INFLOG_RETURN_IF_ERROR(ParseArgList(&args));
-    INFLOG_ASSIGN_OR_RETURN(
-        head->predicate,
-        program_.GetOrAddPredicate(name.text, args.size()));
-    head->args = std::move(args);
-    return Status::OK();
+    return tok.kind == TokenKind::kConstant ||
+           tok.kind == TokenKind::kVariable;
   }
 
   // literal := atom | "!" atom | "not" atom | term ("="|"!=") term
   Status ParseLiteral(Literal* lit) {
-    const Token& tok = Peek();
+    const Token& tok = in_.Peek();
     if (tok.kind == TokenKind::kBang ||
-        (tok.kind == TokenKind::kIdent && tok.text == "not" &&
-         IsNameToken(Peek(1)))) {
-      Take();  // consume '!' or 'not'
+        (tok.kind == TokenKind::kConstant && tok.text == "not" &&
+         IsNameToken(in_.PeekSecond()))) {
+      in_.Take();  // consume '!' or 'not'
       uint32_t pred;
       std::vector<Term> args;
       INFLOG_RETURN_IF_ERROR(ParseAtom(&pred, &args));
@@ -254,10 +71,10 @@ class ProgramParser {
     // Could be an atom or the left term of an (in)equality. An atom starts
     // with an identifier followed by '(' or by a delimiter (arity 0); a
     // term position followed by '='/'!=' is an equality literal instead.
+    const TokenKind next = in_.PeekSecond().kind;
     if (IsNameToken(tok) &&
-        (Peek(1).kind == TokenKind::kLParen ||
-         Peek(1).kind == TokenKind::kComma ||
-         Peek(1).kind == TokenKind::kPeriod)) {
+        (next == TokenKind::kLParen || next == TokenKind::kComma ||
+         next == TokenKind::kPeriod)) {
       uint32_t pred;
       std::vector<Term> args;
       INFLOG_RETURN_IF_ERROR(ParseAtom(&pred, &args));
@@ -266,183 +83,100 @@ class ProgramParser {
     }
     Term lhs;
     INFLOG_RETURN_IF_ERROR(ParseTerm(&lhs));
-    if (Peek().kind == TokenKind::kEq) {
-      Take();
-      Term rhs;
-      INFLOG_RETURN_IF_ERROR(ParseTerm(&rhs));
-      *lit = Literal::Eq(lhs, rhs);
-      return Status::OK();
+    const TokenKind op = in_.Peek().kind;
+    if (op != TokenKind::kEq && op != TokenKind::kNeq) {
+      return TokenStream::Err(in_.Peek(), "expected '=', '!=' or an atom");
     }
-    if (Peek().kind == TokenKind::kNeq) {
-      Take();
-      Term rhs;
-      INFLOG_RETURN_IF_ERROR(ParseTerm(&rhs));
-      *lit = Literal::Neq(lhs, rhs);
-      return Status::OK();
-    }
-    return Err(Peek(), "expected '=', '!=' or an atom");
+    in_.Take();
+    Term rhs;
+    INFLOG_RETURN_IF_ERROR(ParseTerm(&rhs));
+    *lit = op == TokenKind::kEq ? Literal::Eq(lhs, rhs)
+                                : Literal::Neq(lhs, rhs);
+    return Status::OK();
   }
 
+  // atom := NAME ( "(" ( term ("," term)* )? ")" )?   (no parens: arity 0)
   Status ParseAtom(uint32_t* pred, std::vector<Term>* args) {
-    if (!IsNameToken(Peek())) {
-      return Err(Peek(), "expected predicate name");
+    if (!IsNameToken(in_.Peek())) {
+      return TokenStream::Err(in_.Peek(), "expected predicate name");
     }
-    const Token name = Take();
-    INFLOG_RETURN_IF_ERROR(ParseArgList(args));
+    const Token name = in_.Take();
+    args->clear();
+    if (in_.TakeIf(TokenKind::kLParen) && !in_.TakeIf(TokenKind::kRParen)) {
+      do {
+        Term term;
+        INFLOG_RETURN_IF_ERROR(ParseTerm(&term));
+        args->push_back(term);
+      } while (in_.TakeIf(TokenKind::kComma));
+      INFLOG_RETURN_IF_ERROR(in_.Expect(TokenKind::kRParen, "')'"));
+    }
     INFLOG_ASSIGN_OR_RETURN(
         *pred, program_.GetOrAddPredicate(name.text, args->size()));
     return Status::OK();
   }
 
-  // arg_list := "(" term ("," term)* ")" | "(" ")" | empty (arity 0)
-  Status ParseArgList(std::vector<Term>* args) {
-    args->clear();
-    if (Peek().kind != TokenKind::kLParen) return Status::OK();
-    Take();
-    if (Peek().kind == TokenKind::kRParen) {
-      Take();
-      return Status::OK();
-    }
-    while (true) {
-      Term term;
-      INFLOG_RETURN_IF_ERROR(ParseTerm(&term));
-      args->push_back(term);
-      if (Peek().kind == TokenKind::kComma) {
-        Take();
-        continue;
-      }
-      break;
-    }
-    return Expect(TokenKind::kRParen, "')'");
-  }
-
+  // Each `_` is a variable of its own; other names share one per rule.
   Status ParseTerm(Term* term) {
-    const Token tok = Peek();
-    if (tok.kind == TokenKind::kVariable) {
-      Take();
-      auto [it, inserted] =
-          var_ids_.emplace(tok.text, static_cast<uint32_t>(var_names_.size()));
-      if (inserted) var_names_.push_back(tok.text);
-      *term = Term::Var(it->second);
-      return Status::OK();
-    }
-    if (tok.kind == TokenKind::kIdent) {
-      Take();
+    const Token tok = in_.Take();
+    if (tok.kind == TokenKind::kConstant) {
       *term = Term::Const(program_.shared_symbols()->Intern(tok.text));
       return Status::OK();
     }
-    return Err(tok, "expected a term");
+    if (tok.kind != TokenKind::kVariable) {
+      return TokenStream::Err(tok, "expected a term");
+    }
+    const auto fresh = static_cast<uint32_t>(var_names_.size());
+    const uint32_t id =
+        tok.text == "_" ? fresh
+                        : var_ids_.emplace(tok.text, fresh).first->second;
+    if (id == fresh) var_names_.emplace_back(tok.text);
+    *term = Term::Var(id);
+    return Status::OK();
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  TokenStream in_;
   Program program_;
-  std::unordered_map<std::string, uint32_t> var_ids_;
+  std::unordered_map<std::string_view, uint32_t> var_ids_;
   std::vector<std::string> var_names_;
-};
-
-// Parser for database files: ground facts and @universe declarations.
-class DatabaseParser {
- public:
-  DatabaseParser(std::vector<Token> tokens, Database* db)
-      : tokens_(std::move(tokens)), db_(db) {}
-
-  Status Parse() {
-    while (Peek().kind != TokenKind::kEof) {
-      if (Peek().kind == TokenKind::kAt) {
-        INFLOG_RETURN_IF_ERROR(ParseUniverseDecl());
-      } else {
-        INFLOG_RETURN_IF_ERROR(ParseFact());
-      }
-    }
-    return Status::OK();
-  }
-
- private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  Token Take() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
-
-  Status Err(const Token& tok, std::string message) {
-    return Status::InvalidArgument(
-        StrCat("line ", tok.line, ": ", message, " (at '", tok.text, "')"));
-  }
-
-  // "@" "universe" constant* "."
-  Status ParseUniverseDecl() {
-    Take();  // '@'
-    if (Peek().kind != TokenKind::kIdent || Peek().text != "universe") {
-      return Err(Peek(), "expected 'universe' after '@'");
-    }
-    Take();
-    while (Peek().kind == TokenKind::kIdent) {
-      db_->AddUniverseSymbol(Take().text);
-    }
-    if (Peek().kind != TokenKind::kPeriod) {
-      return Err(Peek(), "expected '.' after @universe declaration");
-    }
-    Take();
-    return Status::OK();
-  }
-
-  // fact := NAME ( "(" constant ("," constant)* ")" )? "."
-  // Relation names may be capitalized (the paper's E, V, P, N).
-  Status ParseFact() {
-    if (Peek().kind != TokenKind::kIdent &&
-        Peek().kind != TokenKind::kVariable) {
-      return Err(Peek(), "expected relation name");
-    }
-    const Token name = Take();
-    Tuple tuple;
-    if (Peek().kind == TokenKind::kLParen) {
-      Take();
-      if (Peek().kind != TokenKind::kRParen) {
-        while (true) {
-          if (Peek().kind == TokenKind::kVariable) {
-            return Err(Peek(), "facts must be ground (no variables)");
-          }
-          if (Peek().kind != TokenKind::kIdent) {
-            return Err(Peek(), "expected a constant");
-          }
-          tuple.push_back(db_->symbols().Intern(Take().text));
-          if (Peek().kind == TokenKind::kComma) {
-            Take();
-            continue;
-          }
-          break;
-        }
-      }
-      if (Peek().kind != TokenKind::kRParen) return Err(Peek(), "expected ')'");
-      Take();
-    }
-    if (Peek().kind != TokenKind::kPeriod) {
-      return Err(Peek(), "expected '.' after fact");
-    }
-    Take();
-    return db_->AddFact(name.text, tuple);
-  }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
-  Database* db_;
 };
 
 }  // namespace
 
 Result<Program> ParseProgram(std::string_view text,
                              std::shared_ptr<SymbolTable> symbols) {
-  Lexer lexer(text);
-  INFLOG_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
-  return ProgramParser(std::move(tokens), std::move(symbols)).Parse();
+  return ProgramParser(text, std::move(symbols)).Parse();
 }
 
 Result<Program> ParseProgram(std::string_view text) {
   return ParseProgram(text, std::make_shared<SymbolTable>());
 }
 
+// Database files: ground facts and @universe declarations.
+//   fact     := ground_atom "."
+//   universe := "@" "universe" constant* "."
 Status ParseDatabaseInto(std::string_view text, Database* db) {
-  Lexer lexer(text);
-  INFLOG_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
-  return DatabaseParser(std::move(tokens), db).Parse();
+  TokenStream in(text);
+  std::string_view name;
+  Tuple tuple;
+  while (in.Peek().kind != TokenKind::kEof) {
+    if (in.TakeIf(TokenKind::kAt)) {
+      if (in.Peek().kind != TokenKind::kConstant ||
+          in.Peek().text != "universe") {
+        return TokenStream::Err(in.Peek(), "expected 'universe' after '@'");
+      }
+      in.Take();
+      while (in.Peek().kind == TokenKind::kConstant) {
+        db->AddUniverseSymbol(in.Take().text);
+      }
+      INFLOG_RETURN_IF_ERROR(
+          in.Expect(TokenKind::kPeriod, "'.' after @universe declaration"));
+      continue;
+    }
+    INFLOG_RETURN_IF_ERROR(ReadGroundAtom(&in, &db->symbols(), &name, &tuple));
+    INFLOG_RETURN_IF_ERROR(in.Expect(TokenKind::kPeriod, "'.' after fact"));
+    INFLOG_RETURN_IF_ERROR(db->AddFact(name, tuple));
+  }
+  return Status::OK();
 }
 
 Result<Database> ParseDatabase(std::string_view text) {

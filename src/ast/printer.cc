@@ -13,7 +13,9 @@ std::string FormatTerm(const Program& program, const Rule& rule,
     }
     return StrCat("V", term.id);
   }
-  return program.symbols().Name(term.id);
+  std::string out;
+  AppendConstant(program.symbols().Name(term.id), &out);
+  return out;
 }
 
 namespace {

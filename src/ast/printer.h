@@ -12,7 +12,8 @@ namespace inflog {
 
 class Program;
 
-/// Renders a term: the rule's variable name or the constant's symbol.
+/// Renders a term: the rule's variable name or the constant as facts
+/// spell it (AppendConstant).
 std::string FormatTerm(const Program& program, const Rule& rule,
                        const Term& term);
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <optional>
 #include <unordered_set>
 #include <utility>
 
 #include "src/ast/ast.h"
+#include "src/ast/lexer.h"
 #include "src/base/logging.h"
 #include "src/base/strings.h"
 #include "src/eval/plan.h"
@@ -217,72 +217,17 @@ void MaybeCompact(Relation* rel) {
 Result<UpdateBatch> ParseUpdateLine(std::string_view line,
                                     SymbolTable* symbols) {
   UpdateBatch batch;
-  size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i])) != 0) {
-      ++i;
+  TokenStream in(line);
+  while (in.Peek().kind != TokenKind::kEof) {
+    const Token sign = in.Take();
+    if (sign.kind != TokenKind::kPlus && sign.kind != TokenKind::kMinus) {
+      return TokenStream::Err(sign, "expected '+' or '-'");
     }
-  };
-  skip_ws();
-  while (i < line.size() && line[i] != '#') {
-    const char sign = line[i];
-    if (sign != '+' && sign != '-') {
-      return Status::InvalidArgument(
-          StrCat("expected '+' or '-' at column ", i + 1, " of update line: ",
-                 std::string(line)));
-    }
-    ++i;
-    const size_t name_start = i;
-    while (i < line.size() &&
-           (std::isalnum(static_cast<unsigned char>(line[i])) != 0 ||
-            line[i] == '_')) {
-      ++i;
-    }
-    if (i == name_start) {
-      return Status::InvalidArgument(
-          StrCat("missing relation name in update line: ", std::string(line)));
-    }
-    std::string name(line.substr(name_start, i - name_start));
-    if (i >= line.size() || line[i] != '(') {
-      return Status::InvalidArgument(
-          StrCat("expected '(' after relation name ", name));
-    }
-    ++i;
-    Tuple tuple;
-    skip_ws();
-    if (i < line.size() && line[i] == ')') {
-      ++i;
-    } else {
-      while (true) {
-        skip_ws();
-        const size_t const_start = i;
-        while (i < line.size() && line[i] != ',' && line[i] != ')' &&
-               std::isspace(static_cast<unsigned char>(line[i])) == 0) {
-          ++i;
-        }
-        if (i == const_start) {
-          return Status::InvalidArgument(
-              StrCat("empty constant in update of ", name));
-        }
-        tuple.push_back(
-            symbols->Intern(line.substr(const_start, i - const_start)));
-        skip_ws();
-        if (i < line.size() && line[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (i < line.size() && line[i] == ')') {
-          ++i;
-          break;
-        }
-        return Status::InvalidArgument(
-            StrCat("unterminated tuple in update line: ", std::string(line)));
-      }
-    }
-    auto& side = sign == '+' ? batch.inserts : batch.deletes;
-    side.emplace_back(std::move(name), std::move(tuple));
-    skip_ws();
+    auto& side = sign.kind == TokenKind::kPlus ? batch.inserts : batch.deletes;
+    auto& [name, tuple] = side.emplace_back();
+    std::string_view read;
+    INFLOG_RETURN_IF_ERROR(ReadGroundAtom(&in, symbols, &read, &tuple));
+    name = read;
   }
   return batch;
 }

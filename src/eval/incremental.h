@@ -95,10 +95,12 @@ struct UpdateResult {
   EvalStats stats;
 };
 
-/// Parses one whitespace-separated update line into a batch: tokens are
-/// `+Rel(c1,c2,...)` (insert) or `-Rel(c1)` (delete); constants are
-/// interned into `symbols`. `#` starts a comment; a blank line is an
-/// empty batch. The CLI's --apply-updates mode and bench E13 share this.
+/// Parses one update line into a batch: a sequence of `+Rel(c1,...,cn)`
+/// (insert) and `-Rel(c1,...,cn)` (delete), each atom written as a fact
+/// without its period (src/ast/parser.h has the syntax); constants are
+/// interned into `symbols`. A comment runs to the end of the line; a
+/// blank line is an empty batch. The CLI's --apply-updates and --serve
+/// modes read their update lines with this.
 Result<UpdateBatch> ParseUpdateLine(std::string_view line,
                                     SymbolTable* symbols);
 

@@ -1,7 +1,6 @@
 #include "src/logic/formula.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/base/strings.h"
 
@@ -87,67 +86,6 @@ FormulaPtr Forall(std::vector<std::string> vars, FormulaPtr body) {
   f.vars = std::move(vars);
   f.children = {std::move(body)};
   return Make(std::move(f));
-}
-
-namespace {
-
-void CollectFree(const FormulaPtr& f, std::vector<std::string>* out,
-                 std::set<std::string>* bound, std::set<std::string>* seen) {
-  switch (f->kind) {
-    case Formula::Kind::kAtom:
-    case Formula::Kind::kEq:
-      for (const FoTerm& t : f->args) {
-        if (t.is_var && bound->find(t.name) == bound->end() &&
-            seen->insert(t.name).second) {
-          out->push_back(t.name);
-        }
-      }
-      return;
-    case Formula::Kind::kTrue:
-    case Formula::Kind::kFalse:
-      return;
-    case Formula::Kind::kNot:
-    case Formula::Kind::kAnd:
-    case Formula::Kind::kOr:
-      for (const FormulaPtr& c : f->children) {
-        CollectFree(c, out, bound, seen);
-      }
-      return;
-    case Formula::Kind::kExists:
-    case Formula::Kind::kForall: {
-      std::vector<std::string> newly_bound;
-      for (const std::string& v : f->vars) {
-        if (bound->insert(v).second) newly_bound.push_back(v);
-      }
-      CollectFree(f->children[0], out, bound, seen);
-      for (const std::string& v : newly_bound) bound->erase(v);
-      return;
-    }
-  }
-}
-
-void CollectPreds(const FormulaPtr& f, std::vector<std::string>* out,
-                  std::set<std::string>* seen) {
-  if (f->kind == Formula::Kind::kAtom) {
-    if (seen->insert(f->pred).second) out->push_back(f->pred);
-  }
-  for (const FormulaPtr& c : f->children) CollectPreds(c, out, seen);
-}
-
-}  // namespace
-
-std::vector<std::string> FreeVariables(const FormulaPtr& f) {
-  std::vector<std::string> out;
-  std::set<std::string> bound, seen;
-  CollectFree(f, &out, &bound, &seen);
-  return out;
-}
-
-std::vector<std::string> PredicateNames(const FormulaPtr& f) {
-  std::vector<std::string> out;
-  std::set<std::string> seen;
-  CollectPreds(f, &out, &seen);
-  return out;
 }
 
 FormulaPtr SubstituteVars(

@@ -80,12 +80,6 @@ FormulaPtr Iff(FormulaPtr a, FormulaPtr b);
 FormulaPtr Exists(std::vector<std::string> vars, FormulaPtr body);
 FormulaPtr Forall(std::vector<std::string> vars, FormulaPtr body);
 
-/// Free variables of `f`, in first-occurrence order.
-std::vector<std::string> FreeVariables(const FormulaPtr& f);
-
-/// All predicate names occurring in `f`.
-std::vector<std::string> PredicateNames(const FormulaPtr& f);
-
 /// Capture-avoiding substitution of variables by terms.
 FormulaPtr SubstituteVars(
     const FormulaPtr& f,

@@ -3,6 +3,7 @@
 #include "src/base/strings.h"
 #include "src/logic/fixpoint_formula.h"
 #include "src/logic/transform.h"
+#include "src/relation/value.h"
 
 namespace inflog {
 namespace logic {
@@ -102,7 +103,10 @@ Result<std::string> IfpOperatorToProgramText(const IfpOperator& op) {
     return it->second;
   };
   auto render_term = [&](const FoTerm& t) {
-    return t.is_var ? map_var(t.name) : StrCat("'", t.name, "'");
+    if (t.is_var) return map_var(t.name);
+    std::string out;
+    AppendConstant(t.name, &out);
+    return out;
   };
 
   std::string head = op.rel_name;

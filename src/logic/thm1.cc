@@ -5,6 +5,7 @@
 
 #include "src/ast/parser.h"
 #include "src/base/strings.h"
+#include "src/relation/value.h"
 
 namespace inflog {
 namespace logic {
@@ -62,8 +63,9 @@ class NameMapper {
 
 std::string RenderTerm(NameMapper* names, const FoTerm& t) {
   if (t.is_var) return names->Var(t.name);
-  // Quote constants so that capitalized constant names stay constants.
-  return StrCat("'", t.name, "'");
+  std::string out;
+  AppendConstant(t.name, &out);
+  return out;
 }
 
 std::string RenderLiteral(NameMapper* names, const SnfLiteral& lit) {

@@ -137,7 +137,7 @@ std::string Database::ToString() const {
   std::string out = "universe: {";
   for (size_t i = 0; i < universe_.size(); ++i) {
     if (i > 0) out += ",";
-    out += symbols_->Name(universe_[i]);
+    AppendConstant(symbols_->Name(universe_[i]), &out);
   }
   out += "}\n";
   for (const auto& [name, rel] : relations_) {

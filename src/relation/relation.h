@@ -251,7 +251,8 @@ class Relation {
   /// and deterministic iteration in tests. Shard-count independent.
   std::vector<Tuple> SortedTuples() const;
 
-  /// Renders "{(a,b), (c,d)}" in canonical order.
+  /// Renders "{(a,b), (c,d)}" in canonical order, each constant spelled
+  /// as facts spell it (AppendConstant).
   std::string ToString(const SymbolTable& symbols) const;
 
  private:

@@ -66,12 +66,12 @@ struct TupleEq {
   }
 };
 
-/// Renders a tuple as "(a,b,c)" using the symbol table's names.
+/// Renders a tuple as "(a,b,c)", spelling each constant as facts do.
 inline std::string FormatTuple(const SymbolTable& symbols, TupleView tuple) {
   std::string out = "(";
   for (size_t i = 0; i < tuple.size(); ++i) {
     if (i > 0) out += ",";
-    out += symbols.Name(tuple[i]);
+    AppendConstant(symbols.Name(tuple[i]), &out);
   }
   out += ")";
   return out;

@@ -80,6 +80,30 @@ class SymbolTable {
   std::unordered_map<std::string, Value, StringHash, std::equal_to<>> ids_;
 };
 
+/// The character classes of Datalog text (ASCII only), shared by the
+/// lexer (src/ast/lexer.h) and AppendConstant so the two agree on which
+/// names read back bare.
+inline bool IsLowerAscii(char c) { return c >= 'a' && c <= 'z'; }
+inline bool IsUpperAscii(char c) { return c >= 'A' && c <= 'Z'; }
+inline bool IsDigitAscii(char c) { return c >= '0' && c <= '9'; }
+inline bool IsWordAscii(char c) {
+  return IsLowerAscii(c) || IsUpperAscii(c) || IsDigitAscii(c) || c == '_';
+}
+
+/// Appends constant `name` as Datalog text spells it: bare when the lexer
+/// reads it back as that constant (a lowercase-initial identifier or a
+/// digit string), else between single quotes. The one writer of constants
+/// into text. A name containing `'` has no spelling; it is written quoted
+/// all the same and does not read back.
+inline void AppendConstant(std::string_view name, std::string* out) {
+  const bool digits = !name.empty() && IsDigitAscii(name[0]);
+  bool bare = digits || (!name.empty() && IsLowerAscii(name[0]));
+  for (const char c : name) bare &= digits ? IsDigitAscii(c) : IsWordAscii(c);
+  if (!bare) out->push_back('\'');
+  out->append(name);
+  if (!bare) out->push_back('\'');
+}
+
 }  // namespace inflog
 
 #endif  // INFLOG_RELATION_VALUE_H_

@@ -7,13 +7,10 @@
 //   problem clause:  [header][lit0][lit1]...            (1 header word)
 //   learnt clause:   [header][lbd][activity][lit0]...   (3 header words)
 //
-// The header packs the literal count with a learned bit and a mark bit
-// (mark = scheduled for deletion; the solver's ReduceDB sets it, and the
-// following garbage-collection pass drops marked clauses while compacting
-// the buffer). Learnt clauses carry their LBD ("glue": the number of
-// distinct decision levels in the clause when it was learned — Audemard &
-// Simon's quality measure) and a float activity for the deletion policy's
-// tie-breaks.
+// The header packs the literal count with a learned bit. Learnt clauses
+// carry their LBD ("glue": the number of distinct decision levels in the
+// clause when it was learned — Audemard & Simon's quality measure) and a
+// float activity for the deletion policy's tie-breaks.
 //
 // The arena never shrinks in place; the solver compacts by copying live
 // clauses into a fresh arena (CopyClause) and patching its refs through
@@ -60,8 +57,6 @@ class ClauseArena {
   bool learned(ClauseRef ref) const {
     return (buffer_[ref] & kLearnedBit) != 0;
   }
-  bool marked(ClauseRef ref) const { return (buffer_[ref] & kMarkBit) != 0; }
-  void set_mark(ClauseRef ref) { buffer_[ref] |= kMarkBit; }
 
   uint32_t lbd(ClauseRef ref) const {
     INFLOG_DCHECK(learned(ref));
@@ -111,7 +106,6 @@ class ClauseArena {
 
  private:
   static constexpr uint32_t kLearnedBit = 0x1;
-  static constexpr uint32_t kMarkBit = 0x2;
 
   uint32_t HeaderWords(ClauseRef ref) const {
     return (buffer_[ref] & kLearnedBit) ? 3 : 1;

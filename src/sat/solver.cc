@@ -364,7 +364,6 @@ void Solver::ReduceDB() {
       kept.push_back(cref);
       continue;
     }
-    arena_.set_mark(cref);
     ++stats_.deleted_clauses;
   }
   learnts_.swap(kept);

@@ -55,12 +55,6 @@ void QueryCache::Advance(const std::vector<std::string>* changed_relations,
   }
 }
 
-void QueryCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  invalidations_ += entries_.size();
-  entries_.clear();
-}
-
 uint64_t QueryCache::hits() const {
   std::lock_guard<std::mutex> lock(mu_);
   return hits_;

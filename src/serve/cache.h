@@ -55,9 +55,6 @@ class QueryCache {
   void Advance(const std::vector<std::string>* changed_relations,
                uint64_t new_epoch);
 
-  /// Drops every entry (counted as invalidations).
-  void Clear();
-
   uint64_t hits() const;
   uint64_t misses() const;
   uint64_t invalidations() const;

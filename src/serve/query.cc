@@ -1,133 +1,73 @@
 #include "src/serve/query.h"
 
 #include <algorithm>
-#include <cctype>
-#include <map>
 #include <span>
 #include <utility>
 
+#include "src/ast/lexer.h"
 #include "src/base/strings.h"
 
 namespace inflog {
 namespace serve {
 
-namespace {
-
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-}  // namespace
-
 Result<ServeQuery> ParseServeQuery(std::string_view line,
                                    const SymbolTable& symbols) {
   ServeQuery query;
-  size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i])) != 0) {
-      ++i;
+  query.key.reserve(line.size());
+  TokenStream in(line);
+  INFLOG_RETURN_IF_ERROR(in.Expect(TokenKind::kQuery, "'?'"));
+  do {
+    const Token name = in.Take();
+    if (name.kind != TokenKind::kConstant &&
+        name.kind != TokenKind::kVariable) {
+      return TokenStream::Err(name, "expected a relation name");
     }
-  };
-  skip_ws();
-  if (i >= line.size() || line[i] != '?') {
-    return Status::InvalidArgument(
-        StrCat("query must start with '?': ", std::string(line)));
-  }
-  ++i;
-  // Named-variable name -> dense id (appearance order); anonymous `_`
-  // terms get fresh ids and never join output_vars.
-  std::map<std::string, uint32_t, std::less<>> named;
-  while (true) {
-    skip_ws();
-    const size_t name_start = i;
-    while (i < line.size() && IsIdentChar(line[i])) ++i;
-    if (i == name_start) {
-      return Status::InvalidArgument(
-          StrCat("expected a relation name at column ", i + 1, " of query: ",
-                 std::string(line)));
-    }
+    INFLOG_RETURN_IF_ERROR(
+        in.Expect(TokenKind::kLParen, "'(' after the relation name"));
     ServeAtom atom;
-    atom.predicate = std::string(line.substr(name_start, i - name_start));
-    if (i >= line.size() || line[i] != '(') {
-      return Status::InvalidArgument(
-          StrCat("expected '(' after relation name ", atom.predicate));
-    }
-    ++i;
-    std::string key_atom = StrCat(atom.predicate, "(");
-    bool first_term = true;
-    skip_ws();
-    if (i < line.size() && line[i] == ')') {
-      ++i;  // zero-arity atom
-    } else {
-      while (true) {
-        skip_ws();
-        const size_t term_start = i;
-        while (i < line.size() && line[i] != ',' && line[i] != ')' &&
-               std::isspace(static_cast<unsigned char>(line[i])) == 0) {
-          ++i;
-        }
-        if (i == term_start) {
-          return Status::InvalidArgument(
-              StrCat("empty term in query atom ", atom.predicate));
-        }
-        const std::string_view token = line.substr(term_start, i - term_start);
-        ServeTerm term;
-        const char c0 = token.front();
-        if (std::isupper(static_cast<unsigned char>(c0)) || c0 == '_') {
-          term.is_var = true;
-          if (token == "_") {
-            term.var = query.num_vars++;
-            key_atom += first_term ? "_" : ",_";
-          } else {
-            const auto it = named.find(token);
-            if (it != named.end()) {
-              term.var = it->second;
-            } else {
-              term.var = query.num_vars++;
-              named.emplace(std::string(token), term.var);
-              query.output_vars.push_back(term.var);
-              query.output_names.emplace_back(token);
-            }
-            // Positional rename: the k-th distinct named variable is $k.
-            size_t pos = 0;
-            while (query.output_vars[pos] != term.var) ++pos;
-            key_atom += StrCat(first_term ? "$" : ",$", pos);
-          }
+    atom.predicate = name.text;
+    if (!query.atoms.empty()) query.key += ',';
+    query.key += name.text;
+    query.key += '(';
+    if (!in.TakeIf(TokenKind::kRParen)) {
+      do {
+        if (!atom.terms.empty()) query.key += ',';
+        const Token tok = in.Take();
+        ServeTerm& term = atom.terms.emplace_back();
+        term.is_var = tok.kind == TokenKind::kVariable;
+        if (tok.kind == TokenKind::kConstant) {
+          term.constant = symbols.Find(tok.text);  // kNoValue: matches nothing
+          AppendConstant(tok.text, &query.key);
+        } else if (!term.is_var) {
+          return TokenStream::Err(tok, "expected a term");
+        } else if (tok.text == "_") {
+          // Anonymous: a fresh variable, never output.
+          term.var = query.num_vars++;
+          query.key += '_';
         } else {
-          term.constant = symbols.Find(token);  // kNoValue: matches nothing
-          key_atom += StrCat(first_term ? "" : ",", std::string(token));
+          // Positional rename: the k-th distinct named variable is $k.
+          size_t k = 0;
+          while (k < query.output_names.size() &&
+                 query.output_names[k] != tok.text) {
+            ++k;
+          }
+          if (k == query.output_names.size()) {
+            query.output_vars.push_back(query.num_vars++);
+            query.output_names.emplace_back(tok.text);
+          }
+          term.var = query.output_vars[k];
+          query.key += '$';
+          query.key += std::to_string(k);
         }
-        atom.terms.push_back(term);
-        first_term = false;
-        skip_ws();
-        if (i < line.size() && line[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (i < line.size() && line[i] == ')') {
-          ++i;
-          break;
-        }
-        return Status::InvalidArgument(
-            StrCat("unterminated atom in query: ", std::string(line)));
-      }
+      } while (in.TakeIf(TokenKind::kComma));
+      INFLOG_RETURN_IF_ERROR(in.Expect(TokenKind::kRParen, "')'"));
     }
-    key_atom += ")";
-    query.key += query.atoms.empty() ? key_atom : StrCat(",", key_atom);
+    query.key += ')';
     query.support.push_back(atom.predicate);
     query.atoms.push_back(std::move(atom));
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
-    }
-    break;
-  }
-  skip_ws();
-  if (i < line.size() && line[i] != '#') {
-    return Status::InvalidArgument(
-        StrCat("trailing garbage after query: ", std::string(line)));
+  } while (in.TakeIf(TokenKind::kComma));
+  if (in.Peek().kind != TokenKind::kEof) {
+    return TokenStream::Err(in.Peek(), "expected ',' or the end of the query");
   }
   std::sort(query.support.begin(), query.support.end());
   query.support.erase(

@@ -8,8 +8,9 @@
 //   ?E(X,Y), T(Y,Z)      — conjunctive join over snapshot relations
 //   ?R(X,_,X)            — `_` matches anything and is not output
 //
-// Terms follow the program syntax: an identifier starting with an
-// uppercase letter (or `_`) is a variable, anything else a constant.
+// Terms are read by the program and fact lexer (src/ast/parser.h): an
+// identifier starting with an uppercase letter (or `_`) is a variable; a
+// lowercase identifier, a digit string or a 'quoted' name is a constant.
 // Results are the distinct bindings of the named variables in
 // first-appearance order, rendered in the same canonical sorted `{...}`
 // form Relation::ToString uses — so serve-mode output diffs cleanly
@@ -18,8 +19,10 @@
 // Parsing resolves constants against a *frozen* snapshot symbol table
 // (lookup only, never interning): a constant the epoch has never seen
 // simply matches nothing. The canonical cache key renames variables to
-// $0,$1,... in appearance order and renders constants by name, so
-// alpha-equivalent queries share one cache entry across epochs.
+// $0,$1,... in appearance order and spells constants as facts do
+// (AppendConstant), so alpha-equivalent queries share one cache entry
+// across epochs and a quoted constant such as '$0' or 'a,b' never shares
+// a key with a variable or with two constants.
 
 #ifndef INFLOG_SERVE_QUERY_H_
 #define INFLOG_SERVE_QUERY_H_
@@ -60,8 +63,8 @@ struct ServeQuery {
   /// output columns). `_` terms get ids past these and are projected away.
   std::vector<uint32_t> output_vars;
   std::vector<std::string> output_names;  ///< Parallel to output_vars.
-  /// Canonical cache key: variables renamed positionally, constants by
-  /// name.
+  /// Canonical cache key: variables renamed positionally, constants
+  /// spelled as facts spell them.
   std::string key;
   /// Sorted, deduplicated predicate names the query reads — its cache
   /// support set.

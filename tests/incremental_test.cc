@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/core/engine.h"
 #include "src/eval/incremental.h"
 #include "tests/test_util.h"
@@ -21,6 +22,7 @@
 namespace inflog {
 namespace {
 
+using testing::MustDatabase;
 using testing::TuplesOf;
 
 class IncrementalTest : public ::testing::Test {
@@ -405,6 +407,49 @@ TEST(ParseUpdateLineTest, RejectsMalformedTokens) {
   EXPECT_FALSE(ParseUpdateLine("+E a,b)", symbols.get()).ok());  // no '('
   EXPECT_FALSE(ParseUpdateLine("+(a)", symbols.get()).ok());     // no name
   EXPECT_FALSE(ParseUpdateLine("+E(a,)", symbols.get()).ok());   // bad arg
+}
+
+TEST(ParseUpdateLineTest, QuotedConstantsNameTheFactsValues) {
+  Database db = MustDatabase("E('c'). E('Foo').");
+  SymbolTable* symbols = &db.symbols();
+  const Value c = symbols->Find("c");
+  const Value foo = symbols->Find("Foo");
+  ASSERT_NE(c, kNoValue);
+  ASSERT_NE(foo, kNoValue);
+  const size_t interned = symbols->size();
+  auto batch =
+      ParseUpdateLine("-E('c') +E('c') +E (c) % comment", symbols);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->deletes.size(), 1u);
+  ASSERT_EQ(batch->inserts.size(), 2u);
+  EXPECT_EQ(batch->deletes[0].second, Tuple{c});
+  EXPECT_EQ(batch->inserts[0].second, Tuple{c});
+  EXPECT_EQ(batch->inserts[1].second, Tuple{c});
+  auto quoted = ParseUpdateLine("-E('Foo') // comment", symbols);
+  ASSERT_TRUE(quoted.ok()) << quoted.status().ToString();
+  EXPECT_EQ(quoted->deletes[0].second, Tuple{foo});
+  EXPECT_EQ(symbols->size(), interned);  // nothing new was interned
+}
+
+TEST(ParseUpdateLineTest, RejectsVariablesAndBareSymbolsAsFactsDo) {
+  auto symbols = std::make_shared<SymbolTable>();
+  const auto fact = ParseDatabase("E(Foo).");
+  const auto update = ParseUpdateLine("+E(Foo)", symbols.get());
+  ASSERT_FALSE(fact.ok());
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(update.status().message().find("facts must be ground"),
+            std::string::npos)
+      << update.status().ToString();
+  // Names the lexer does not read as one constant must be quoted.
+  for (const char* name : {"$0", "-1", "1.5", "a-b"}) {
+    EXPECT_FALSE(
+        ParseUpdateLine(StrCat("+E(", name, ")"), symbols.get()).ok())
+        << name;
+    auto quoted = ParseUpdateLine(StrCat("+E('", name, "')"), symbols.get());
+    ASSERT_TRUE(quoted.ok()) << name;
+    EXPECT_EQ(quoted->inserts[0].second, Tuple{symbols->Find(name)});
+  }
 }
 
 }  // namespace

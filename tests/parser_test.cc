@@ -15,6 +15,7 @@
 #include "src/ast/printer.h"
 #include "src/base/rng.h"
 #include "src/base/strings.h"
+#include "src/core/engine.h"
 #include "tests/test_util.h"
 
 namespace inflog {
@@ -128,6 +129,35 @@ TEST(ParserTest, VariablesSharedWithinRuleOnly) {
             p.rules()[0].body[0].args[1].id);
 }
 
+TEST(ParserTest, EachUnderscoreIsItsOwnVariable) {
+  Program p = MustProgram("P(X) :- E(X,_), F(_,X).");
+  const Rule& rule = p.rules()[0];
+  EXPECT_EQ(rule.num_vars, 3u);
+  EXPECT_NE(rule.body[0].args[1].id, rule.body[1].args[0].id);
+  EXPECT_EQ(p.ToString(), "P(X) :- E(X,_), F(_,X).\n");
+
+  // Joined as one variable, the rule would derive nothing here.
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgramText("P(X) :- E(X,_), F(_,X).").ok());
+  ASSERT_TRUE(engine.LoadDatabaseText("E(1,2). F(3,1).").ok());
+  auto result = engine.Evaluate(SemanticsKind::kStratified);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto rel = engine.RelationOf(result->state(), "P");
+  ASSERT_TRUE(rel.ok());
+  EXPECT_EQ(testing::TuplesOf(*engine.symbols(), **rel),
+            (std::vector<std::vector<std::string>>{{"1"}}));
+}
+
+TEST(ParserTest, HashCommentsInProgramsAndFacts) {
+  Program p = MustProgram(
+      "# leading comment\n"
+      "T(X) :- E(Y,X), # inline\n"
+      "        !T(Y).\n");
+  EXPECT_EQ(p.rules().size(), 1u);
+  Database db = MustDatabase("E(1,2). # an edge\n# E(3,4).\n");
+  EXPECT_EQ((*db.GetRelation("E"))->size(), 1u);
+}
+
 TEST(ParserTest, ArityConflictRejected) {
   auto r = ParseProgram("T(X) :- E(X).\nS(X,Y) :- E(X,Y).");
   EXPECT_FALSE(r.ok());
@@ -151,6 +181,7 @@ TEST(ParserTest, PrintParseRoundTrip) {
       "G(Z1,1,Z2).",
       "P(X,Y) :- D(X), D(Y), X != Y, !Q(X).",
       "T(Z) :- !Q(U), !T(W).",
+      "P(X) :- E(X, 'Hello World'), F(X, _), G(_, X).",
   };
   for (const char* src : kSources) {
     Program p1 = MustProgram(src);

@@ -20,6 +20,7 @@
 #include "src/ast/parser.h"
 #include "src/base/strings.h"
 #include "src/core/engine.h"
+#include "src/eval/incremental.h"
 #include "src/eval/stratified.h"
 #include "src/serve/cache.h"
 #include "src/serve/query.h"
@@ -132,6 +133,68 @@ TEST_F(ServingTest, ParseQueryErrors) {
   EXPECT_FALSE(serve::ParseServeQuery("?T(X),", symbols).ok());
   // Trailing comments are fine.
   EXPECT_TRUE(serve::ParseServeQuery("?T(X)  # trailing", symbols).ok());
+}
+
+TEST_F(ServingTest, QuotedConstantKeysNeverCollide) {
+  SymbolTable symbols;
+  const auto key = [&](std::string_view line) {
+    auto q = serve::ParseServeQuery(line, symbols);
+    INFLOG_CHECK(q.ok()) << q.status().ToString();
+    return q->key;
+  };
+  // A quoted constant is the constant: 'c' and c share one key.
+  EXPECT_EQ(key("?E('c')"), "E(c)");
+  EXPECT_EQ(key("?E(c)"), "E(c)");
+  // A name that does not read back bare keeps its quotes, so it shares
+  // no key with a variable or with two constants.
+  EXPECT_EQ(key("?E('$0')"), "E('$0')");
+  EXPECT_EQ(key("?E(X)"), "E($0)");
+  EXPECT_EQ(key("?E('X')"), "E('X')");
+  EXPECT_EQ(key("?E('a,b')"), "E('a,b')");
+  auto one = serve::ParseServeQuery("?E('a,b')", symbols);
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ(one->atoms[0].terms.size(), 1u);
+  EXPECT_TRUE(one->ground());
+  // Whitespace before '(' and the fact file's comments are fine.
+  EXPECT_EQ(key("? E (c) % comment"), "E(c)");
+  EXPECT_EQ(key("?E(c) // comment"), "E(c)");
+}
+
+// Facts, update lines and queries spell constants one way: E('c') is the
+// fact E(c), and 'Foo' is a constant, not a variable.
+constexpr std::string_view kQuotedFacts = "E('c'). E(d). E('Foo').";
+
+TEST_F(ServingTest, QuotedConstantsAnswerAsTheFacts) {
+  Load("P(X) :- E(X).", kQuotedFacts);
+  Begin();
+  EXPECT_EQ(Answer("?E('c')"), "true");
+  EXPECT_EQ(Answer("?E(c)"), "true");
+  EXPECT_EQ(Answer("?E('Foo')"), "true");
+  EXPECT_EQ(Answer("?E(X)"), "{(c), (d), ('Foo')}");
+  auto batch = ParseUpdateLine("-E('c')", engine_->symbols().get());
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  auto applied = engine_->ApplyUpdate(*batch);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->stats.incremental_edb_deleted, 1u);
+  EXPECT_EQ(Answer("?E(X)"), "{(d), ('Foo')}");
+  EXPECT_EQ(Answer("?P(X)"), "{(d), ('Foo')}");
+  EXPECT_EQ(Answer("?E('c')"), "false");
+}
+
+TEST_F(ServingTest, DollarIsNotATermButQuotedDollarIsAConstant) {
+  for (const bool cache : {true, false}) {
+    SCOPED_TRACE(cache ? "cache on" : "cache off");
+    Load("P(X) :- E(X).", kQuotedFacts);
+    serve::ServingTuning tuning;
+    tuning.cache = cache;
+    Begin(SemanticsKind::kStratified, tuning);
+    EXPECT_EQ(Answer("?E('$0')"), "false");  // cold cache
+    EXPECT_EQ(Answer("?E(X)"), "{(c), (d), ('Foo')}");
+    EXPECT_EQ(Answer("?E('$0')"), "false");  // warm cache
+    const auto dollar = engine_->Query("?E($0)");
+    ASSERT_FALSE(dollar.ok());
+    EXPECT_EQ(dollar.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(ServingTest, ServingGroundAndJoinQueries) {
